@@ -6,20 +6,32 @@
 //! (Algorithm 3), and slides along the path it belongs to. All structures
 //! live in temporary memory — the only state a robot carries between
 //! rounds is its `⌈log k⌉`-bit identifier, giving the `Θ(log k)` memory
-//! bound of Theorem 4. Because the structures are a pure function of the
-//! round's packets (shared by all robots under global communication), the
-//! simulator-side implementation memoizes them per packet set instead of
-//! rebuilding them `k` times — see [`ComputeCache`](self) for why this is
-//! observationally transparent.
+//! bound of Theorem 4.
+//!
+//! Because the structures are a pure function of the round's packets,
+//! which under global communication every robot shares, the
+//! simulator-side implementation derives them once per packet list
+//! instead of once per robot: a round plan (see `plan.rs`) runs
+//! Algorithms 1–3 over all components and reduces them to one decision
+//! entry per occupied node, and a robot's Compute step is an index into
+//! it plus a binary search in its colocated list. The plan is keyed by
+//! the view's packet-list identity ([`RobotView::packets_id`]), which the
+//! simulator mints once per round and the move oracle once per candidate
+//! graph, and clones of the algorithm — one per executor worker — share
+//! it. This is transparent memoization of deterministic computation: the
+//! golden traces are byte-identical, the per-robot persistent memory is
+//! untouched, and [`DispersionDynamic::unmemoized`] keeps the per-robot
+//! rebuild the paper's pseudo-code prescribes as the differential
+//! reference.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
+use std::sync::{Arc, Mutex, PoisonError};
 
-use dispersion_engine::{
-    Action, DispersionAlgorithm, InfoPacket, MemoryFootprint, RobotId, RobotView,
-};
+use dispersion_engine::{Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView};
 
 use crate::component::ConnectedComponent;
 use crate::paths::DisjointPathSet;
+use crate::plan::{PlanScratch, RoundPlan};
 use crate::sliding::{self, SlidingPolicy};
 use crate::spanning_tree::SpanningTree;
 
@@ -70,50 +82,48 @@ impl MemoryFootprint for DynamicMemory {
 #[derive(Debug, Default)]
 pub struct DispersionDynamic {
     policy: SlidingPolicy,
-    /// `true` disables the [`ComputeCache`] and rebuilds Algorithms 1→3
-    /// from the packets on every call — the reference path the
-    /// differential tests compare the memoized path against.
+    /// `true` bypasses the round plan and rebuilds Algorithms 1→3 from
+    /// the packets on every call — the reference path the differential
+    /// tests compare the planned path against.
     naive: bool,
-    cache: RefCell<ComputeCache>,
+    /// The plan this instance used last: the lock-free fast path for
+    /// every robot whose view carries the same packet-list identity.
+    local: RefCell<Option<Arc<RoundPlan>>>,
+    /// The plan slot this instance shares with all its clones, created
+    /// on first use so that building an instance allocates nothing.
+    shared: OnceCell<Arc<Mutex<SharedPlan>>>,
 }
 
 impl Clone for DispersionDynamic {
+    /// A clone shares the plan slot, so executor workers build each
+    /// round's plan once between them; its own fast path starts empty.
+    /// Clones driven by independent runs stay correct (plans are keyed
+    /// by packet-list identity) but take turns rebuilding the one slot,
+    /// so give each run its own [`DispersionDynamic::new`].
     fn clone(&self) -> Self {
-        // The memoization cache is derived state; a clone starts cold.
         DispersionDynamic {
             policy: self.policy,
             naive: self.naive,
-            cache: RefCell::new(ComputeCache::default()),
+            local: RefCell::new(None),
+            shared: OnceCell::from(Arc::clone(self.shared_slot())),
         }
     }
 }
 
-/// Memoized Algorithm 1→2→3 results for one packet set.
+/// The newest round plan of a family of clones, keyed by its packet-list
+/// identity, plus the build buffers (only ever used under the lock, so
+/// concurrent workers wait for one build instead of repeating it).
 ///
-/// The component, tree, and path structures are pure functions of the
-/// round's packets (plus the tie-break policy), and with global
-/// communication every robot receives the same packets — so all robots in
-/// a component recompute identical structures. The cache keys on the full
-/// packet list (compared by value, so the oracle's speculative
-/// evaluations on candidate graphs invalidate it correctly) and stores
-/// one entry per component, built on first demand. This changes nothing
-/// observable: it is transparent memoization of deterministic
-/// computation, and the per-robot `Θ(log k)` persistent-memory claim is
-/// untouched (the cache is temporary, round-local state of the kind the
-/// model hands out for free).
+/// The plan is round-local temporary state of the kind the model hands
+/// out for free: it changes nothing observable, and the per-robot
+/// `Θ(log k)` persistent-memory claim is untouched.
 #[derive(Debug, Default)]
-struct ComputeCache {
-    packets: Vec<InfoPacket>,
-    components: Vec<CachedComponent>,
-}
-
-#[derive(Debug)]
-struct CachedComponent {
-    component: ConnectedComponent,
-    /// `None` when the component has no multiplicity node (its robots
-    /// hold still), in which case `paths` is `None` too.
-    tree: Option<SpanningTree>,
-    paths: Option<DisjointPathSet>,
+struct SharedPlan {
+    plan: Option<Arc<RoundPlan>>,
+    scratch: PlanScratch,
+    /// Plans built so far, for the build-count tests.
+    #[cfg(test)]
+    builds: u64,
 }
 
 impl DispersionDynamic {
@@ -128,26 +138,32 @@ impl DispersionDynamic {
     pub fn with_policy(policy: SlidingPolicy) -> Self {
         DispersionDynamic {
             policy,
-            naive: false,
-            cache: RefCell::new(ComputeCache::default()),
+            ..DispersionDynamic::default()
         }
     }
 
-    /// Creates the algorithm with the per-packet-set memoization
-    /// disabled: every robot rebuilds the component, spanning tree and
-    /// disjoint paths from its packets on every call — exactly what the
-    /// paper's pseudo-code prescribes.
+    /// Creates the algorithm without the shared round plan: every robot
+    /// rebuilds the component, spanning tree and disjoint paths from its
+    /// packets on every call — exactly what the paper's pseudo-code
+    /// prescribes.
     ///
-    /// This is the differential-testing oracle for the memoized default:
+    /// This is the differential-testing oracle for the planned default:
     /// both paths are pure functions of the same inputs, so lockstep
     /// simulations must agree on every per-round robot state (see the
     /// `memoization_is_observationally_transparent` property test).
     /// Orders of magnitude slower; never use it for experiments.
     pub fn unmemoized() -> Self {
+        DispersionDynamic::unmemoized_with_policy(SlidingPolicy::default())
+    }
+
+    /// [`DispersionDynamic::unmemoized`] under an explicit
+    /// [`SlidingPolicy`], the reference for
+    /// [`DispersionDynamic::with_policy`].
+    pub fn unmemoized_with_policy(policy: SlidingPolicy) -> Self {
         DispersionDynamic {
-            policy: SlidingPolicy::default(),
+            policy,
             naive: true,
-            cache: RefCell::new(ComputeCache::default()),
+            ..DispersionDynamic::default()
         }
     }
 
@@ -156,10 +172,85 @@ impl DispersionDynamic {
         self.policy
     }
 
-    /// Whether this instance bypasses the memoization cache
+    /// Whether this instance bypasses the round plan
     /// (see [`DispersionDynamic::unmemoized`]).
     pub fn is_unmemoized(&self) -> bool {
         self.naive
+    }
+
+    /// The reference path: Algorithms 1→3 rebuilt from this robot's
+    /// packets, then [`sliding::decide_with_policy`].
+    fn decide_unmemoized(&self, view: &RobotView) -> Action {
+        // Termination detection (global communication): no multiplicity
+        // node anywhere means dispersion is achieved.
+        if !view.packets.iter().any(|p| p.count >= 2) {
+            return Action::Stay;
+        }
+        let component = ConnectedComponent::build(&view.packets, view.colocated[0]);
+        let tree = if self.policy.bfs_tree {
+            SpanningTree::build_bfs(&component)
+        } else {
+            SpanningTree::build(&component)
+        };
+        let Some(tree) = tree else {
+            return Action::Stay;
+        };
+        let paths = DisjointPathSet::build(&component, &tree);
+        sliding::decide_with_policy(view, &component, &tree, &paths, self.policy)
+    }
+
+    /// The planned path: one plan per packet-list identity, shared by all
+    /// clones; a view of identity 0 gets a plan of its own.
+    fn decide_planned(&self, view: &RobotView) -> Action {
+        let id = view.packets_id;
+        if id == 0 {
+            let plan = RoundPlan::build(0, &view.packets, self.policy, &mut PlanScratch::default());
+            return plan.decide(view, self.policy);
+        }
+        let mut local = self.local.borrow_mut();
+        if local.as_ref().map(|plan| plan.id()) != Some(id) {
+            // Let go of the old plan first, so the slot can free it
+            // before the next one is built.
+            *local = None;
+            *local = Some(self.shared_plan(id, view));
+        }
+        local
+            .as_ref()
+            .expect("filled above")
+            .decide(view, self.policy)
+    }
+
+    fn shared_slot(&self) -> &Arc<Mutex<SharedPlan>> {
+        self.shared.get_or_init(Arc::default)
+    }
+
+    /// The shared plan for identity `id`, built from `view`'s packets by
+    /// the first clone that asks.
+    fn shared_plan(&self, id: u64, view: &RobotView) -> Arc<RoundPlan> {
+        // A panic inside a build leaves no plan in place and the scratch
+        // is reset by every build, so a poisoned slot is safe to keep
+        // using.
+        let mut guard = self
+            .shared_slot()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let shared = &mut *guard;
+        if let Some(plan) = shared.plan.as_ref().filter(|plan| plan.id() == id) {
+            return Arc::clone(plan);
+        }
+        shared.plan = None;
+        let plan = Arc::new(RoundPlan::build(
+            id,
+            &view.packets,
+            self.policy,
+            &mut shared.scratch,
+        ));
+        #[cfg(test)]
+        {
+            shared.builds += 1;
+        }
+        shared.plan = Some(Arc::clone(&plan));
+        plan
     }
 }
 
@@ -175,80 +266,25 @@ impl DispersionAlgorithm for DispersionDynamic {
     }
 
     fn step(&self, view: &RobotView, memory: &DynamicMemory) -> (Action, DynamicMemory) {
-        // Termination detection (global communication): no multiplicity
-        // node anywhere means dispersion is achieved.
-        if !view.packets.iter().any(|p| p.count >= 2) {
-            return (Action::Stay, memory.clone());
-        }
-        let my_node = view.colocated[0];
-        if self.naive {
-            // Reference path: rebuild Algorithms 1→3 from scratch, as the
-            // paper's pseudo-code has every robot do.
-            let component = ConnectedComponent::build(&view.packets, my_node);
-            let tree = if self.policy.bfs_tree {
-                SpanningTree::build_bfs(&component)
-            } else {
-                SpanningTree::build(&component)
-            };
-            let Some(tree) = tree else {
-                return (Action::Stay, memory.clone());
-            };
-            let paths = DisjointPathSet::build(&component, &tree);
-            return (
-                sliding::decide_with_policy(view, &component, &tree, &paths, self.policy),
-                memory.clone(),
-            );
-        }
-        let mut cache = self.cache.borrow_mut();
-        if cache.packets != view.packets {
-            cache.packets.clear();
-            cache.packets.extend_from_slice(&view.packets);
-            cache.components.clear();
-        }
-        let idx = match cache
-            .components
-            .iter()
-            .position(|e| e.component.contains(my_node))
-        {
-            Some(idx) => idx,
-            None => {
-                let component = ConnectedComponent::build(&cache.packets, my_node);
-                // A component without a multiplicity node builds no tree
-                // and its robots hold still this round.
-                let tree = if self.policy.bfs_tree {
-                    SpanningTree::build_bfs(&component)
-                } else {
-                    SpanningTree::build(&component)
-                };
-                let paths = tree.as_ref().map(|t| DisjointPathSet::build(&component, t));
-                cache.components.push(CachedComponent {
-                    component,
-                    tree,
-                    paths,
-                });
-                cache.components.len() - 1
-            }
+        let action = if self.naive {
+            self.decide_unmemoized(view)
+        } else {
+            self.decide_planned(view)
         };
-        let entry = &cache.components[idx];
-        let Some(tree) = &entry.tree else {
-            return (Action::Stay, memory.clone());
-        };
-        let paths = entry.paths.as_ref().expect("paths built alongside the tree");
-        (
-            sliding::decide_with_policy(view, &entry.component, tree, paths, self.policy),
-            memory.clone(),
-        )
+        (action, memory.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use dispersion_engine::adversary::{
-        EdgeChurnNetwork, StarPairAdversary, StaticNetwork, TIntervalNetwork,
+        DynamicNetwork, EdgeChurnNetwork, StarPairAdversary, StaticNetwork, TIntervalNetwork,
     };
-    use dispersion_engine::{Configuration, ModelSpec, Simulator};
-    use dispersion_graph::{generators, NodeId};
+    use dispersion_engine::{Configuration, ModelSpec, MoveOracle, ResolvedMove, Simulator};
+    use dispersion_graph::{generators, NodeId, PortLabeledGraph};
 
     fn run<N: dispersion_engine::adversary::DynamicNetwork>(
         net: N,
@@ -264,6 +300,146 @@ mod tests {
         .unwrap()
         .run()
         .unwrap()
+    }
+
+    fn plan_builds(alg: &DispersionDynamic) -> u64 {
+        alg.shared_slot()
+            .lock()
+            .expect("plan slot is not poisoned")
+            .builds
+    }
+
+    /// Forwards every oracle call, counting them: each call evaluates
+    /// one candidate graph, i.e. one packet list.
+    struct CountingOracle<'a> {
+        inner: &'a dyn MoveOracle,
+        calls: &'a Cell<u64>,
+    }
+
+    impl MoveOracle for CountingOracle<'_> {
+        fn moves_on(&self, g: &PortLabeledGraph) -> Vec<ResolvedMove> {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.moves_on(g)
+        }
+
+        fn configuration(&self) -> &Configuration {
+            self.inner.configuration()
+        }
+    }
+
+    /// A network that hands its adversary a [`CountingOracle`].
+    struct CountingNetwork<N> {
+        inner: N,
+        oracle_calls: Cell<u64>,
+    }
+
+    impl<N: DynamicNetwork> DynamicNetwork for CountingNetwork<N> {
+        fn node_count(&self) -> usize {
+            self.inner.node_count()
+        }
+
+        fn graph_for_round(
+            &mut self,
+            round: u64,
+            config: &Configuration,
+            oracle: &dyn MoveOracle,
+        ) -> &PortLabeledGraph {
+            let counting = CountingOracle {
+                inner: oracle,
+                calls: &self.oracle_calls,
+            };
+            self.inner.graph_for_round(round, config, &counting)
+        }
+    }
+
+    #[test]
+    fn one_plan_per_round_at_every_thread_count() {
+        // 40 robots on a static ring: both workers of a two-thread pool
+        // step robots every round, and all of them share one plan.
+        for threads in [1usize, 2] {
+            let alg = DispersionDynamic::new();
+            let probe = alg.clone();
+            let (n, k) = (64, 40);
+            let out = Simulator::builder(
+                alg,
+                StaticNetwork::new(generators::cycle(n).unwrap()),
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                Configuration::rooted(n, k, NodeId::new(0)),
+            )
+            .threads(threads)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+            assert!(out.dispersed);
+            assert!(out.rounds > 1);
+            assert_eq!(plan_builds(&probe), out.rounds, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn one_plan_per_oracle_candidate() {
+        use dispersion_engine::adversary::MinProgressSampler;
+        for threads in [1usize, 2] {
+            let alg = DispersionDynamic::new();
+            let probe = alg.clone();
+            let (n, k) = (24, 16);
+            let mut sim = Simulator::builder(
+                alg,
+                CountingNetwork {
+                    inner: MinProgressSampler::new(n, 3, 0.15, 5),
+                    oracle_calls: Cell::new(0),
+                },
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                Configuration::rooted(n, k, NodeId::new(0)),
+            )
+            .threads(threads)
+            .build()
+            .unwrap();
+            let out = sim.run().unwrap();
+            assert!(out.dispersed);
+            let candidates = sim.network().oracle_calls.get();
+            assert!(candidates >= out.rounds, "the sampler consults the oracle");
+            assert_eq!(
+                plan_builds(&probe),
+                out.rounds + candidates,
+                "threads {threads}: one plan per round and per candidate"
+            );
+        }
+    }
+
+    #[test]
+    fn hand_built_views_get_a_plan_of_their_own() {
+        // Identity 0 marks a view whose packet list has no identity: the
+        // shared slot is neither read nor written.
+        let g = generators::path(5).unwrap();
+        let cfg = Configuration::rooted(5, 3, NodeId::new(2));
+        let packets = dispersion_engine::build_packets(&g, &cfg, true);
+        let alg = DispersionDynamic::new();
+        let mut expected = Vec::new();
+        let mut actual = Vec::new();
+        for (robot, _) in cfg.iter() {
+            let mut view = dispersion_engine::build_view(
+                &g,
+                &cfg,
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                0,
+                3,
+                robot,
+                None,
+                &packets,
+            );
+            expected.push(
+                DispersionDynamic::unmemoized()
+                    .step(&view, &alg.init(robot, 3))
+                    .0,
+            );
+            view.packets_id = 0;
+            actual.push(alg.step(&view, &alg.init(robot, 3)).0);
+        }
+        assert_eq!(actual, expected);
+        assert!(actual.iter().any(|a| matches!(a, Action::Move(_))));
+        assert_eq!(plan_builds(&alg), 0);
     }
 
     #[test]

@@ -57,6 +57,7 @@
 
 mod algorithm;
 mod error;
+mod plan;
 
 pub mod analysis;
 pub mod baselines;

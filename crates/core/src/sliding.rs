@@ -100,34 +100,32 @@ pub fn decide_with_policy(
 }
 
 /// The leaf mover's target port among the empty neighbors (Algorithm 4,
-/// line 12; the rule is policy-selectable for ablations).
-fn leaf_exit_port(view: &RobotView, policy: SlidingPolicy) -> Option<Port> {
+/// line 12; the rule is policy-selectable for ablations). Reads the
+/// view's neighbor observations in place.
+pub(crate) fn leaf_exit_port(view: &RobotView, policy: SlidingPolicy) -> Option<Port> {
     let empties = view
-        .empty_ports()
-        .expect("Algorithm 4 requires 1-neighborhood knowledge");
+        .neighbors
+        .as_ref()
+        .expect("Algorithm 4 requires 1-neighborhood knowledge")
+        .iter()
+        .filter(|o| !o.occupied())
+        .map(|o| o.port);
     match policy.leaf_port {
-        LeafPortRule::SmallestEmpty => empties.into_iter().min(),
-        LeafPortRule::LargestEmpty => empties.into_iter().max(),
+        LeafPortRule::SmallestEmpty => empties.min(),
+        LeafPortRule::LargestEmpty => empties.max(),
     }
 }
 
 /// 0-based path slot of `me` at the **root**: slot `j` is assigned to
 /// path `j` (leaf-ID order). The smallest robot — the root's anchor —
 /// never gets a slot; truncation guarantees `|paths| ≤ count − 1`, so
-/// this keeps at least one robot on the root (Lemma 6).
-fn root_path_slot(view: &RobotView, policy: SlidingPolicy) -> Option<usize> {
+/// this keeps at least one robot on the root (Lemma 6). `colocated` is
+/// ascending, so `me` is found by binary search.
+pub(crate) fn root_path_slot(view: &RobotView, policy: SlidingPolicy) -> Option<usize> {
+    let pos = view.colocated.binary_search(&view.me).ok()?;
     match policy.mover {
-        MoverRule::LargestId => view
-            .colocated
-            .iter()
-            .rev()
-            .position(|&r| r == view.me)
-            .filter(|&slot| slot + 1 < view.colocated.len()),
-        MoverRule::SmallestNonAnchor => view
-            .colocated
-            .iter()
-            .position(|&r| r == view.me)
-            .and_then(|pos| pos.checked_sub(1)),
+        MoverRule::LargestId => (pos > 0).then(|| view.colocated.len() - 1 - pos),
+        MoverRule::SmallestNonAnchor => pos.checked_sub(1),
     }
 }
 
@@ -135,7 +133,7 @@ fn root_path_slot(view: &RobotView, policy: SlidingPolicy) -> Option<usize> {
 /// node. A lone robot always moves (it is replaced by its predecessor on
 /// the path); at multiplicity nodes the smallest robot anchors the node's
 /// identity and the policy picks the mover among the rest.
-fn is_off_root_mover(view: &RobotView, policy: SlidingPolicy) -> bool {
+pub(crate) fn is_off_root_mover(view: &RobotView, policy: SlidingPolicy) -> bool {
     if view.colocated.len() == 1 {
         return true;
     }

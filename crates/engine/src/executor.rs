@@ -11,8 +11,8 @@
 //! That rules out work stealing: a stealing scheduler makes the *work
 //! distribution* nondeterministic, which is fine for pure map operations
 //! but poisons anything stateful per worker (here: each worker's cached
-//! node view and its private algorithm clone, whose memo tables warm in
-//! visit order). Instead each dispatch splits the item range into
+//! node view, rewritten only when the visited node changes). Instead
+//! each dispatch splits the item range into
 //! `workers` fixed id-ordered chunks (`chunk = ceil(len / workers)`);
 //! worker `w` owns `[w·chunk, (w+1)·chunk)` and writes results into
 //! pre-assigned slots of a shared output array. The main thread then
@@ -21,6 +21,12 @@
 //! imbalance, but Compute cost per robot is near-uniform (one algorithm
 //! step over a similarly sized view), so the imbalance is bounded and
 //! the determinism is worth it.
+//!
+//! Round-wide algorithm state is not per worker. Every worker's view
+//! carries the packet-list identity the simulator minted for the round
+//! ([`RobotView::packets_id`]), so algorithm clones that share state keyed
+//! by that identity derive it once per round, whichever worker gets there
+//! first; `DispersionDynamic` builds its round plan this way.
 //!
 //! # Dispatch protocol
 //!
@@ -73,7 +79,7 @@ use std::thread::JoinHandle;
 use dispersion_graph::{NodeId, Port, PortLabeledGraph};
 
 use crate::packet::{blank_packet, build_own_packet_into, write_packet_into};
-use crate::view::write_node_view;
+use crate::view::{next_packets_id, write_node_view};
 use crate::{
     Action, CommModel, DispersionAlgorithm, InfoPacket, ModelSpec, RobotId, RobotView,
 };
@@ -94,6 +100,7 @@ pub(crate) type ParComputeFn<A> = fn(
     &[Vec<RobotId>],
     &[(RobotId, NodeId)],
     &[InfoPacket],
+    u64,
     &[Option<Port>],
     &[Option<<A as DispersionAlgorithm>::Memory>],
     ModelSpec,
@@ -151,8 +158,9 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Long-lived per-worker state: a private algorithm clone (so interior
-/// memo caches need not be `Sync`) and a reusable view, mirroring the
+/// Long-lived per-worker state: an algorithm clone (the algorithm need
+/// not be `Sync`; clones may still share state among themselves, keyed
+/// by the view's packet-list identity) and a reusable view, mirroring the
 /// sequential loop's single-view optimization per worker.
 struct WorkerLocal<A: DispersionAlgorithm> {
     algorithm: A,
@@ -170,6 +178,7 @@ fn blank_view() -> RobotView {
         colocated: Vec::new(),
         neighbors: None,
         packets: Vec::new(),
+        packets_id: 0,
     }
 }
 
@@ -392,6 +401,8 @@ struct ComputeCtx<'a, A: DispersionAlgorithm> {
     /// The round's full packet list (global model); ignored under local
     /// communication, where each worker builds own-node packets.
     packets: &'a [InfoPacket],
+    /// The identity the simulator minted for `packets` (global model).
+    packets_id: u64,
     arrival_ports: &'a [Option<Port>],
     memories: &'a [Option<<A as DispersionAlgorithm>::Memory>],
     model: ModelSpec,
@@ -423,6 +434,7 @@ where
         // Refresh this worker's packet copy element-wise (`clone_from`
         // reuses every interior buffer once warm).
         ctx.packets.clone_into(&mut local.view.packets);
+        local.view.packets_id = ctx.packets_id;
     }
     let neighborhood = ctx.model.neighborhood;
     for i in range {
@@ -437,6 +449,7 @@ where
                     neighborhood,
                     &mut local.view.packets,
                 );
+                local.view.packets_id = next_packets_id();
             }
             local.view_node = Some(v);
         }
@@ -465,6 +478,7 @@ pub(crate) fn par_compute<A>(
     node_robots: &[Vec<RobotId>],
     live: &[(RobotId, NodeId)],
     packets: &[InfoPacket],
+    packets_id: u64,
     arrival_ports: &[Option<Port>],
     memories: &[Option<<A as DispersionAlgorithm>::Memory>],
     model: ModelSpec,
@@ -487,6 +501,7 @@ pub(crate) fn par_compute<A>(
         node_robots,
         live,
         packets,
+        packets_id,
         arrival_ports,
         memories,
         model,

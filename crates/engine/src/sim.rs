@@ -22,7 +22,7 @@ use crate::executor::{self, WorkerPool};
 use crate::invariants::{CheckPolicy, InvariantMonitor, RoundContext, TerminalContext};
 use crate::oracle::EngineOracle;
 use crate::packet::{build_own_packet_into, build_packets_into};
-use crate::view::write_node_view;
+use crate::view::{next_packets_id, write_node_view};
 use crate::{
     Action, Activation, CommModel, Configuration, CrashPhase, DispersionAlgorithm,
     ExecutionTrace, FaultPlan, MemoryFootprint, ModelSpec, RobotId, RobotView, RoundRecord,
@@ -153,6 +153,7 @@ impl RoundScratch {
                 colocated: Vec::new(),
                 neighbors: None,
                 packets: Vec::new(),
+                packets_id: 0,
             },
             view_node: None,
             last_record: RoundRecord {
@@ -619,9 +620,11 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
         }
 
         // Communicate: under global communication every robot receives the
-        // same packet list — build it once into the shared view.
+        // same packet list — build it once into the shared view, under one
+        // fresh identity for the round.
         let neighborhood = self.model.neighborhood;
         if self.model.comm == CommModel::Global {
+            self.scratch.view.packets_id = next_packets_id();
             match &self.pool {
                 Some((pool, _)) => executor::par_packets(
                     pool,
@@ -662,6 +665,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                 &self.scratch.node_robots,
                 &self.par_live,
                 &self.scratch.view.packets,
+                self.scratch.view.packets_id,
                 &self.arrival_ports,
                 &self.memories,
                 self.model,
@@ -689,6 +693,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                             neighborhood,
                             &mut self.scratch.view.packets,
                         );
+                        self.scratch.view.packets_id = next_packets_id();
                     }
                     self.scratch.view_node = Some(v);
                 }

@@ -1,10 +1,24 @@
 //! Per-robot round views: everything a robot may legally observe during
 //! the Communicate phase of one CCM round.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use dispersion_graph::{Port, PortLabeledGraph};
 
-use crate::packet::build_packets;
+use crate::packet::{build_own_packet_into, build_packets_into};
 use crate::{CommModel, Configuration, InfoPacket, ModelSpec, RobotId};
+
+/// Mints a fresh packet-list identity for [`RobotView::packets_id`]:
+/// nonzero, and never returned twice within the process.
+///
+/// Whoever fills a view's `packets` mints one identity per distinct list
+/// and copies it into every view that carries that list — the simulator
+/// once per round under global communication, [`build_views`] once per
+/// call. The counter publishes no other data, hence `Relaxed`.
+pub(crate) fn next_packets_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// What a robot senses about one adjacent node under 1-neighborhood
 /// knowledge: the robots there (possibly none).
@@ -56,6 +70,15 @@ pub struct RobotView {
     /// nodes' packets under global communication, only the own node's
     /// packet under local communication.
     pub packets: Vec<InfoPacket>,
+    /// Identity of `packets`. A nonzero value is minted by the engine
+    /// (once per round by the simulator, once per call by [`build_view`]
+    /// and [`build_views`]), is never reused within the process, and
+    /// names one packet list: two views with the same nonzero identity
+    /// carry equal `packets`, so an algorithm may derive round-wide
+    /// structures from the list once per identity instead of once per
+    /// robot. `0` means unknown (a hand-built view): the list must be
+    /// read afresh.
+    pub packets_id: u64,
 }
 
 impl RobotView {
@@ -91,8 +114,9 @@ impl RobotView {
 /// Builds the view of a single robot standing on node `node_of(me)`.
 ///
 /// `packets` must be the full packet list of the round (from
-/// [`build_packets`] with the model's neighborhood flag); the function
-/// restricts it for local communication.
+/// [`crate::build_packets`] with the model's neighborhood flag); the
+/// function restricts it for local communication. The view gets a fresh
+/// [`RobotView::packets_id`] per call.
 ///
 /// # Panics
 ///
@@ -137,6 +161,7 @@ pub fn build_view(
         colocated,
         neighbors,
         packets,
+        packets_id: next_packets_id(),
     }
 }
 
@@ -183,6 +208,13 @@ pub fn write_node_view(
 /// Builds the views of all live robots for one round. `arrival_port_of`
 /// maps a robot to the port it used to enter its node (if it moved last
 /// round). Views are returned in robot-ID order.
+///
+/// Each view equals the [`build_view`] of the same robot up to its
+/// [`RobotView::packets_id`]: under global communication all views share
+/// one identity minted for the call, under local communication each
+/// view's own-node list gets its own. The robot-at-node index is built
+/// once per call, so the views cost `O(k + Σ deg)` rather than a
+/// configuration scan per robot and per neighbor.
 pub fn build_views(
     g: &PortLabeledGraph,
     config: &Configuration,
@@ -191,14 +223,50 @@ pub fn build_views(
     k: usize,
     arrival_port_of: &dyn Fn(RobotId) -> Option<Port>,
 ) -> Vec<(RobotId, RobotView)> {
-    let packets = build_packets(g, config, model.neighborhood);
+    let mut node_robots: Vec<Vec<RobotId>> = vec![Vec::new(); g.node_count()];
+    let mut occupied = Vec::new();
+    for (r, v) in config.iter() {
+        let row = &mut node_robots[v.index()];
+        if row.is_empty() {
+            occupied.push(v);
+        }
+        row.push(r);
+    }
+    let mut packets = Vec::new();
+    let mut packets_id = 0;
+    if model.comm == CommModel::Global {
+        build_packets_into(g, &node_robots, &occupied, model.neighborhood, &mut packets);
+        packets_id = next_packets_id();
+    }
     config
         .iter()
-        .map(|(r, _)| {
-            (
-                r,
-                build_view(g, config, model, round, k, r, arrival_port_of(r), &packets),
-            )
+        .map(|(r, v)| {
+            let mut view = RobotView {
+                round,
+                me: r,
+                k,
+                degree: 0,
+                arrival_port: arrival_port_of(r),
+                colocated: Vec::new(),
+                neighbors: None,
+                packets: Vec::new(),
+                packets_id,
+            };
+            write_node_view(g, &node_robots, v, model.neighborhood, &mut view);
+            match model.comm {
+                CommModel::Global => view.packets.clone_from(&packets),
+                CommModel::Local => {
+                    build_own_packet_into(
+                        g,
+                        &node_robots,
+                        v,
+                        model.neighborhood,
+                        &mut view.packets,
+                    );
+                    view.packets_id = next_packets_id();
+                }
+            }
+            (r, view)
         })
         .collect()
 }
@@ -307,6 +375,7 @@ mod tests {
             colocated: Vec::new(),
             neighbors: None,
             packets: Vec::new(),
+            packets_id: 0,
         };
         // Warm the buffers on node 1 (two colocated robots), then move to
         // node 2: leftovers must be fully overwritten.
@@ -328,6 +397,59 @@ mod tests {
         assert_eq!(view.degree, reference.degree);
         assert_eq!(view.colocated, reference.colocated);
         assert_eq!(view.neighbors, reference.neighbors);
+    }
+
+    #[test]
+    fn build_views_matches_build_view_in_every_model() {
+        // Multiplicities, a lone robot, empty neighbors and a robot on a
+        // leaf, over all four Table I models and a few arrival ports.
+        let g = generators::star(6).unwrap();
+        let configs = [
+            Configuration::from_pairs(
+                6,
+                [
+                    (r(4), v(0)),
+                    (r(1), v(0)),
+                    (r(2), v(3)),
+                    (r(6), v(3)),
+                    (r(5), v(5)),
+                ],
+            ),
+            Configuration::rooted(6, 5, v(2)),
+            Configuration::random(6, 6, 11, true),
+        ];
+        let models = [
+            ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+            ModelSpec::LOCAL_WITH_NEIGHBORHOOD,
+            ModelSpec::GLOBAL_BLIND,
+            ModelSpec::LOCAL_BLIND,
+        ];
+        let arrival = |id: RobotId| id.get().is_multiple_of(2).then(|| Port::new(1));
+        for c in &configs {
+            let k = c.robot_count();
+            for model in models {
+                let packets = crate::packet::build_packets(&g, c, model.neighborhood);
+                let views = build_views(&g, c, model, 3, k, &arrival);
+                assert_eq!(views.len(), k);
+                for (robot, view) in &views {
+                    let mut single =
+                        build_view(&g, c, model, 3, k, *robot, arrival(*robot), &packets);
+                    assert_ne!(view.packets_id, 0);
+                    assert_ne!(view.packets_id, single.packets_id);
+                    single.packets_id = view.packets_id;
+                    assert_eq!(view, &single, "robot {robot} under {model}");
+                }
+                let ids: Vec<u64> = views.iter().map(|(_, view)| view.packets_id).collect();
+                if model.comm == CommModel::Global {
+                    assert!(ids.iter().all(|&id| id == ids[0]), "one list per call");
+                } else {
+                    let mut distinct = ids.clone();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    assert_eq!(distinct.len(), ids.len(), "one list per local view");
+                }
+            }
+        }
     }
 
     #[test]

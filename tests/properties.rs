@@ -7,14 +7,14 @@
 use std::path::PathBuf;
 
 use dispersion_core::{component::ConnectedComponent, DisjointPathSet, SpanningTree};
-use dispersion_core::DispersionDynamic;
+use dispersion_core::{DispersionDynamic, LeafPortRule, MoverRule, SlidingPolicy};
 use dispersion_engine::adversary::{
     DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork, MinProgressSampler, StarPairAdversary,
     StaticNetwork, TIntervalNetwork,
 };
 use dispersion_engine::{
-    build_packets, CheckPolicy, Configuration, ModelSpec, SimError, SimOutcome, Simulator, Step,
-    TracePolicy,
+    build_packets, Activation, CheckPolicy, Configuration, CrashPhase, FaultPlan, ModelSpec,
+    SimError, SimOutcome, Simulator, Step, TracePolicy,
 };
 use dispersion_graph::{connectivity, generators, relabel, GraphBuilder, NodeId, PortLabeledGraph};
 use proptest::prelude::*;
@@ -496,57 +496,144 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Differential oracle: memoized vs naive Algorithm 4
+// Differential oracle: planned vs unmemoized Algorithm 4
 // ---------------------------------------------------------------------------
+
+/// The six sliding policies of the ablation benches: the paper's rules,
+/// each alternative rule alone, all of them together, and BFS trees.
+fn sliding_policies() -> [SlidingPolicy; 6] {
+    let paper = SlidingPolicy::default();
+    [
+        paper,
+        SlidingPolicy {
+            mover: MoverRule::SmallestNonAnchor,
+            ..paper
+        },
+        SlidingPolicy {
+            leaf_port: LeafPortRule::LargestEmpty,
+            ..paper
+        },
+        SlidingPolicy {
+            single_path: true,
+            ..paper
+        },
+        SlidingPolicy {
+            mover: MoverRule::SmallestNonAnchor,
+            leaf_port: LeafPortRule::LargestEmpty,
+            single_path: true,
+            bfs_tree: false,
+        },
+        SlidingPolicy {
+            bfs_tree: true,
+            ..paper
+        },
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(50))]
 
-    // Satellite differential test: `DispersionDynamic` with its
-    // cross-round compute cache must be observationally identical to the
-    // naive rebuild-everything variant — same per-round records, same
-    // per-round configurations, stepped in lockstep.
+    // Satellite differential test: `DispersionDynamic` with its shared
+    // round plan (one plan per packet list, shared by executor workers
+    // and rebuilt per oracle candidate) must be observationally identical
+    // to the unmemoized rebuild-everything variant under the same policy —
+    // same per-round records, same per-round configurations, stepped in
+    // lockstep. Every case runs all six policies under one scenario drawn
+    // from the seed: rooted or random start, one or two engine threads,
+    // full or semi-synchronous activation, with or without crash faults,
+    // and an edge-churn network or the oracle-driven `MinProgressSampler`.
     #[test]
     fn memoization_is_observationally_transparent((n, p, seed) in graph_params()) {
         let n = n.max(3);
         let k = 2 + (seed as usize % (n - 1));
-        let build = |alg: DispersionDynamic| Simulator::builder(
-            alg,
-            EdgeChurnNetwork::new(n, p, seed),
-            ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-            Configuration::rooted(n, k, NodeId::new(0)),
-        )
-        .trace(TracePolicy::Rounds)
-        .build()
-        .unwrap();
+        let bit = |i: u32| (seed >> (40 + i)) & 1 == 1;
+        let start = if bit(0) {
+            Configuration::random(n, k, seed, true)
+        } else {
+            Configuration::rooted(n, k, NodeId::new(0))
+        };
+        let threads = if bit(1) { 2 } else { 1 };
+        let activation = if bit(2) {
+            Activation::SemiSync { p_percent: 60, seed }
+        } else {
+            Activation::FullSync
+        };
+        let faults = if bit(3) {
+            let phase = if bit(4) { CrashPhase::AfterCompute } else { CrashPhase::BeforeCommunicate };
+            FaultPlan::random(k, k / 3, k as u64, phase, seed)
+        } else {
+            FaultPlan::none()
+        };
+        let oracle = bit(5);
+        let network = || -> Box<dyn DynamicNetwork> {
+            if oracle {
+                Box::new(MinProgressSampler::new(n, 4, p, seed))
+            } else {
+                Box::new(EdgeChurnNetwork::new(n, p, seed))
+            }
+        };
+        let scenario = format!(
+            "n={n} k={k} seed={seed} threads={threads} {activation:?} crashes={} oracle={oracle}",
+            faults.crash_count()
+        );
         prop_assert!(DispersionDynamic::unmemoized().is_unmemoized());
         prop_assert!(!DispersionDynamic::new().is_unmemoized());
-        let mut memoized = build(DispersionDynamic::new());
-        let mut naive = build(DispersionDynamic::unmemoized());
+        for policy in sliding_policies() {
+            let reference = DispersionDynamic::unmemoized_with_policy(policy);
+            prop_assert!(reference.is_unmemoized());
+            prop_assert_eq!(reference.policy(), policy);
+            let build = |alg: DispersionDynamic, threads: usize| Simulator::builder(
+                alg,
+                network(),
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                start.clone(),
+            )
+            .activation(activation)
+            .faults(faults.clone())
+            .trace(TracePolicy::Rounds)
+            .threads(threads)
+            .build()
+            .unwrap();
+            let mut planned = build(DispersionDynamic::with_policy(policy), threads);
+            let mut naive = build(reference, 1);
 
-        for round in 0..=(k as u64 + 1) {
-            let a = match memoized.step().unwrap() {
-                Step::Dispersed => None,
-                Step::Advanced(out) => Some(out.record.clone()),
-            };
-            let b = match naive.step().unwrap() {
-                Step::Dispersed => None,
-                Step::Advanced(out) => Some(out.record.clone()),
-            };
-            prop_assert_eq!(&a, &b, "round {} records diverge", round);
-            prop_assert_eq!(
-                memoized.configuration(),
-                naive.configuration(),
-                "round {} configurations diverge",
-                round
-            );
-            if a.is_none() {
-                break;
+            let cap = 30 * k as u64 + 30;
+            let mut finished = false;
+            for round in 0..=cap {
+                let a = match planned.step().unwrap() {
+                    Step::Dispersed => None,
+                    Step::Advanced(out) => Some(out.record.clone()),
+                };
+                let b = match naive.step().unwrap() {
+                    Step::Dispersed => None,
+                    Step::Advanced(out) => Some(out.record.clone()),
+                };
+                prop_assert_eq!(&a, &b, "{} {:?}: round {} records diverge", scenario, policy, round);
+                prop_assert_eq!(
+                    planned.configuration(),
+                    naive.configuration(),
+                    "{} {:?}: round {} configurations diverge",
+                    scenario,
+                    policy,
+                    round
+                );
+                if a.is_none() {
+                    finished = true;
+                    break;
+                }
+            }
+            if activation == Activation::FullSync {
+                prop_assert!(finished, "{} {:?}: no dispersion within {} rounds", scenario, policy, cap);
+                if faults.crash_count() == 0 {
+                    prop_assert!(
+                        planned.round() <= k as u64,
+                        "{} {:?}: O(k) violated ({} rounds)",
+                        scenario,
+                        policy,
+                        planned.round()
+                    );
+                }
             }
         }
-        prop_assert!(
-            memoized.configuration().is_dispersed(),
-            "lockstep run must disperse within k+1 steps"
-        );
     }
 }
