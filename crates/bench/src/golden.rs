@@ -13,8 +13,8 @@ use dispersion_core::baselines::{BlindGlobal, GreedyLocal, LocalDfs, RandomWalk}
 use dispersion_core::byzantine::{ByzantineStrategy, WithByzantine};
 use dispersion_core::DispersionDynamic;
 use dispersion_engine::adversary::{
-    DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork, MinProgressSampler,
-    StarPairAdversary, StaticNetwork,
+    CliqueTrapAdversary, DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork,
+    MinProgressSampler, StarPairAdversary, StaticNetwork,
 };
 use dispersion_engine::{
     Configuration, CrashPhase, DispersionAlgorithm, FaultPlan, ModelSpec,
@@ -76,6 +76,9 @@ pub enum GoldenAdversary {
     StarPair,
     /// Oracle-guided progress-minimizing sampler.
     MinProgress,
+    /// The Theorem 2 clique-rewiring adversary (reads whole-population
+    /// moves from the oracle).
+    CliqueTrap,
 }
 
 impl GoldenAdversary {
@@ -87,6 +90,7 @@ impl GoldenAdversary {
             GoldenAdversary::BrokenRing => "broken-ring",
             GoldenAdversary::StarPair => "star-pair",
             GoldenAdversary::MinProgress => "min-progress",
+            GoldenAdversary::CliqueTrap => "clique-trap",
         }
     }
 
@@ -102,6 +106,7 @@ impl GoldenAdversary {
             GoldenAdversary::BrokenRing => Box::new(DynamicRingNetwork::new(n, true, seed)),
             GoldenAdversary::StarPair => Box::new(StarPairAdversary::new(n)),
             GoldenAdversary::MinProgress => Box::new(MinProgressSampler::new(n, 6, 0.2, seed)),
+            GoldenAdversary::CliqueTrap => Box::new(CliqueTrapAdversary::new(n)),
         }
     }
 }
@@ -190,6 +195,13 @@ pub fn golden_cases() -> Vec<GoldenCase> {
         byz("alg4_byz_chase_churn", GoldenAlgorithm::Alg4, GoldenAdversary::Churn, 12, 8, 27, 2, ByzantineStrategy::ChaseCrowds),
         byz("alg4_byz_scramble_broken_ring", GoldenAlgorithm::Alg4, GoldenAdversary::BrokenRing, 12, 8, 29, 2, ByzantineStrategy::Scramble),
         byz("local_dfs_byz_freeze_static_cycle", GoldenAlgorithm::LocalDfs, GoldenAdversary::StaticCycle, 12, 8, 31, 2, ByzantineStrategy::Freeze),
+        case("alg4_min_progress_large", GoldenAlgorithm::Alg4, GoldenAdversary::MinProgress, 48, 32, 33, 0),
+        // The blind algorithm never settles against the Theorem 2 trap;
+        // a small cap bounds the fixture.
+        GoldenCase {
+            max_rounds: 60,
+            ..case("blind_global_clique_trap", GoldenAlgorithm::BlindGlobal, GoldenAdversary::CliqueTrap, 12, 8, 0, 0)
+        },
     ]
 }
 

@@ -9,12 +9,19 @@
 //! makes it a useful stress test: the Θ(k) bound must survive an
 //! adversary that actively optimizes against the algorithm.
 
-use dispersion_graph::{generators, relabel, PortLabeledGraph};
+use dispersion_graph::generators::{self, RandomGraphScratch};
+use dispersion_graph::relabel::{self, RelabelScratch};
+use dispersion_graph::PortLabeledGraph;
 
 use crate::adversary::DynamicNetwork;
 use crate::{Configuration, MoveOracle};
 
 /// Oracle-guided candidate sampler minimizing per-round progress.
+///
+/// Candidates are generated into retained buffers (generator and
+/// relabeling scratch, the canonically labeled graph, the candidate and
+/// the best graph so far, swapped when a candidate improves), so once
+/// warm a round allocates no graph storage.
 #[derive(Clone, Debug)]
 pub struct MinProgressSampler {
     n: usize,
@@ -23,8 +30,17 @@ pub struct MinProgressSampler {
     seed: u64,
     /// Progress the committed graph allowed, per round (for reporting).
     progress_history: Vec<usize>,
-    /// The graph of the last round, lent out to the simulator.
-    current: Option<PortLabeledGraph>,
+    /// Spanning-tree, builder and pair-bitset buffers of the generator.
+    generator: RandomGraphScratch,
+    /// Per-row port permutations of the relabeling.
+    relabel_scratch: RelabelScratch,
+    /// The current candidate before relabeling.
+    staging: Option<PortLabeledGraph>,
+    /// The candidate being scored.
+    candidate: Option<PortLabeledGraph>,
+    /// The best candidate of the round so far; after the round, the
+    /// committed graph lent out to the simulator.
+    best: Option<PortLabeledGraph>,
 }
 
 impl MinProgressSampler {
@@ -48,7 +64,11 @@ impl MinProgressSampler {
             extra_edge_prob,
             seed,
             progress_history: Vec::new(),
-            current: None,
+            generator: RandomGraphScratch::default(),
+            relabel_scratch: RelabelScratch::default(),
+            staging: None,
+            candidate: None,
+            best: None,
         }
     }
 
@@ -59,14 +79,33 @@ impl MinProgressSampler {
         &self.progress_history
     }
 
-    fn candidate(&self, round: u64, index: usize) -> PortLabeledGraph {
-        let s = self
-            .seed
+    fn candidate_seed(&self, round: u64, index: usize) -> u64 {
+        self.seed
             .wrapping_mul(0x2545_f491_4f6c_dd1d)
             .wrapping_add(round.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .wrapping_add(index as u64);
-        let g = generators::random_connected(self.n, self.extra_edge_prob, s).expect("n > 0");
-        relabel::random_relabel(&g, s ^ 0x00ff_00ff)
+            .wrapping_add(index as u64)
+    }
+
+    /// Writes candidate `index` of `round` into `self.candidate`: a seeded
+    /// random connected graph under seeded random port labels.
+    fn generate(&mut self, round: u64, index: usize) -> &PortLabeledGraph {
+        let s = self.candidate_seed(round, index);
+        let (n, p) = (self.n, self.extra_edge_prob);
+        match &mut self.staging {
+            Some(g) => {
+                generators::random_connected_into(n, p, s, &mut self.generator, g).expect("n > 0")
+            }
+            None => self.staging = Some(generators::random_connected(n, p, s).expect("n > 0")),
+        }
+        let staged = self.staging.as_ref().expect("staging just filled");
+        let relabel_seed = s ^ 0x00ff_00ff;
+        match &mut self.candidate {
+            Some(out) => {
+                relabel::random_relabel_into(staged, relabel_seed, &mut self.relabel_scratch, out)
+            }
+            None => self.candidate = Some(relabel::random_relabel(staged, relabel_seed)),
+        }
+        self.candidate.as_ref().expect("candidate just filled")
     }
 }
 
@@ -81,22 +120,22 @@ impl DynamicNetwork for MinProgressSampler {
         _config: &Configuration,
         oracle: &dyn MoveOracle,
     ) -> &PortLabeledGraph {
-        let mut best: Option<(usize, PortLabeledGraph)> = None;
+        let mut best_progress: Option<usize> = None;
         for i in 0..self.candidates_per_round {
-            let g = self.candidate(round, i);
-            let progress = oracle.progress_on(&g);
-            let better = best.as_ref().is_none_or(|(p, _)| progress < *p);
-            if better {
-                let stop = progress == 0;
-                best = Some((progress, g));
-                if stop {
+            let progress = oracle.progress_on(self.generate(round, i));
+            if best_progress.is_none_or(|p| progress < p) {
+                std::mem::swap(&mut self.candidate, &mut self.best);
+                best_progress = Some(progress);
+                if progress == 0 {
                     break;
                 }
             }
         }
-        let (progress, g) = best.expect("at least one candidate");
-        self.progress_history.push(progress);
-        self.current.insert(g)
+        self.progress_history
+            .push(best_progress.expect("at least one candidate"));
+        self.best
+            .as_ref()
+            .expect("the first candidate is always kept")
     }
 
     fn name(&self) -> &str {
@@ -124,6 +163,34 @@ mod tests {
         // All-stay robots make zero progress on any graph.
         assert_eq!(adv.progress_history(), &[0, 0, 0, 0, 0]);
         assert_eq!(adv.name(), "min-progress sampler");
+    }
+
+    #[test]
+    fn retained_candidates_match_the_allocating_generators() {
+        for &(n, p, seed) in &[
+            (1usize, 0.3, 1u64),
+            (2, 0.5, 0),
+            (12, 0.2, 9),
+            (48, 0.1, 33),
+            (60, 0.0, 7),
+            (144, 0.1, 3),
+        ] {
+            let mut adv = MinProgressSampler::new(n, 4, p, seed);
+            for round in 0..3 {
+                for index in 0..4 {
+                    let s = adv.candidate_seed(round, index);
+                    let expected = relabel::random_relabel(
+                        &generators::random_connected(n, p, s).unwrap(),
+                        s ^ 0x00ff_00ff,
+                    );
+                    assert_eq!(
+                        adv.generate(round, index),
+                        &expected,
+                        "n={n} p={p} seed={seed} round={round} index={index}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,13 +76,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use dispersion_graph::{NodeId, Port, PortLabeledGraph};
+use dispersion_graph::{NodeId, PortLabeledGraph};
 
-use crate::packet::{blank_packet, build_own_packet_into, write_packet_into};
-use crate::view::{next_packets_id, write_node_view};
-use crate::{
-    Action, CommModel, DispersionAlgorithm, InfoPacket, ModelSpec, RobotId, RobotView,
-};
+use crate::compute::{compute_pass, RoundInputs, ViewScratch};
+use crate::packet::{blank_packet, write_packet_into};
+use crate::view::next_packets_id;
+use crate::{Action, CommModel, DispersionAlgorithm, InfoPacket, RobotId, RobotView};
 
 /// One filled Compute slot: the robot, its action, and its next memory.
 /// `None` marks a not-yet-filled slot (every slot is `Some` after a
@@ -93,19 +92,11 @@ pub(crate) type Decision<A> =
 /// The monomorphized [`par_compute`] entry point, captured by
 /// `SimulatorBuilder::threads` — the one place with the `A: Clone + Send`
 /// bounds — so the unbounded `Simulator::step` can invoke it.
-#[allow(clippy::type_complexity)]
 pub(crate) type ParComputeFn<A> = fn(
     &WorkerPool,
-    &PortLabeledGraph,
-    &[Vec<RobotId>],
+    &RoundInputs<'_, <A as DispersionAlgorithm>::Memory>,
     &[(RobotId, NodeId)],
-    &[InfoPacket],
-    u64,
-    &[Option<Port>],
-    &[Option<<A as DispersionAlgorithm>::Memory>],
-    ModelSpec,
-    u64,
-    usize,
+    &RobotView,
     &mut Vec<Decision<A>>,
 );
 
@@ -164,22 +155,7 @@ impl std::fmt::Debug for WorkerPool {
 /// sequential loop's single-view optimization per worker.
 struct WorkerLocal<A: DispersionAlgorithm> {
     algorithm: A,
-    view: RobotView,
-    view_node: Option<NodeId>,
-}
-
-fn blank_view() -> RobotView {
-    RobotView {
-        round: 0,
-        me: RobotId::new(1),
-        k: 0,
-        degree: 0,
-        arrival_port: None,
-        colocated: Vec::new(),
-        neighbors: None,
-        packets: Vec::new(),
-        packets_id: 0,
-    }
+    compute: ViewScratch,
 }
 
 /// Spawns `workers` persistent threads, each owning a clone of
@@ -206,8 +182,7 @@ where
             let shared = Arc::clone(&shared);
             let mut local = WorkerLocal {
                 algorithm: algorithm.clone(),
-                view: blank_view(),
-                view_node: None,
+                compute: ViewScratch::new(),
             };
             std::thread::Builder::new()
                 .name(format!("ccm-worker-{w}"))
@@ -342,23 +317,32 @@ unsafe fn packet_chunk(ctx: *const (), _local: *mut (), w: usize) {
         // SAFETY: slot `i` is in this worker's chunk, disjoint from every
         // other worker's; `out` has `occupied.len()` initialized slots.
         let slot = unsafe { &mut *ctx.out.add(i) };
-        write_packet_into(ctx.g, ctx.node_robots, ctx.occupied[i], ctx.neighborhood, slot);
+        write_packet_into(
+            ctx.g,
+            ctx.node_robots,
+            ctx.occupied[i],
+            ctx.neighborhood,
+            slot,
+            &mut Vec::new(),
+        );
     }
 }
 
-/// Builds the round's packets in parallel: slot `i` gets `occupied[i]`'s
-/// packet, then the main thread truncates and sorts by sender — the
-/// identical truncate+sort the sequential `build_packets_into` performs,
-/// so the result is byte-identical to the sequential build for any
-/// worker count.
+/// Builds the round's packets in parallel into `view`, under one fresh
+/// identity: slot `i` gets `occupied[i]`'s packet, then the main thread
+/// truncates and sorts by sender — the identical truncate+sort the
+/// sequential `build_packets_into` performs, so the result is
+/// byte-identical to the sequential build for any worker count.
 pub(crate) fn par_packets(
     pool: &WorkerPool,
     g: &PortLabeledGraph,
     node_robots: &[Vec<RobotId>],
     occupied: &[NodeId],
     neighborhood: bool,
-    out: &mut Vec<InfoPacket>,
+    view: &mut RobotView,
 ) {
+    view.packets_id = next_packets_id();
+    let out = &mut view.packets;
     // Grow with blank packets only on a cold buffer; warm rounds reuse
     // every slot's interior buffers, exactly like the sequential path.
     while out.len() < occupied.len() {
@@ -392,22 +376,15 @@ pub(crate) fn par_packets(
 // Parallel Compute
 // ---------------------------------------------------------------------
 
-struct ComputeCtx<'a, A: DispersionAlgorithm> {
-    g: &'a PortLabeledGraph,
-    node_robots: &'a [Vec<RobotId>],
+struct ComputeCtx<'a, 'r, A: DispersionAlgorithm> {
+    inputs: &'a RoundInputs<'r, <A as DispersionAlgorithm>::Memory>,
     /// Activated robots in configuration (robot-ID) order — the exact
     /// order the sequential Compute loop visits.
     live: &'a [(RobotId, NodeId)],
-    /// The round's full packet list (global model); ignored under local
-    /// communication, where each worker builds own-node packets.
-    packets: &'a [InfoPacket],
-    /// The identity the simulator minted for `packets` (global model).
-    packets_id: u64,
-    arrival_ports: &'a [Option<Port>],
-    memories: &'a [Option<<A as DispersionAlgorithm>::Memory>],
-    model: ModelSpec,
-    round: u64,
-    k: usize,
+    /// The simulator's view: its packet list and identity are the
+    /// round's (global model); ignored under local communication, where
+    /// each worker builds own-node packets.
+    round_view: &'a RobotView,
     /// `live.len()` slots; slot `i` receives robot `live[i]`'s decision.
     slots: *mut Decision<A>,
     chunk: usize,
@@ -418,72 +395,50 @@ where
     A: DispersionAlgorithm + Clone + Send + 'static,
     A::Memory: Send + Sync,
 {
-    // SAFETY: `par_compute::<A>` erased a `ComputeCtx<'_, A>` and checked
-    // (via TypeId) that this pool's locals are `WorkerLocal<A>`; both
-    // stay alive across the blocking dispatch.
-    let ctx = unsafe { &*(ctx as *const ComputeCtx<'_, A>) };
+    // SAFETY: `par_compute::<A>` erased a `ComputeCtx<'_, '_, A>` and
+    // checked (via TypeId) that this pool's locals are `WorkerLocal<A>`;
+    // both stay alive across the blocking dispatch.
+    let ctx = unsafe { &*(ctx as *const ComputeCtx<'_, '_, A>) };
     let local = unsafe { &mut *(local as *mut WorkerLocal<A>) };
     let range = chunk_of(ctx.live.len(), ctx.chunk, w);
     if range.is_empty() {
         return;
     }
-    local.view.round = ctx.round;
-    local.view.k = ctx.k;
-    local.view_node = None;
-    if ctx.model.comm == CommModel::Global {
+    if ctx.inputs.model.comm == CommModel::Global {
         // Refresh this worker's packet copy element-wise (`clone_from`
         // reuses every interior buffer once warm).
-        ctx.packets.clone_into(&mut local.view.packets);
-        local.view.packets_id = ctx.packets_id;
+        let view = &mut local.compute.view;
+        ctx.round_view.packets.clone_into(&mut view.packets);
+        view.packets_id = ctx.round_view.packets_id;
     }
-    let neighborhood = ctx.model.neighborhood;
-    for i in range {
-        let (robot, v) = ctx.live[i];
-        if local.view_node != Some(v) {
-            write_node_view(ctx.g, ctx.node_robots, v, neighborhood, &mut local.view);
-            if ctx.model.comm == CommModel::Local {
-                build_own_packet_into(
-                    ctx.g,
-                    ctx.node_robots,
-                    v,
-                    neighborhood,
-                    &mut local.view.packets,
-                );
-                local.view.packets_id = next_packets_id();
+    let mut slot = range.start;
+    compute_pass(
+        &local.algorithm,
+        ctx.inputs,
+        ctx.live[range].iter().copied(),
+        &mut local.compute,
+        |robot, _, action, next| {
+            // SAFETY: slot `slot` is in this worker's chunk, disjoint from
+            // every other worker's; `slots` has `live.len()` initialized
+            // slots.
+            unsafe {
+                *ctx.slots.add(slot) = Some((robot, action, next));
             }
-            local.view_node = Some(v);
-        }
-        local.view.me = robot;
-        local.view.arrival_port = ctx.arrival_ports[robot.index()];
-        let mem = ctx.memories[robot.index()]
-            .as_ref()
-            .expect("live robots have memories");
-        let (action, next) = local.algorithm.step(&local.view, mem);
-        // SAFETY: slot `i` is in this worker's chunk, disjoint from every
-        // other worker's; `slots` has `live.len()` initialized slots.
-        unsafe {
-            *ctx.slots.add(i) = Some((robot, action, next));
-        }
-    }
+            slot += 1;
+        },
+    );
 }
 
 /// Runs the Compute phase of one round across the pool: robot `live[i]`'s
 /// decision lands in `slots[i]`, so draining `slots` in order yields the
 /// byte-identical decision sequence of the sequential loop, for any
-/// worker count. Allocation-free once every worker's buffers are warm.
-#[allow(clippy::too_many_arguments)] // mirrors the round inputs, like build_view
+/// worker count. Each worker runs the sequential Compute pass over its
+/// chunk. Allocation-free once every worker's buffers are warm.
 pub(crate) fn par_compute<A>(
     pool: &WorkerPool,
-    g: &PortLabeledGraph,
-    node_robots: &[Vec<RobotId>],
+    inputs: &RoundInputs<'_, <A as DispersionAlgorithm>::Memory>,
     live: &[(RobotId, NodeId)],
-    packets: &[InfoPacket],
-    packets_id: u64,
-    arrival_ports: &[Option<Port>],
-    memories: &[Option<<A as DispersionAlgorithm>::Memory>],
-    model: ModelSpec,
-    round: u64,
-    k: usize,
+    round_view: &RobotView,
     slots: &mut Vec<Decision<A>>,
 ) where
     A: DispersionAlgorithm + Clone + Send + 'static,
@@ -496,17 +451,10 @@ pub(crate) fn par_compute<A>(
     );
     slots.clear();
     slots.resize_with(live.len(), || None);
-    let ctx = ComputeCtx::<'_, A> {
-        g,
-        node_robots,
+    let ctx = ComputeCtx::<'_, '_, A> {
+        inputs,
         live,
-        packets,
-        packets_id,
-        arrival_ports,
-        memories,
-        model,
-        round,
-        k,
+        round_view,
         slots: slots.as_mut_ptr(),
         chunk: chunk_size(live.len(), pool.workers),
     };
@@ -516,7 +464,7 @@ pub(crate) fn par_compute<A>(
     // `&`-borrows of `Sync` data (`A::Memory: Sync`).
     unsafe {
         pool.dispatch(
-            (&ctx) as *const ComputeCtx<'_, A> as *const (),
+            (&ctx) as *const ComputeCtx<'_, '_, A> as *const (),
             compute_chunk::<A>,
         );
     }

@@ -62,6 +62,7 @@
 
 mod algorithm;
 mod budget;
+mod compute;
 mod config;
 mod error;
 mod executor;

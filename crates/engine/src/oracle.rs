@@ -6,11 +6,41 @@
 //! engine can evaluate the whole robot population on any *candidate* graph
 //! without disturbing the run — which is exactly the white-box power the
 //! impossibility constructions of Theorems 1 and 2 exercise.
+//!
+//! # Cost of a candidate
+//!
+//! The engine's oracle scores a candidate with the round loop's own
+//! Compute pass (`compute.rs`). Before the simulator asks the adversary
+//! for `G_r` it builds the round's node→robots index, its occupied-node
+//! list and its activated-robot list — the configuration cannot change in
+//! between — and lends them to the oracle, together with a buffer the
+//! simulator retains across rounds: one warm [`crate::RobotView`] and an
+//! occupancy indicator. Per candidate the oracle
+//!
+//! * builds the packet list once into that view under one fresh
+//!   packet-list identity (global communication), or each node's own
+//!   packet when the node changes (local communication);
+//! * rewrites the view's per-node parts only when the node changes;
+//! * steps every activated robot.
+//!
+//! A candidate thus costs `O(k + Σ deg)` plus one Algorithm 4 round plan,
+//! with no per-robot copy of the packet list.
+//! [`MoveOracle::progress_on`] allocates nothing once the buffer is warm
+//! and [`MoveOracle::occupied_after`] only its result; only
+//! [`MoveOracle::moves_on`] materializes one record per robot. Robots the
+//! activation schedule idles this round resolve to [`Action::Stay`], as
+//! they do in the round itself.
+//!
+//! [`crate::build_views`] stays the independent reference: it derives
+//! every view from the configuration alone, and the oracle's tests
+//! compare the two on every model, start and activation schedule.
 
-use dispersion_graph::{NodeId, PortLabeledGraph};
+use std::cell::RefCell;
 
-use crate::view::build_views;
-use crate::{Action, Configuration, DispersionAlgorithm, ModelSpec, RobotId};
+use dispersion_graph::{NodeId, Port, PortLabeledGraph};
+
+use crate::compute::{compute_pass, RoundInputs, ViewScratch};
+use crate::{Action, CommModel, Configuration, DispersionAlgorithm, ModelSpec, RobotId};
 
 /// One robot's move as the oracle resolves it on a candidate graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,51 +90,173 @@ pub trait MoveOracle {
     }
 }
 
+/// Buffers of the engine's oracle, retained by the simulator and reused
+/// for every candidate of every round.
+#[derive(Debug)]
+pub(crate) struct OracleScratch {
+    /// The one view every robot's speculative Compute reads.
+    view: ViewScratch,
+    /// Occupancy indicator over nodes: node `v` is occupied under the
+    /// current candidate iff `marked[v] == stamp`, so a new candidate
+    /// clears the indicator by bumping `stamp`.
+    marked: Vec<u64>,
+    stamp: u64,
+}
+
+impl OracleScratch {
+    /// Empty buffers; they grow on the first candidate.
+    pub(crate) fn new() -> Self {
+        OracleScratch {
+            view: ViewScratch::new(),
+            marked: Vec::new(),
+            stamp: 0,
+        }
+    }
+}
+
 /// The engine's oracle: borrows the live algorithm, memories and
-/// configuration of the current round. Per-robot tables are dense slices
-/// indexed by [`RobotId::index`] (`None` = crashed).
+/// configuration of the current round, plus the round's indexes and the
+/// retained [`OracleScratch`] (a `RefCell`, because the oracle is used
+/// through `&self`). Per-robot tables are dense slices indexed by
+/// [`RobotId::index`] (`None` = crashed).
 pub(crate) struct EngineOracle<'a, A: DispersionAlgorithm> {
     pub algorithm: &'a A,
     pub memories: &'a [Option<A::Memory>],
+    pub arrival_ports: &'a [Option<Port>],
     pub config: &'a Configuration,
     pub model: ModelSpec,
     pub round: u64,
     pub k: usize,
-    pub arrival_ports: &'a [Option<dispersion_graph::Port>],
+    /// Live robots at each node, ascending; empty rows elsewhere.
+    pub node_robots: &'a [Vec<RobotId>],
+    /// The occupied nodes, each once.
+    pub occupied: &'a [NodeId],
+    /// The robots the activation schedule lets compute this round, in
+    /// configuration order.
+    pub live: &'a [(RobotId, NodeId)],
+    pub scratch: &'a RefCell<OracleScratch>,
 }
 
-impl<'a, A: DispersionAlgorithm> MoveOracle for EngineOracle<'a, A> {
+/// Where `action` takes a robot standing on `from` in `g`: an
+/// out-of-range port resolves in place.
+fn destination(g: &PortLabeledGraph, from: NodeId, action: Action) -> NodeId {
+    match action {
+        Action::Stay => from,
+        Action::Move(p) => g.neighbor_via(from, p).map_or(from, |(w, _)| w),
+    }
+}
+
+impl<A: DispersionAlgorithm> EngineOracle<'_, A> {
+    /// Runs the round's Compute pass on candidate `g` in `view`, handing
+    /// `land` each activated robot, its action and its destination.
+    fn evaluate(
+        &self,
+        g: &PortLabeledGraph,
+        view: &mut ViewScratch,
+        mut land: impl FnMut(RobotId, Action, NodeId),
+    ) {
+        assert_eq!(
+            g.node_count(),
+            self.config.node_count(),
+            "candidate graph must have the configuration's node count"
+        );
+        if self.model.comm == CommModel::Global {
+            view.build_packets(g, self.node_robots, self.occupied, self.model.neighborhood);
+        }
+        let inputs = RoundInputs {
+            g,
+            node_robots: self.node_robots,
+            memories: self.memories,
+            arrival_ports: self.arrival_ports,
+            model: self.model,
+            round: self.round,
+            k: self.k,
+        };
+        compute_pass(
+            self.algorithm,
+            &inputs,
+            self.live.iter().copied(),
+            view,
+            |robot, from, action, _next| land(robot, action, destination(g, from, action)),
+        );
+    }
+}
+
+impl<A: DispersionAlgorithm> MoveOracle for EngineOracle<'_, A> {
     fn moves_on(&self, g: &PortLabeledGraph) -> Vec<ResolvedMove> {
-        let views = build_views(g, self.config, self.model, self.round, self.k, &|r| {
-            self.arrival_ports[r.index()]
-        });
-        views
-            .into_iter()
-            .map(|(robot, view)| {
-                let mem = self.memories[robot.index()]
-                    .as_ref()
-                    .expect("live robots have memories");
-                let (action, _) = self.algorithm.step(&view, mem);
-                let from = self.config.node_of(robot).expect("robot is live");
-                let to = match action {
-                    Action::Stay => from,
-                    Action::Move(p) => g
-                        .neighbor_via(from, p)
-                        .map(|(w, _)| w)
-                        .unwrap_or(from),
-                };
-                ResolvedMove {
-                    robot,
-                    from,
-                    action,
-                    to,
-                }
+        let mut moves: Vec<ResolvedMove> = self
+            .config
+            .iter()
+            .map(|(robot, from)| ResolvedMove {
+                robot,
+                from,
+                action: Action::Stay,
+                to: from,
             })
-            .collect()
+            .collect();
+        let mut slot = 0;
+        self.evaluate(
+            g,
+            &mut self.scratch.borrow_mut().view,
+            |robot, action, to| {
+                // The activated robots are a subsequence of the configuration
+                // order; the robots in between are idle and keep `Stay`.
+                while moves[slot].robot != robot {
+                    slot += 1;
+                }
+                moves[slot].action = action;
+                moves[slot].to = to;
+            },
+        );
+        moves
     }
 
     fn configuration(&self) -> &Configuration {
         self.config
+    }
+
+    fn occupied_after(&self, g: &PortLabeledGraph) -> Vec<bool> {
+        let mut ind = vec![false; g.node_count()];
+        let mut robots = self.config.iter();
+        self.evaluate(g, &mut self.scratch.borrow_mut().view, |robot, _, to| {
+            // Idle robots before `robot` stay where they are.
+            for (r, v) in robots.by_ref() {
+                if r == robot {
+                    break;
+                }
+                ind[v.index()] = true;
+            }
+            ind[to.index()] = true;
+        });
+        for (_, v) in robots {
+            ind[v.index()] = true;
+        }
+        ind
+    }
+
+    fn progress_on(&self, g: &PortLabeledGraph) -> usize {
+        let mut scratch = self.scratch.borrow_mut();
+        let OracleScratch {
+            view,
+            marked,
+            stamp,
+        } = &mut *scratch;
+        *stamp += 1;
+        let stamp = *stamp;
+        marked.resize(self.config.node_count(), 0);
+        for &v in self.occupied {
+            marked[v.index()] = stamp;
+        }
+        // Idle robots stay on occupied nodes, so only movers can add
+        // progress.
+        let mut progress = 0;
+        self.evaluate(g, view, |_, _, to| {
+            if marked[to.index()] != stamp {
+                marked[to.index()] = stamp;
+                progress += 1;
+            }
+        });
+        progress
     }
 }
 
@@ -140,9 +292,13 @@ pub(crate) mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::{DynamicNetwork, StaticNetwork};
     use crate::algorithm::MemoryFootprint;
-    use crate::RobotView;
-    use dispersion_graph::{generators, Port};
+    use crate::compute::activated_robots_into;
+    use crate::{build_views, Activation, RobotView, Simulator, Step, TracePolicy};
+    use dispersion_graph::{generators, relabel, Port};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Test algorithm: every robot except the smallest on its node exits
     /// through port 1.
@@ -173,22 +329,182 @@ mod tests {
         }
     }
 
+    /// Acts on an FNV hash of everything in its view except the packet
+    /// list's identity, and of its memory: two views of one robot that
+    /// differ anywhere almost surely yield different actions.
+    #[derive(Clone)]
+    struct ViewHash;
+
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Trail(u64);
+    impl MemoryFootprint for Trail {
+        fn persistent_bits(&self) -> usize {
+            64
+        }
+    }
+
+    impl DispersionAlgorithm for ViewHash {
+        type Memory = Trail;
+        fn name(&self) -> &str {
+            "view-hash"
+        }
+        fn init(&self, me: RobotId, _k: usize) -> Trail {
+            Trail(u64::from(me.get()))
+        }
+        fn step(&self, view: &RobotView, mem: &Trail) -> (Action, Trail) {
+            let text = format!(
+                "{} {} {} {} {:?} {:?} {:?} {:?} {}",
+                view.round,
+                view.me,
+                view.k,
+                view.degree,
+                view.arrival_port,
+                view.colocated,
+                view.neighbors,
+                view.packets,
+                mem.0
+            );
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for byte in text.bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            let action = if view.degree == 0 || h.is_multiple_of(4) {
+                Action::Stay
+            } else {
+                Action::Move(Port::from_index((h / 4 % view.degree as u64) as usize))
+            };
+            (action, Trail(h))
+        }
+    }
+
+    /// One round's oracle inputs, owned the way the simulator owns them.
+    struct Fixture<M> {
+        config: Configuration,
+        memories: Vec<Option<M>>,
+        arrival_ports: Vec<Option<Port>>,
+        model: ModelSpec,
+        round: u64,
+        k: usize,
+        node_robots: Vec<Vec<RobotId>>,
+        occupied: Vec<NodeId>,
+        live: Vec<(RobotId, NodeId)>,
+        scratch: RefCell<OracleScratch>,
+    }
+
+    impl<M> Fixture<M> {
+        fn new(
+            config: Configuration,
+            memories: Vec<Option<M>>,
+            arrival_ports: Vec<Option<Port>>,
+            model: ModelSpec,
+            round: u64,
+            k: usize,
+            activation: Activation,
+        ) -> Self {
+            let mut node_robots = vec![Vec::new(); config.node_count()];
+            let mut occupied = Vec::new();
+            for (r, v) in config.iter() {
+                let row: &mut Vec<RobotId> = &mut node_robots[v.index()];
+                if row.is_empty() {
+                    occupied.push(v);
+                }
+                row.push(r);
+            }
+            let mut live = Vec::new();
+            activated_robots_into(&config, activation, round, &mut live);
+            Fixture {
+                config,
+                memories,
+                arrival_ports,
+                model,
+                round,
+                k,
+                node_robots,
+                occupied,
+                live,
+                scratch: RefCell::new(OracleScratch::new()),
+            }
+        }
+
+        fn oracle<'a, A: DispersionAlgorithm<Memory = M>>(
+            &'a self,
+            algorithm: &'a A,
+        ) -> EngineOracle<'a, A> {
+            EngineOracle {
+                algorithm,
+                memories: &self.memories,
+                arrival_ports: &self.arrival_ports,
+                config: &self.config,
+                model: self.model,
+                round: self.round,
+                k: self.k,
+                node_robots: &self.node_robots,
+                occupied: &self.occupied,
+                live: &self.live,
+                scratch: &self.scratch,
+            }
+        }
+
+        /// The moves on `g` built from [`build_views`] and one `step` per
+        /// activated robot — the reference the oracle must reproduce.
+        fn reference<A: DispersionAlgorithm<Memory = M>>(
+            &self,
+            algorithm: &A,
+            g: &PortLabeledGraph,
+        ) -> Vec<ResolvedMove> {
+            let views = build_views(g, &self.config, self.model, self.round, self.k, &|r| {
+                self.arrival_ports[r.index()]
+            });
+            views
+                .into_iter()
+                .map(|(robot, view)| {
+                    let from = self.config.node_of(robot).expect("robot is live");
+                    let action = if self.live.iter().any(|&(r, _)| r == robot) {
+                        let mem = self.memories[robot.index()].as_ref().expect("live");
+                        algorithm.step(&view, mem).0
+                    } else {
+                        Action::Stay
+                    };
+                    ResolvedMove {
+                        robot,
+                        from,
+                        action,
+                        to: destination(g, from, action),
+                    }
+                })
+                .collect()
+        }
+    }
+
+    const MODELS: [ModelSpec; 4] = [
+        ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+        ModelSpec::LOCAL_WITH_NEIGHBORHOOD,
+        ModelSpec::GLOBAL_BLIND,
+        ModelSpec::LOCAL_BLIND,
+    ];
+
+    fn full_sync<M>(config: Configuration, memories: Vec<Option<M>>) -> Fixture<M> {
+        let k = config.robot_count();
+        let arrivals = vec![None; memories.len()];
+        Fixture::new(
+            config,
+            memories,
+            arrivals,
+            ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+            0,
+            k,
+            Activation::FullSync,
+        )
+    }
+
     #[test]
     fn oracle_resolves_moves_and_progress() {
         let g = generators::path(4).unwrap();
-        let config = Configuration::rooted(4, 3, NodeId::new(1));
-        let memories: Vec<Option<Nil>> = vec![Some(Nil); 3];
-        let arrivals: Vec<Option<Port>> = vec![None; 3];
-        let alg = SpillPortOne;
-        let oracle = EngineOracle {
-            algorithm: &alg,
-            memories: &memories,
-            config: &config,
-            model: ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-            round: 0,
-            k: 3,
-            arrival_ports: &arrivals,
-        };
+        let fixture = full_sync(
+            Configuration::rooted(4, 3, NodeId::new(1)),
+            vec![Some(Nil); 3],
+        );
+        let oracle = fixture.oracle(&SpillPortOne);
         let moves = oracle.moves_on(&g);
         assert_eq!(moves.len(), 3);
         // Robot 1 stays; robots 2 and 3 exit node 1 via port 1 → node 0.
@@ -197,19 +513,13 @@ mod tests {
         assert_eq!(moves[2].to, NodeId::new(0));
         // One previously-empty node becomes occupied.
         assert_eq!(oracle.progress_on(&g), 1);
+        assert_eq!(oracle.occupied_after(&g), vec![true, true, false, false]);
         // Configuration untouched by speculation.
         assert_eq!(oracle.configuration().occupied_count(), 1);
     }
 
     #[test]
     fn out_of_range_port_resolves_to_stay() {
-        // Single edge graph: node 1 has degree 1, so port 1 is valid; use a
-        // star where the center is node 0 to give leaves degree 1 and put
-        // robots on a leaf — port 1 moves to center. Then test a graph
-        // where the robot's port exceeds the degree (path of 1 node is not
-        // connected to anything, so build 2-node graph and place on node
-        // with degree 1 but ask port 1... instead craft port 2 on a
-        // degree-1 node via a custom algorithm).
         struct PortTwo;
         impl DispersionAlgorithm for PortTwo {
             type Memory = Nil;
@@ -223,21 +533,223 @@ mod tests {
                 (Action::Move(Port::new(2)), Nil)
             }
         }
+        // Node 0 of a 2-node path has degree 1, so port 2 does not exist.
         let g = generators::path(2).unwrap();
-        let config = Configuration::rooted(2, 1, NodeId::new(0));
-        let memories: Vec<Option<Nil>> = vec![Some(Nil)];
-        let arrivals: Vec<Option<Port>> = vec![None];
-        let alg = PortTwo;
-        let oracle = EngineOracle {
-            algorithm: &alg,
-            memories: &memories,
-            config: &config,
-            model: ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-            round: 0,
-            k: 1,
-            arrival_ports: &arrivals,
-        };
+        let fixture = full_sync(Configuration::rooted(2, 1, NodeId::new(0)), vec![Some(Nil)]);
+        let oracle = fixture.oracle(&PortTwo);
         let moves = oracle.moves_on(&g);
-        assert_eq!(moves[0].to, NodeId::new(0), "invalid port resolves in place");
+        assert_eq!(
+            moves[0].to,
+            NodeId::new(0),
+            "invalid port resolves in place"
+        );
+        assert_eq!(oracle.progress_on(&g), 0);
+    }
+
+    #[test]
+    fn idle_robots_resolve_to_stay_under_semi_sync() {
+        // Robots 2 and 3 would leave node 1 through port 1; find schedules
+        // that idle robot 2 only, and both.
+        let g = generators::path(4).unwrap();
+        let config = Configuration::rooted(4, 3, NodeId::new(1));
+        let schedule = |seed: u64| {
+            let activation = Activation::SemiSync {
+                p_percent: 50,
+                seed,
+            };
+            let mut live = Vec::new();
+            activated_robots_into(&config, activation, 0, &mut live);
+            let idle = |id: u32| !live.iter().any(|&(r, _)| r == RobotId::new(id));
+            (activation, idle(2), idle(3))
+        };
+        let one_idle = (0..200)
+            .map(schedule)
+            .find(|&(_, two, three)| two && !three);
+        let both_idle = (0..200).map(schedule).find(|&(_, two, three)| two && three);
+        for (activation, expected_progress) in [(one_idle, 1), (both_idle, 0)]
+            .into_iter()
+            .map(|(found, progress)| (found.expect("a matching seed below 200").0, progress))
+        {
+            let fixture = Fixture::new(
+                config.clone(),
+                vec![Some(Nil); 3],
+                vec![None; 3],
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                0,
+                3,
+                activation,
+            );
+            let oracle = fixture.oracle(&SpillPortOne);
+            let moves = oracle.moves_on(&g);
+            assert_eq!(moves[1].action, Action::Stay, "{activation:?}");
+            assert_eq!(moves[1].to, NodeId::new(1), "{activation:?}");
+            assert_eq!(oracle.progress_on(&g), expected_progress, "{activation:?}");
+            let after = oracle.occupied_after(&g);
+            assert_eq!(after, vec![expected_progress == 1, true, false, false]);
+
+            // The round itself agrees: the idled robot does not move.
+            let mut sim = Simulator::builder(
+                SpillPortOne,
+                StaticNetwork::new(g.clone()),
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                config.clone(),
+            )
+            .activation(activation)
+            .trace(TracePolicy::Off)
+            .build()
+            .unwrap();
+            let Step::Advanced(out) = sim.step().unwrap() else {
+                panic!("not dispersed at the start");
+            };
+            assert_eq!(out.record.newly_occupied, expected_progress);
+            assert_eq!(
+                sim.configuration().node_of(RobotId::new(2)),
+                Some(NodeId::new(1))
+            );
+        }
+    }
+
+    /// Differential: the oracle's three entry points against the
+    /// `build_views` + `step` reference, for all four Table I models,
+    /// rooted and random starts, crash-thinned populations, and full and
+    /// semi-synchronous activation, over several candidates per warm
+    /// oracle.
+    #[test]
+    fn oracle_matches_the_build_views_reference() {
+        for seed in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(4..40usize);
+            let k = rng.random_range(2..n + 1);
+            let p = rng.random_range(0..30u32) as f64 / 100.0;
+            let mut config = if seed % 2 == 0 {
+                Configuration::rooted(n, k, NodeId::new(0))
+            } else {
+                Configuration::random(n, k, seed, seed % 4 == 1)
+            };
+            let mut memories: Vec<Option<Trail>> =
+                (0..k).map(|_| Some(Trail(rng.random()))).collect();
+            if seed % 3 == 0 {
+                for _ in 0..k / 3 {
+                    let r = RobotId::new(rng.random_range(1..k as u32 + 1));
+                    config.remove(r);
+                    memories[r.index()] = None;
+                }
+            }
+            let arrivals: Vec<Option<Port>> = (0..k)
+                .map(|_| {
+                    rng.random_bool(0.5)
+                        .then(|| Port::new(rng.random_range(1..4)))
+                })
+                .collect();
+            let activation = if seed % 5 < 2 {
+                Activation::SemiSync {
+                    p_percent: 50,
+                    seed,
+                }
+            } else {
+                Activation::FullSync
+            };
+            let round = seed % 7;
+            let candidates: Vec<PortLabeledGraph> = (0..3)
+                .map(|i| {
+                    let g = generators::random_connected(n, p, seed * 31 + i).unwrap();
+                    relabel::random_relabel(&g, seed ^ i)
+                })
+                .collect();
+            let before = config.occupied_indicator();
+            for model in MODELS {
+                let fixture = Fixture::new(
+                    config.clone(),
+                    memories.clone(),
+                    arrivals.clone(),
+                    model,
+                    round,
+                    k,
+                    activation,
+                );
+                let oracle = fixture.oracle(&ViewHash);
+                for g in &candidates {
+                    let expected = fixture.reference(&ViewHash, g);
+                    let mut indicator = vec![false; n];
+                    for mv in &expected {
+                        indicator[mv.to.index()] = true;
+                    }
+                    let progress = (0..n).filter(|&v| indicator[v] && !before[v]).count();
+                    let case = format!("seed {seed} {model} {activation:?}");
+                    assert_eq!(oracle.progress_on(g), progress, "{case}");
+                    assert_eq!(oracle.moves_on(g), expected, "{case}");
+                    assert_eq!(oracle.occupied_after(g), indicator, "{case}");
+                    assert_eq!(oracle.progress_on(g), progress, "{case} (warm)");
+                }
+            }
+        }
+    }
+
+    /// Records what the oracle predicts for the graph it commits.
+    struct Predicting {
+        graphs: Vec<PortLabeledGraph>,
+        predicted: Vec<ResolvedMove>,
+    }
+
+    impl DynamicNetwork for Predicting {
+        fn node_count(&self) -> usize {
+            self.graphs[0].node_count()
+        }
+
+        fn graph_for_round(
+            &mut self,
+            round: u64,
+            _config: &Configuration,
+            oracle: &dyn MoveOracle,
+        ) -> &PortLabeledGraph {
+            let g = &self.graphs[round as usize % self.graphs.len()];
+            self.predicted = oracle.moves_on(g);
+            g
+        }
+    }
+
+    #[test]
+    fn oracle_predicts_the_committed_round() {
+        for seed in 0..12u64 {
+            let n = 10 + seed as usize;
+            let graphs: Vec<PortLabeledGraph> = (0..4)
+                .map(|i| generators::random_connected(n, 0.2, seed * 7 + i).unwrap())
+                .collect();
+            let activation = if seed % 2 == 0 {
+                Activation::FullSync
+            } else {
+                Activation::SemiSync {
+                    p_percent: 60,
+                    seed,
+                }
+            };
+            let model = MODELS[seed as usize % 4];
+            let mut sim = Simulator::builder(
+                ViewHash,
+                Predicting {
+                    graphs,
+                    predicted: Vec::new(),
+                },
+                model,
+                Configuration::random(n, n / 2, seed, true),
+            )
+            .activation(activation)
+            .trace(TracePolicy::Off)
+            .build()
+            .unwrap();
+            for round in 0..8 {
+                if let Step::Dispersed = sim.step().unwrap() {
+                    break;
+                }
+                let after: Vec<(RobotId, NodeId)> = sim.configuration().iter().collect();
+                let predicted: Vec<(RobotId, NodeId)> = sim
+                    .network()
+                    .predicted
+                    .iter()
+                    .map(|mv| (mv.robot, mv.to))
+                    .collect();
+                assert_eq!(after, predicted, "seed {seed} round {round} {model}");
+            }
+        }
     }
 }

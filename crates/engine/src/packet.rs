@@ -162,8 +162,25 @@ pub fn build_packets_into(
     neighborhood: bool,
     out: &mut Vec<InfoPacket>,
 ) {
+    build_packets_with(g, node_robots, occupied, neighborhood, out, &mut Vec::new());
+}
+
+/// [`build_packets_into`] with a pool of neighbor reports: a packet that
+/// needs fewer reports than its slot held parks the rest in `spare`, and
+/// a packet that needs more takes them from there. Which node lands in a
+/// slot, and how many occupied neighbors it has, changes with every
+/// candidate graph; the pool keeps the report buffers alive across those
+/// changes, so once warm a rebuild allocates nothing.
+pub(crate) fn build_packets_with(
+    g: &PortLabeledGraph,
+    node_robots: &[Vec<RobotId>],
+    occupied: &[NodeId],
+    neighborhood: bool,
+    out: &mut Vec<InfoPacket>,
+    spare: &mut Vec<NeighborReport>,
+) {
     for (slot, &v) in occupied.iter().enumerate() {
-        write_packet_slot(g, node_robots, v, neighborhood, out, slot);
+        write_packet_slot(g, node_robots, v, neighborhood, out, slot, spare);
     }
     out.truncate(occupied.len());
     // Senders are distinct (one packet per node), so an in-place
@@ -181,7 +198,20 @@ pub fn build_own_packet_into(
     neighborhood: bool,
     out: &mut Vec<InfoPacket>,
 ) {
-    write_packet_slot(g, node_robots, v, neighborhood, out, 0);
+    build_own_packet_with(g, node_robots, v, neighborhood, out, &mut Vec::new());
+}
+
+/// [`build_own_packet_into`] with a pool of neighbor reports, as in
+/// [`build_packets_with`].
+pub(crate) fn build_own_packet_with(
+    g: &PortLabeledGraph,
+    node_robots: &[Vec<RobotId>],
+    v: NodeId,
+    neighborhood: bool,
+    out: &mut Vec<InfoPacket>,
+    spare: &mut Vec<NeighborReport>,
+) {
+    write_packet_slot(g, node_robots, v, neighborhood, out, 0, spare);
     out.truncate(1);
 }
 
@@ -198,11 +228,12 @@ fn write_packet_slot(
     neighborhood: bool,
     out: &mut Vec<InfoPacket>,
     slot: usize,
+    spare: &mut Vec<NeighborReport>,
 ) {
     if slot == out.len() {
         out.push(blank_packet());
     }
-    write_packet_into(g, node_robots, v, neighborhood, &mut out[slot]);
+    write_packet_into(g, node_robots, v, neighborhood, &mut out[slot], spare);
 }
 
 /// An empty packet carcass whose buffers a later [`write_packet_into`]
@@ -218,7 +249,8 @@ pub(crate) fn blank_packet() -> InfoPacket {
 }
 
 /// Writes the packet of occupied node `v` into `p`, reusing `p`'s
-/// buffers. The slot-addressed core shared by the sequential builders
+/// buffers and taking extra reports from (and parking surplus ones in)
+/// `spare`. The slot-addressed core shared by the sequential builders
 /// above and the parallel executor (which hands each worker a disjoint
 /// range of pre-grown slots).
 ///
@@ -231,6 +263,7 @@ pub(crate) fn write_packet_into(
     v: NodeId,
     neighborhood: bool,
     p: &mut InfoPacket,
+    spare: &mut Vec<NeighborReport>,
 ) {
     let robots = &node_robots[v.index()];
     p.sender = robots[0];
@@ -246,23 +279,25 @@ pub(crate) fn write_packet_into(
             let Some(&min_robot) = nbrs.first() else {
                 continue;
             };
-            if let Some(rep) = reports.get_mut(filled) {
-                rep.port = port;
-                rep.min_robot = min_robot;
-                rep.count = nbrs.len();
-                rep.robots.clear();
-                rep.robots.extend_from_slice(nbrs);
-            } else {
-                reports.push(NeighborReport {
+            if filled == reports.len() {
+                reports.push(spare.pop().unwrap_or_else(|| NeighborReport {
                     port,
                     min_robot,
-                    count: nbrs.len(),
-                    robots: nbrs.clone(),
-                });
+                    count: 0,
+                    robots: Vec::new(),
+                }));
             }
+            let rep = &mut reports[filled];
+            rep.port = port;
+            rep.min_robot = min_robot;
+            rep.count = nbrs.len();
+            rep.robots.clear();
+            rep.robots.extend_from_slice(nbrs);
             filled += 1;
         }
-        reports.truncate(filled);
+        if filled < reports.len() {
+            spare.extend(reports.drain(filled..));
+        }
     } else {
         p.degree = None;
         p.occupied_neighbors = None;

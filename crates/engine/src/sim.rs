@@ -3,7 +3,7 @@
 //! The round loop is engineered to be **allocation-free in steady state**:
 //! all per-round working memory lives in a [`RoundScratch`] owned by the
 //! [`Simulator`] — a Vec-backed robot-at-node index, one reusable
-//! [`RobotView`] whose packet and observation buffers are overwritten in
+//! [`crate::RobotView`] whose packet and observation buffers are overwritten in
 //! place, a cached copy of the last validated adversary graph (an
 //! unchanged graph skips re-validation entirely), and a reusable round
 //! record. With [`TracePolicy::Off`] a warm [`Simulator::step`] performs
@@ -13,20 +13,17 @@
 use dispersion_graph::connectivity::{is_connected_with, DisjointSets};
 use dispersion_graph::dynamics::GraphSequence;
 use dispersion_graph::{GraphError, NodeId, Port, PortLabeledGraph};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 
 use crate::adversary::DynamicNetwork;
 use crate::budget::Budget;
+use crate::compute::{activated_robots_into, compute_pass, RoundInputs, ViewScratch};
 use crate::executor::{self, WorkerPool};
 use crate::invariants::{CheckPolicy, InvariantMonitor, RoundContext, TerminalContext};
-use crate::oracle::EngineOracle;
-use crate::packet::{build_own_packet_into, build_packets_into};
-use crate::view::{next_packets_id, write_node_view};
+use crate::oracle::{EngineOracle, OracleScratch};
 use crate::{
-    Action, Activation, CommModel, Configuration, CrashPhase, DispersionAlgorithm,
-    ExecutionTrace, FaultPlan, MemoryFootprint, ModelSpec, RobotId, RobotView, RoundRecord,
-    SimError, TracePolicy,
+    Action, Activation, CommModel, Configuration, CrashPhase, DispersionAlgorithm, ExecutionTrace,
+    FaultPlan, MemoryFootprint, ModelSpec, RobotId, RoundRecord, SimError, TracePolicy,
 };
 
 /// Tunables for a run.
@@ -115,11 +112,9 @@ struct RoundScratch {
     /// Nodes with at least one robot, in first-encounter (robot-ID)
     /// order.
     occupied: Vec<NodeId>,
-    /// The one view handed to every robot's Compute, rewritten in place.
-    view: RobotView,
-    /// Node `view` currently describes, so consecutive robots on one node
-    /// (the common case early in a rooted run) skip the rewrite.
-    view_node: Option<NodeId>,
+    /// The one view handed to every robot's Compute, rewritten in place
+    /// (per node, only when the node changes).
+    compute: ViewScratch,
     /// The record of the round in flight / just finished.
     last_record: RoundRecord,
     /// Warm union-find for the per-round connectivity check.
@@ -144,18 +139,7 @@ impl RoundScratch {
                 .map(|_| Vec::with_capacity(per_node_capacity))
                 .collect(),
             occupied: Vec::new(),
-            view: RobotView {
-                round: 0,
-                me: RobotId::new(1),
-                k: 0,
-                degree: 0,
-                arrival_port: None,
-                colocated: Vec::new(),
-                neighbors: None,
-                packets: Vec::new(),
-                packets_id: 0,
-            },
-            view_node: None,
+            compute: ViewScratch::new(),
             last_record: RoundRecord {
                 round: 0,
                 occupied_before: 0,
@@ -359,7 +343,9 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
         }
         let ever_occupied = self.initial.occupied_indicator();
         let recorded_graphs = self.options.trace.graphs().then(GraphSequence::new);
-        let scratch = RoundScratch::new(n, self.scratch_capacity);
+        // The configuration indexes the robot-at-node rows before the
+        // adversary's graph is validated, so they follow its node count.
+        let scratch = RoundScratch::new(self.initial.node_count(), self.scratch_capacity);
         let monitor = self.check.enabled().then(|| {
             let mut monitor = InvariantMonitor::stock(self.check, k, self.check_round_limit);
             if let Some(seed) = self.check_seed {
@@ -388,9 +374,10 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
             total_crashes: 0,
             decisions: Vec::new(),
             scratch,
+            oracle_scratch: RefCell::new(OracleScratch::new()),
             monitor,
             pool: self.pool,
-            par_live: Vec::new(),
+            live: Vec::new(),
             par_slots: Vec::new(),
         })
     }
@@ -462,31 +449,20 @@ pub struct Simulator<A: DispersionAlgorithm, N: DynamicNetwork> {
     /// Reused across rounds; drained during Move.
     decisions: Vec<(RobotId, Action, A::Memory)>,
     scratch: RoundScratch,
+    /// The speculative oracle's retained view and occupancy buffers.
+    oracle_scratch: RefCell<OracleScratch>,
     /// `None` (checking off) costs one discriminant test per round.
     monitor: Option<InvariantMonitor>,
     /// Persistent worker pool ([`SimulatorBuilder::threads`]) plus the
     /// monomorphized parallel-Compute entry point; `None` (the default)
     /// runs the untouched sequential round loop.
     pool: Option<(WorkerPool, executor::ParComputeFn<A>)>,
-    /// Activated robots of the round in configuration order — the
-    /// parallel Compute work list, reused across rounds.
-    par_live: Vec<(RobotId, NodeId)>,
+    /// Activated robots of the round in configuration order, built before
+    /// the adversary runs: the oracle, the sequential Compute loop and the
+    /// parallel work list all read it. Reused across rounds.
+    live: Vec<(RobotId, NodeId)>,
     /// Slot-ordered parallel Compute output, drained into `decisions`.
     par_slots: Vec<executor::Decision<A>>,
-}
-
-fn activated(activation: Activation, round: u64, robot: RobotId) -> bool {
-    match activation {
-        Activation::FullSync => true,
-        Activation::SemiSync { p_percent, seed } => {
-            let mix = seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(round.wrapping_mul(0xff51_afd7_ed55_8ccd))
-                .wrapping_add(u64::from(robot.get()));
-            let mut rng = StdRng::seed_from_u64(mix);
-            rng.random_range(0..100u8) < p_percent
-        }
-    }
 }
 
 impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
@@ -562,17 +538,38 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
             return Err(SimError::BudgetExceeded { round, reason });
         }
 
+        // Rebuild the robot-at-node index, clearing only the rows the
+        // previous round dirtied, and the round's activated robots. Both
+        // are built before the adversary runs — nothing changes the
+        // configuration until Move — so the oracle reads them too.
+        for &v in &self.scratch.occupied {
+            self.scratch.node_robots[v.index()].clear();
+        }
+        self.scratch.occupied.clear();
+        for (r, v) in self.config.iter() {
+            let row = &mut self.scratch.node_robots[v.index()];
+            if row.is_empty() {
+                self.scratch.occupied.push(v);
+            }
+            row.push(r);
+        }
+        activated_robots_into(&self.config, self.options.activation, round, &mut self.live);
+
         // Adversary picks G_r. The graph is borrowed from the network for
         // the rest of the round — no per-round copy.
         let g: &PortLabeledGraph = {
             let oracle = EngineOracle {
                 algorithm: &self.algorithm,
                 memories: &self.memories,
+                arrival_ports: &self.arrival_ports,
                 config: &self.config,
                 model: self.model,
                 round,
                 k: self.k,
-                arrival_ports: &self.arrival_ports,
+                node_robots: &self.scratch.node_robots,
+                occupied: &self.scratch.occupied,
+                live: &self.live,
+                scratch: &self.oracle_scratch,
             };
             self.network.graph_for_round(round, &self.config, &oracle)
         };
@@ -605,26 +602,11 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
 
         let occupied_before = self.config.occupied_count();
 
-        // Rebuild the robot-at-node index, clearing only the rows the
-        // previous round dirtied.
-        for &v in &self.scratch.occupied {
-            self.scratch.node_robots[v.index()].clear();
-        }
-        self.scratch.occupied.clear();
-        for (r, v) in self.config.iter() {
-            let row = &mut self.scratch.node_robots[v.index()];
-            if row.is_empty() {
-                self.scratch.occupied.push(v);
-            }
-            row.push(r);
-        }
-
         // Communicate: under global communication every robot receives the
         // same packet list — build it once into the shared view, under one
         // fresh identity for the round.
         let neighborhood = self.model.neighborhood;
         if self.model.comm == CommModel::Global {
-            self.scratch.view.packets_id = next_packets_id();
             match &self.pool {
                 Some((pool, _)) => executor::par_packets(
                     pool,
@@ -632,45 +614,36 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                     &self.scratch.node_robots,
                     &self.scratch.occupied,
                     neighborhood,
-                    &mut self.scratch.view.packets,
+                    &mut self.scratch.compute.view,
                 ),
-                None => build_packets_into(
+                None => self.scratch.compute.build_packets(
                     g,
                     &self.scratch.node_robots,
                     &self.scratch.occupied,
                     neighborhood,
-                    &mut self.scratch.view.packets,
                 ),
             }
         }
-        self.scratch.view.round = round;
-        self.scratch.view.k = self.k;
-        self.scratch.view_node = None;
 
-        // Compute (pure; memories updated after Move). The per-node parts
-        // of the view are rewritten only when the node changes. With a
-        // worker pool the same visit order is split into fixed id-ordered
-        // chunks whose slot-ordered merge reproduces the sequential
-        // decision sequence exactly (see `executor.rs`).
+        // Compute (pure; memories updated after Move). With a worker pool
+        // the same visit order is split into fixed id-ordered chunks whose
+        // slot-ordered merge reproduces the sequential decision sequence
+        // exactly (see `executor.rs`).
+        let inputs = RoundInputs {
+            g,
+            node_robots: &self.scratch.node_robots,
+            memories: &self.memories,
+            arrival_ports: &self.arrival_ports,
+            model: self.model,
+            round,
+            k: self.k,
+        };
         if let Some((pool, par_compute)) = &self.pool {
-            self.par_live.clear();
-            for (robot, v) in self.config.iter() {
-                if activated(self.options.activation, round, robot) {
-                    self.par_live.push((robot, v));
-                }
-            }
             par_compute(
                 pool,
-                g,
-                &self.scratch.node_robots,
-                &self.par_live,
-                &self.scratch.view.packets,
-                self.scratch.view.packets_id,
-                &self.arrival_ports,
-                &self.memories,
-                self.model,
-                round,
-                self.k,
+                &inputs,
+                &self.live,
+                &self.scratch.compute.view,
                 &mut self.par_slots,
             );
             self.decisions.extend(
@@ -679,32 +652,14 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                     .map(|slot| slot.expect("every dispatched slot is filled")),
             );
         } else {
-            for (robot, v) in self.config.iter() {
-                if !activated(self.options.activation, round, robot) {
-                    continue;
-                }
-                if self.scratch.view_node != Some(v) {
-                    write_node_view(g, &self.scratch.node_robots, v, neighborhood, &mut self.scratch.view);
-                    if self.model.comm == CommModel::Local {
-                        build_own_packet_into(
-                            g,
-                            &self.scratch.node_robots,
-                            v,
-                            neighborhood,
-                            &mut self.scratch.view.packets,
-                        );
-                        self.scratch.view.packets_id = next_packets_id();
-                    }
-                    self.scratch.view_node = Some(v);
-                }
-                self.scratch.view.me = robot;
-                self.scratch.view.arrival_port = self.arrival_ports[robot.index()];
-                let mem = self.memories[robot.index()]
-                    .as_ref()
-                    .expect("live robots have memories");
-                let (action, next) = self.algorithm.step(&self.scratch.view, mem);
-                self.decisions.push((robot, action, next));
-            }
+            let decisions = &mut self.decisions;
+            compute_pass(
+                &self.algorithm,
+                &inputs,
+                self.live.iter().copied(),
+                &mut self.scratch.compute,
+                |robot, _, action, next| decisions.push((robot, action, next)),
+            );
         }
 
         // After-Compute crashes: these robots vanish without moving.
@@ -1087,6 +1042,20 @@ mod tests {
             WrongSize { current: None },
             ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
             Configuration::rooted(4, 2, NodeId::new(0)),
+        )
+        .build()
+        .unwrap();
+        assert!(matches!(
+            sim.run(),
+            Err(SimError::BadAdversaryGraph { round: 0, .. })
+        ));
+        // A configuration over more nodes than the network has, with
+        // robots beyond the network's last node.
+        let mut sim = Simulator::builder(
+            GreedySpill,
+            StaticNetwork::new(generators::path(4).unwrap()),
+            ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+            Configuration::rooted(6, 2, NodeId::new(5)),
         )
         .build()
         .unwrap();

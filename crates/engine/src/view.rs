@@ -179,6 +179,21 @@ pub fn write_node_view(
     neighborhood: bool,
     view: &mut RobotView,
 ) {
+    write_node_view_with(g, node_robots, v, neighborhood, view, &mut Vec::new());
+}
+
+/// [`write_node_view`] with a pool of observations: moving to a node of
+/// smaller degree parks the surplus observations in `spare`, and a node
+/// of larger degree takes them back, so a warm view stays
+/// allocation-free however the degrees vary.
+pub(crate) fn write_node_view_with(
+    g: &PortLabeledGraph,
+    node_robots: &[Vec<RobotId>],
+    v: dispersion_graph::NodeId,
+    neighborhood: bool,
+    view: &mut RobotView,
+    spare: &mut Vec<NeighborObservation>,
+) {
     view.degree = g.degree(v);
     view.colocated.clear();
     view.colocated.extend_from_slice(&node_robots[v.index()]);
@@ -186,20 +201,21 @@ pub fn write_node_view(
         let obs = view.neighbors.get_or_insert_with(Vec::new);
         let mut filled = 0usize;
         for (port, w, _) in g.neighbors(v) {
-            let robots = &node_robots[w.index()];
-            if let Some(o) = obs.get_mut(filled) {
-                o.port = port;
-                o.robots.clear();
-                o.robots.extend_from_slice(robots);
-            } else {
-                obs.push(NeighborObservation {
+            if filled == obs.len() {
+                obs.push(spare.pop().unwrap_or_else(|| NeighborObservation {
                     port,
-                    robots: robots.clone(),
-                });
+                    robots: Vec::new(),
+                }));
             }
+            let o = &mut obs[filled];
+            o.port = port;
+            o.robots.clear();
+            o.robots.extend_from_slice(&node_robots[w.index()]);
             filled += 1;
         }
-        obs.truncate(filled);
+        if filled < obs.len() {
+            spare.extend(obs.drain(filled..));
+        }
     } else {
         view.neighbors = None;
     }

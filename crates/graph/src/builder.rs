@@ -30,8 +30,11 @@ use crate::{GraphError, NodeId, Port, PortLabeledGraph};
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     n: usize,
-    /// Sparse port map per node: `ports[v]` holds `(port, neighbor)` pairs.
-    ports: Vec<Vec<(Port, NodeId)>>,
+    /// Sparse port map per node: `ports[v]` holds `(port, neighbor,
+    /// back_port)` triples — following `port` from `v` reaches `neighbor`,
+    /// entering through its `back_port` — so the CSR fill places every
+    /// half-edge without searching the neighbor's row.
+    ports: Vec<Vec<(Port, NodeId, Port)>>,
     /// Stamp scratch lent to the final CSR validation pass so a warm
     /// [`GraphBuilder::build_into`] performs no allocation.
     seen: Vec<u32>,
@@ -74,7 +77,7 @@ impl GraphBuilder {
     /// Whether the undirected edge `(u, v)` has been added.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         u.index() < self.n
-            && self.ports[u.index()].iter().any(|&(_, w)| w == v)
+            && self.ports[u.index()].iter().any(|&(_, w, _)| w == v)
     }
 
     fn check_pair(&self, u: NodeId, v: NodeId) -> Result<(), GraphError> {
@@ -95,11 +98,16 @@ impl GraphBuilder {
 
     fn next_free_port(&self, v: NodeId) -> Port {
         let row = &self.ports[v.index()];
+        // The ports of a row are distinct, so when none exceeds the row
+        // length they are exactly `1..=len` — every row `add_edge` alone
+        // filled — and the lowest free label is `len + 1`.
+        if row.iter().all(|&(p, _, _)| p.index() < row.len()) {
+            return Port::from_index(row.len());
+        }
+        // Explicit ports left a gap: quadratic in the degree, scanning
+        // in place.
         let mut label = 1u32;
-        // Quadratic in the degree in the worst case, but the row is tiny
-        // and this runs on every `add_edge` — scanning in place beats the
-        // per-call buffer the old implementation allocated.
-        while row.iter().any(|&(p, _)| p.get() == label) {
+        while row.iter().any(|&(p, _, _)| p.get() == label) {
             label += 1;
         }
         Port::new(label)
@@ -116,9 +124,23 @@ impl GraphBuilder {
         self.check_pair(u, v)?;
         let pu = self.next_free_port(u);
         let pv = self.next_free_port(v);
-        self.ports[u.index()].push((pu, v));
-        self.ports[v.index()].push((pv, u));
+        self.ports[u.index()].push((pu, v, pv));
+        self.ports[v.index()].push((pv, u, pu));
         Ok(self)
+    }
+
+    /// [`GraphBuilder::add_edge`] without its checks, for a generator that
+    /// guarantees `u ≠ v` are in range, the edge is new, and both rows
+    /// were filled by `add_edge` alone: their ports are then exactly
+    /// `1..=len`, so the next port of each is `len + 1`, found in O(1).
+    /// Assigns exactly the ports `add_edge` would.
+    pub(crate) fn push_auto_edge(&mut self, u: NodeId, v: NodeId) {
+        debug_assert!(self.check_pair(u, v).is_ok());
+        let pu = Port::from_index(self.ports[u.index()].len());
+        let pv = Port::from_index(self.ports[v.index()].len());
+        debug_assert_eq!((pu, pv), (self.next_free_port(u), self.next_free_port(v)));
+        self.ports[u.index()].push((pu, v, pv));
+        self.ports[v.index()].push((pv, u, pu));
     }
 
     /// Adds the undirected edge `(u, v)` with explicit port labels `pu` at
@@ -136,14 +158,14 @@ impl GraphBuilder {
         pv: Port,
     ) -> Result<&mut Self, GraphError> {
         self.check_pair(u, v)?;
-        if self.ports[u.index()].iter().any(|&(p, _)| p == pu) {
+        if self.ports[u.index()].iter().any(|&(p, _, _)| p == pu) {
             return Err(GraphError::DuplicatePort { node: u, port: pu });
         }
-        if self.ports[v.index()].iter().any(|&(p, _)| p == pv) {
+        if self.ports[v.index()].iter().any(|&(p, _, _)| p == pv) {
             return Err(GraphError::DuplicatePort { node: v, port: pv });
         }
-        self.ports[u.index()].push((pu, v));
-        self.ports[v.index()].push((pv, u));
+        self.ports[u.index()].push((pu, v, pv));
+        self.ports[v.index()].push((pv, u, pu));
         Ok(self)
     }
 
@@ -161,9 +183,9 @@ impl GraphBuilder {
     }
 
     /// Finalizes the graph *into* an existing one, overwriting its CSR
-    /// storage in place. Once the destination's buffers have grown to the
-    /// working-set size this performs no allocation, which is what the
-    /// per-round adversary rebuild path relies on.
+    /// storage in place in `O(n + m)`. Once the destination's buffers have
+    /// grown to the working-set size this performs no allocation, which
+    /// is what the per-round adversary rebuild path relies on.
     ///
     /// # Errors
     ///
@@ -201,19 +223,15 @@ impl GraphBuilder {
         // coverage reduces to a bounds check per half-edge and no slot is
         // written twice.
         for (vi, row) in self.ports.iter().enumerate() {
-            let v = NodeId::new(vi as u32);
             let deg = row.len();
             let base = offsets[vi] as usize;
-            for &(p, w) in row {
+            for &(p, w, q) in row {
                 if p.index() >= deg {
-                    return Err(GraphError::NonContiguousPorts { node: v, degree: deg });
+                    return Err(GraphError::NonContiguousPorts {
+                        node: NodeId::new(vi as u32),
+                        degree: deg,
+                    });
                 }
-                // Find the port at w leading back to v.
-                let q = self.ports[w.index()]
-                    .iter()
-                    .find(|&&(_, x)| x == v)
-                    .map(|&(q, _)| q)
-                    .expect("edges are inserted symmetrically");
                 adj[base + p.index()] = (w, q);
             }
         }

@@ -223,11 +223,15 @@ pub fn random_connected(
 }
 
 /// Reusable buffers for [`random_connected_into`]: the edge-insertion
-/// builder and the spanning-tree permutation.
+/// builder, the spanning-tree permutation and the pair-membership bitset.
 #[derive(Clone, Debug)]
 pub struct RandomGraphScratch {
     order: Vec<usize>,
     builder: GraphBuilder,
+    /// `n × n` bits, bit `u · n + v` set for each spanning-tree edge
+    /// `u < v`, so the pair loop tests membership in O(1) instead of
+    /// scanning a builder row.
+    adjacent: Vec<u64>,
 }
 
 impl Default for RandomGraphScratch {
@@ -235,8 +239,15 @@ impl Default for RandomGraphScratch {
         RandomGraphScratch {
             order: Vec::new(),
             builder: GraphBuilder::new(0),
+            adjacent: Vec::new(),
         }
     }
+}
+
+/// Bit `u · n + v` of an `n × n` bitset.
+fn bit(n: usize, u: usize, v: usize) -> (usize, u64) {
+    let i = u * n + v;
+    (i / 64, 1 << (i % 64))
 }
 
 /// [`random_connected`] into an existing graph, overwriting its storage
@@ -276,17 +287,30 @@ pub fn random_connected_into(
     order.shuffle(&mut rng);
     let b = &mut scratch.builder;
     b.reset(n);
+    let extra = extra_edge_prob > 0.0;
+    let adjacent = &mut scratch.adjacent;
+    if extra {
+        adjacent.clear();
+        adjacent.resize((n * n).div_ceil(64), 0);
+    }
     for i in 1..n {
         let j = rng.random_range(0..i);
-        b.add_edge(NodeId::new(order[i] as u32), NodeId::new(order[j] as u32))?;
+        let (u, v) = (order[i], order[j]);
+        // `order[i]` is not attached yet, so the edge is new.
+        b.push_auto_edge(NodeId::new(u as u32), NodeId::new(v as u32));
+        if extra {
+            let (word, mask) = bit(n, u.min(v), u.max(v));
+            adjacent[word] |= mask;
+        }
     }
-    if extra_edge_prob > 0.0 {
+    if extra {
+        // Each pair is visited once, so only the tree edges can already
+        // be present.
         for u in 0..n {
             for v in (u + 1)..n {
-                if !b.has_edge(NodeId::new(u as u32), NodeId::new(v as u32))
-                    && rng.random_bool(extra_edge_prob)
-                {
-                    b.add_edge(NodeId::new(u as u32), NodeId::new(v as u32))?;
+                let (word, mask) = bit(n, u, v);
+                if adjacent[word] & mask == 0 && rng.random_bool(extra_edge_prob) {
+                    b.push_auto_edge(NodeId::new(u as u32), NodeId::new(v as u32));
                 }
             }
         }
