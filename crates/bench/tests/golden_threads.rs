@@ -1,8 +1,9 @@
 //! The pinned golden fixtures are rendered at `threads = 1`; the parallel
 //! executor's determinism contract promises the byte-identical text at any
 //! thread count. This suite holds every pinned case to that at 2 and 8
-//! workers, and double-runs at 8 to catch same-seed divergence (e.g. a
-//! worker-local cache leaking state between dispatches).
+//! threads, and double-runs at 8 to catch same-seed divergence (e.g. a
+//! worker-local cache leaking state between dispatches, or a block of
+//! robots decided by a different thread than the run before).
 
 use std::fs;
 use std::path::PathBuf;

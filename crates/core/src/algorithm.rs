@@ -95,7 +95,7 @@ pub struct DispersionDynamic {
 }
 
 impl Clone for DispersionDynamic {
-    /// A clone shares the plan slot, so executor workers build each
+    /// A clone shares the plan slot, so the executor's threads build each
     /// round's plan once between them; its own fast path starts empty.
     /// Clones driven by independent runs stay correct (plans are keyed
     /// by packet-list identity) but take turns rebuilding the one slot,
@@ -354,8 +354,8 @@ mod tests {
 
     #[test]
     fn one_plan_per_round_at_every_thread_count() {
-        // 40 robots on a static ring: both workers of a two-thread pool
-        // step robots every round, and all of them share one plan.
+        // 40 robots on a static ring: with two threads the calling thread
+        // and its worker split the robots, and both share one plan.
         for threads in [1usize, 2] {
             let alg = DispersionDynamic::new();
             let probe = alg.clone();

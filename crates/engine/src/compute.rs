@@ -2,10 +2,10 @@
 //! reusable view.
 //!
 //! Three callers run the same pass: the simulator's sequential round
-//! loop, each executor worker over its chunk of robots, and the
-//! speculative move oracle once per candidate graph. Sharing it is what
-//! keeps the oracle's predictions equal to what the round loop would
-//! decide on the same graph.
+//! loop, each executor participant over the blocks of robots it claims,
+//! and the speculative move oracle once per candidate graph. Sharing it
+//! is what keeps the oracle's predictions equal to what the round loop
+//! would decide on the same graph.
 
 use dispersion_graph::{NodeId, Port, PortLabeledGraph};
 use rand::rngs::StdRng;
@@ -15,7 +15,7 @@ use crate::packet::{build_own_packet_with, build_packets_with};
 use crate::view::{next_packets_id, write_node_view_with};
 use crate::{
     Action, Activation, CommModel, Configuration, DispersionAlgorithm, ModelSpec,
-    NeighborObservation, NeighborReport, RobotId, RobotView,
+    NeighborObservation, NeighborReport, PacketList, RobotId, RobotView,
 };
 
 /// Whether `robot` computes in `round` under the activation schedule.
@@ -87,7 +87,7 @@ impl ViewScratch {
                 arrival_port: None,
                 colocated: Vec::new(),
                 neighbors: None,
-                packets: Vec::new(),
+                packets: PacketList::new(),
                 packets_id: 0,
             },
             spare_observations: Vec::new(),
@@ -109,7 +109,7 @@ impl ViewScratch {
             node_robots,
             occupied,
             neighborhood,
-            &mut self.view.packets,
+            self.view.packets.make_mut(),
             &mut self.spare_reports,
         );
         self.view.packets_id = next_packets_id();
@@ -154,7 +154,7 @@ pub(crate) fn compute_pass<A: DispersionAlgorithm>(
                     inputs.node_robots,
                     v,
                     neighborhood,
-                    &mut view.packets,
+                    view.packets.make_mut(),
                     &mut scratch.spare_reports,
                 );
                 view.packets_id = next_packets_id();

@@ -1,52 +1,82 @@
-//! Deterministic fork–join worker pool for the parallel round loop.
+//! Deterministic fork–join worker pool for the parallel Compute phase.
 //!
 //! # Design
 //!
-//! The pool parallelizes the two embarrassingly parallel phases of a CCM
-//! round — per-node packet aggregation and per-robot Compute — under one
-//! hard constraint: **the merged output must be byte-identical for every
+//! In a CCM round every activated robot computes at once, from a view
+//! and a memory alone, so Compute splits across cores. Under one hard
+//! constraint: **the merged output must be byte-identical for every
 //! thread count**, so golden traces, adversary determinism fingerprints,
-//! and seed-reproducibility all survive `threads(n)`.
+//! and seed-reproducibility all survive `threads(n)`. A round of a large
+//! run lasts about a hundred microseconds, so the pool is built for
+//! hand-offs that cost well under a microsecond.
 //!
-//! That rules out work stealing: a stealing scheduler makes the *work
-//! distribution* nondeterministic, which is fine for pure map operations
-//! but poisons anything stateful per worker (here: each worker's cached
-//! node view, rewritten only when the visited node changes). Instead
-//! each dispatch splits the item range into
-//! `workers` fixed id-ordered chunks (`chunk = ceil(len / workers)`);
-//! worker `w` owns `[w·chunk, (w+1)·chunk)` and writes results into
-//! pre-assigned slots of a shared output array. The main thread then
-//! drains the slots in index order, so the merged sequence equals the
-//! sequential one exactly, for any worker count. Fixed chunking can load
-//! imbalance, but Compute cost per robot is near-uniform (one algorithm
-//! step over a similarly sized view), so the imbalance is bounded and
-//! the determinism is worth it.
+//! * **The caller joins the fork.** A pool of `n` participants runs
+//!   `n − 1` worker threads; the thread that dispatches runs a share of
+//!   the work itself, with the simulator's own algorithm instance and
+//!   view. Each worker owns a clone of the algorithm and a view of its
+//!   own. Participant 0 is the caller, workers are `1..n`.
+//! * **Work is claimed in blocks.** Robot `live[i]`'s decision always
+//!   lands in slot `i` of a pre-sized output array, whichever participant
+//!   computed it. Participants claim blocks of `live` (32 robots, or an
+//!   equal share per participant when that is fewer, so a small round
+//!   still splits) from one atomic counter until it runs past the end,
+//!   so a participant that runs slower (cold caches on another core, or
+//!   descheduled by the OS) simply claims fewer blocks. The split varies
+//!   from run to run; the output does not, because `step` is a pure
+//!   function of view and memory and each slot has exactly one writer.
+//!   The caller drains the slots in index order, which is the sequential
+//!   visit order.
+//! * **Each worker has one reserved robot.** Worker `w` decides
+//!   `live[w]` before it claims blocks. The caller waits for every worker
+//!   to report in anyway, so one robot adds no wait, and every instance
+//!   steps in every round with at least as many robots as participants —
+//!   even when the caller, whose caches are warm, would have claimed
+//!   every block of a small round before a worker woke up.
+//! * **The first Compute runs before the fork.** The caller decides
+//!   `live[0]` before the workers start, so round-wide state keyed by the
+//!   view's packet-list identity ([`crate::RobotView::packets_id`]), such as
+//!   `DispersionDynamic`'s round plan, is built once, with no worker
+//!   waiting for it.
+//! * **The packet list is shared, not copied.** Under global
+//!   communication every participant's view takes a share of the round's
+//!   [`PacketList`] (one reference-count increment) and drops it when its
+//!   share of the work ends. Once the dispatch returns the caller holds
+//!   the only share again, so the next round rebuilds the list in place.
 //!
-//! Round-wide algorithm state is not per worker. Every worker's view
-//! carries the packet-list identity the simulator minted for the round
-//! ([`RobotView::packets_id`]), so algorithm clones that share state keyed
-//! by that identity derive it once per round, whichever worker gets there
-//! first; `DispersionDynamic` builds its round plan this way.
+//! Communicate stays on the caller: one packet build per round is cheaper
+//! than splitting it and merging the pieces.
 //!
 //! # Dispatch protocol
 //!
 //! Workers are spawned once (per [`crate::SimulatorBuilder::threads`]) and
-//! persist across rounds; a dispatch is a single epoch bump under a mutex
-//! plus two condvar signals — **no heap allocation**, preserving the
-//! engine's allocation-free hot path at every thread count:
+//! persist across rounds. A dispatch allocates nothing, which keeps the
+//! engine's hot path allocation-free at every thread count:
 //!
-//! 1. the main thread publishes a type-erased [`Job`] (context pointer +
-//!    chunk function), sets `remaining = workers`, increments `epoch`,
-//!    and notifies `work_cv`;
-//! 2. each worker wakes on the epoch change, runs its chunk against its
-//!    own long-lived local state, then decrements `remaining`, the last
-//!    one notifying `done_cv`;
-//! 3. the main thread wakes when `remaining == 0`; the mutex hand-offs
-//!    give the necessary happens-before edges in both directions.
+//! 1. the caller writes the type-erased [`Job`] (context pointer + share
+//!    function), sets `remaining` to the number of workers, and bumps the
+//!    atomic `epoch`;
+//! 2. each worker sees the new epoch, runs the job against its own local
+//!    state, and decrements `remaining`; the caller runs its own share
+//!    meanwhile;
+//! 3. the caller waits until `remaining` reaches 0.
 //!
-//! A worker panic is caught ([`catch_unwind`]), recorded, and re-raised
-//! on the main thread after the epoch completes, so a poisoned phase
-//! cannot silently yield partial output.
+//! Every wait (a worker for the next epoch, the caller for `remaining`)
+//! spins for [`PROBES`] probes, yields the CPU, and repeats until
+//! [`PARK_AFTER`] has passed; only then does it park on a condvar. Between the rounds of a
+//! running simulation workers therefore never sleep, and an idle pool
+//! stops costing CPU after a millisecond. A parked waiter
+//! registers itself in a sleeper count under the pool's mutex before it
+//! re-checks its condition; whoever changes the condition checks that
+//! count afterwards and, if it is nonzero, notifies under the same
+//! mutex. Both sides use sequentially consistent operations, so either
+//! the waiter sees the change or the notifier sees the sleeper: no
+//! wake-up is lost.
+//!
+//! A panic in any share is caught ([`catch_unwind`]). The caller still
+//! waits for every worker to finish the epoch, then re-raises the panic
+//! (its own first), so a poisoned phase cannot silently yield partial
+//! output and no worker outlives the borrowed context. The pool works
+//! normally afterwards.
 //!
 //! # Safety argument
 //!
@@ -54,34 +84,62 @@
 //! `deny(unsafe_code)`, opted back in locally). The unsafety is confined
 //! to one pattern: a stack-allocated context struct holding shared
 //! borrows plus a raw output pointer is type-erased to `*const ()` for
-//! the dispatch, and re-typed inside the chunk function. It is sound
+//! the dispatch, and re-typed inside the share function. It is sound
 //! because:
 //!
-//! * `dispatch` blocks until every worker has finished the epoch, so the
-//!   context outlives all worker access (the borrows it holds are live
-//!   across the call by construction);
-//! * chunks are disjoint index ranges, so each output slot is written by
-//!   at most one worker, and the main thread reads the slots only after
-//!   `dispatch` returns (mutex release/acquire orders the writes);
-//! * the chunk function and the worker-local state are created from the
+//! * `dispatch` takes the pool by `&mut`, so one dispatch runs at a time,
+//!   and returns (or unwinds) only after every worker has decremented
+//!   `remaining` for the epoch, so the context and the caller's local
+//!   state outlive all worker access;
+//! * the job cell is written by the caller only while no worker reads
+//!   it: before the epoch bump that publishes it (sequentially consistent,
+//!   so also a release), after every worker finished the previous epoch;
+//! * each output slot is written by exactly one participant — slot 0 by
+//!   the caller before the fork, slot `w` by worker `w`, and the blocks
+//!   after them are disjoint ranges handed out once by the counter's
+//!   `fetch_add` — and
+//!   the caller reads the slots only after `remaining` reaches 0; each
+//!   worker's decrement releases its writes and the caller's load acquires
+//!   them;
+//! * the share function and the worker-local state are created from the
 //!   same algorithm type `A` — enforced at runtime with a [`TypeId`]
-//!   check in [`par_compute`] — so the `*mut ()` local re-types to
-//!   exactly the `WorkerLocal<A>` it was born as;
+//!   check in [`par_compute`] — so the erased algorithm pointer re-types
+//!   to exactly the `A` it was born as;
 //! * all shared inputs are `&`-borrows of `Sync` data (`A::Memory: Sync`
-//!   is a bound on both ends).
+//!   is a bound on both ends), decisions move to the caller's thread
+//!   (`A::Memory: Send`), and the only shared value a share mutates is the
+//!   [`PacketList`]'s atomic reference count.
 #![allow(unsafe_code)]
 
 use std::any::TypeId;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::cell::{Cell, UnsafeCell};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use dispersion_graph::{NodeId, PortLabeledGraph};
+use dispersion_graph::NodeId;
 
 use crate::compute::{compute_pass, RoundInputs, ViewScratch};
-use crate::packet::{blank_packet, write_packet_into};
-use crate::view::next_packets_id;
-use crate::{Action, CommModel, DispersionAlgorithm, InfoPacket, RobotId, RobotView};
+use crate::{Action, CommModel, DispersionAlgorithm, PacketList, RobotId};
+
+/// Most robots per claimed Compute block: large enough that claiming
+/// costs nothing next to 32 steps, small enough that a slow participant's
+/// last block does not hold up the round.
+const BLOCK: usize = 32;
+
+/// Busy-wait probes of a hand-off between two yields: a microsecond or
+/// so, which catches a hand-off already on its way without a system call,
+/// while the yields hand the core to a thread with work when the pool has
+/// more threads than cores.
+const PROBES: u32 = 64;
+
+/// How long a waiter keeps spinning and yielding before it parks. Long
+/// enough to span the caller's sequential work between two rounds of a
+/// large simulation (the adversary, the packet build, Move), so workers
+/// of a running simulation never park.
+const PARK_AFTER: Duration = Duration::from_millis(1);
 
 /// One filled Compute slot: the robot, its action, and its next memory.
 /// `None` marks a not-yet-filled slot (every slot is `Some` after a
@@ -93,42 +151,116 @@ pub(crate) type Decision<A> =
 /// `SimulatorBuilder::threads` — the one place with the `A: Clone + Send`
 /// bounds — so the unbounded `Simulator::step` can invoke it.
 pub(crate) type ParComputeFn<A> = fn(
-    &WorkerPool,
+    &mut WorkerPool,
+    &A,
     &RoundInputs<'_, <A as DispersionAlgorithm>::Memory>,
     &[(RobotId, NodeId)],
-    &RobotView,
+    &mut ViewScratch,
     &mut Vec<Decision<A>>,
 );
 
-/// A type-erased parallel phase: `run(ctx, worker_local, worker_index)`.
+/// A participant's own state, type-erased: its algorithm instance (an
+/// `A`) and its view.
+#[derive(Clone, Copy)]
+struct Local {
+    algorithm: *const (),
+    compute: *mut ViewScratch,
+}
+
+/// A type-erased share of a parallel phase:
+/// `run(ctx, participant_local, participant_index)`.
+type ShareFn = unsafe fn(*const (), Local, usize);
+
 #[derive(Clone, Copy)]
 struct Job {
     ctx: *const (),
-    run: unsafe fn(*const (), *mut (), usize),
+    run: ShareFn,
 }
 
-// SAFETY: a `Job` is only created inside `dispatch`, whose contract
-// guarantees the context stays valid and shareable for the lifetime of
-// the epoch; the pointer crosses threads only under that contract.
-unsafe impl Send for Job {}
+/// The placeholder job of a pool that has not dispatched yet.
+unsafe fn no_share(_ctx: *const (), _local: Local, _participant: usize) {}
 
-struct PoolState {
-    /// Bumped once per dispatch; workers run exactly one job per epoch.
-    epoch: u64,
-    job: Option<Job>,
-    /// Workers still running the current epoch.
-    remaining: usize,
-    /// A worker panicked during the current epoch.
-    panicked: bool,
-    shutdown: bool,
+/// A condvar plus the number of threads parked on it.
+struct Gate {
+    sleepers: AtomicUsize,
+    cv: Condvar,
+}
+
+impl Gate {
+    fn new() -> Self {
+        Gate {
+            sleepers: AtomicUsize::new(0),
+            cv: Condvar::new(),
+        }
+    }
 }
 
 struct Shared {
-    state: Mutex<PoolState>,
-    /// Main → workers: a new epoch (or shutdown) is available.
-    work_cv: Condvar,
-    /// Workers → main: the last worker of an epoch finished.
-    done_cv: Condvar,
+    /// Bumped once per dispatch (and once at shutdown); workers run
+    /// exactly one job per epoch.
+    epoch: AtomicU64,
+    /// The current epoch's job; see the safety argument for its access
+    /// discipline.
+    job: UnsafeCell<Job>,
+    /// Workers still running the current epoch.
+    remaining: AtomicUsize,
+    /// A worker panicked during the current epoch.
+    panicked: AtomicBool,
+    shutdown: AtomicBool,
+    /// Guards only the parking hand-off; no data lives under it.
+    lock: Mutex<()>,
+    /// Caller → workers: a new epoch (or shutdown) is available.
+    work: Gate,
+    /// Workers → caller: the last worker of an epoch finished.
+    done: Gate,
+}
+
+// SAFETY: every field but `job` is a synchronization primitive; `job` is
+// written by the dispatching thread only while no worker reads it (see
+// the module's safety argument), and the pointer it holds is used only
+// under `dispatch`'s contract.
+unsafe impl Sync for Shared {}
+unsafe impl Send for Shared {}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, ()> {
+        // Nothing runs under the lock that can panic, and it guards no
+        // data, so a poisoned lock is still a good lock.
+        self.lock.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Returns once `ready()` holds: spins and yields by turns, then
+    /// parks on `gate` until a [`Shared::wake`] of the same gate.
+    fn wait_until(&self, gate: &Gate, ready: impl Fn() -> bool) {
+        let start = Instant::now();
+        loop {
+            for _ in 0..PROBES {
+                if ready() {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            if start.elapsed() >= PARK_AFTER {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        let mut guard = self.lock();
+        gate.sleepers.fetch_add(1, Ordering::SeqCst);
+        while !ready() {
+            guard = gate.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        }
+        gate.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Wakes the threads parked on `gate`. Call after making their
+    /// condition true with a sequentially consistent write.
+    fn wake(&self, gate: &Gate) {
+        if gate.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = self.lock();
+            gate.cv.notify_all();
+        }
+    }
 }
 
 /// Persistent worker pool owned by a `Simulator`. Non-generic handle; the
@@ -137,19 +269,18 @@ struct Shared {
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    workers: usize,
     algo_type: TypeId,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("workers", &self.workers)
+            .field("participants", &self.participants())
             .finish_non_exhaustive()
     }
 }
 
-/// Long-lived per-worker state: an algorithm clone (the algorithm need
+/// A worker's long-lived state: an algorithm clone (the algorithm need
 /// not be `Sync`; clones may still share state among themselves, keyed
 /// by the view's packet-list identity) and a reusable view, mirroring the
 /// sequential loop's single-view optimization per worker.
@@ -158,26 +289,29 @@ struct WorkerLocal<A: DispersionAlgorithm> {
     compute: ViewScratch,
 }
 
-/// Spawns `workers` persistent threads, each owning a clone of
-/// `algorithm`. Used by `SimulatorBuilder::threads`.
-pub(crate) fn spawn_pool<A>(workers: usize, algorithm: &A) -> WorkerPool
+/// Builds a pool of `participants` (the caller plus `participants − 1`
+/// persistent worker threads, each owning a clone of `algorithm`). Used
+/// by `SimulatorBuilder::threads`.
+pub(crate) fn spawn_pool<A>(participants: usize, algorithm: &A) -> WorkerPool
 where
     A: DispersionAlgorithm + Clone + Send + 'static,
     A::Memory: Send + Sync,
 {
-    assert!(workers >= 1, "a pool needs at least one worker");
+    assert!(participants >= 2, "a pool needs at least one worker");
     let shared = Arc::new(Shared {
-        state: Mutex::new(PoolState {
-            epoch: 0,
-            job: None,
-            remaining: 0,
-            panicked: false,
-            shutdown: false,
+        epoch: AtomicU64::new(0),
+        job: UnsafeCell::new(Job {
+            ctx: std::ptr::null(),
+            run: no_share,
         }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
+        remaining: AtomicUsize::new(0),
+        panicked: AtomicBool::new(false),
+        shutdown: AtomicBool::new(false),
+        lock: Mutex::new(()),
+        work: Gate::new(),
+        done: Gate::new(),
     });
-    let handles = (0..workers)
+    let handles = (1..participants)
         .map(|w| {
             let shared = Arc::clone(&shared);
             let mut local = WorkerLocal {
@@ -187,8 +321,11 @@ where
             std::thread::Builder::new()
                 .name(format!("ccm-worker-{w}"))
                 .spawn(move || {
-                    let local_ptr = (&mut local) as *mut WorkerLocal<A> as *mut ();
-                    worker_loop(&shared, local_ptr, w);
+                    let local = Local {
+                        algorithm: (&local.algorithm) as *const A as *const (),
+                        compute: &mut local.compute,
+                    };
+                    worker_loop(&shared, local, w);
                 })
                 .expect("spawning a worker thread")
         })
@@ -196,73 +333,71 @@ where
     WorkerPool {
         shared,
         handles,
-        workers,
         algo_type: TypeId::of::<A>(),
     }
 }
 
-fn worker_loop(shared: &Shared, local: *mut (), w: usize) {
-    let mut last_epoch = 0u64;
+fn worker_loop(shared: &Shared, local: Local, w: usize) {
+    let mut seen = 0u64;
     loop {
-        let job = {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != last_epoch {
-                    break;
-                }
-                st = shared.work_cv.wait(st).unwrap();
-            }
-            last_epoch = st.epoch;
-            st.job.expect("a new epoch always carries a job")
-        };
+        shared.wait_until(&shared.work, || {
+            shared.epoch.load(Ordering::SeqCst) != seen
+        });
+        seen = shared.epoch.load(Ordering::SeqCst);
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        // SAFETY: the epoch bump published this job, and the caller does
+        // not write the cell again before this worker's decrement below.
+        let job = unsafe { *shared.job.get() };
         // SAFETY: `dispatch` keeps `job.ctx` alive until every worker
         // (including this one) reports done, and `job.run` was paired
         // with locals of this pool's algorithm type at dispatch.
         let outcome = catch_unwind(AssertUnwindSafe(|| unsafe {
             (job.run)(job.ctx, local, w);
         }));
-        let mut st = shared.state.lock().unwrap();
         if outcome.is_err() {
-            st.panicked = true;
+            shared.panicked.store(true, Ordering::Relaxed);
         }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            shared.done_cv.notify_one();
+        if shared.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            shared.wake(&shared.done);
         }
     }
 }
 
 impl WorkerPool {
-    /// Number of worker threads.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
+    /// Threads taking part in a dispatch: the workers plus the caller.
+    pub(crate) fn participants(&self) -> usize {
+        self.handles.len() + 1
     }
 
-    /// Runs one epoch: every worker executes `run(ctx, its_local, w)`,
+    /// Runs one epoch: every worker executes `run(ctx, its_local, w)` for
+    /// its index `w ≥ 1` while the caller executes `run(ctx, caller, 0)`,
     /// then control returns to the caller. Allocation-free.
     ///
     /// # Safety
     ///
-    /// `ctx` must remain valid for shared access until this returns;
-    /// `run` must be sound for this pool's worker-local type and must
-    /// confine its writes to worker-disjoint locations.
-    unsafe fn dispatch(&self, ctx: *const (), run: unsafe fn(*const (), *mut (), usize)) {
-        let mut st = self.shared.state.lock().unwrap();
-        st.job = Some(Job { ctx, run });
-        st.remaining = self.workers;
-        st.panicked = false;
-        st.epoch += 1;
-        self.shared.work_cv.notify_all();
-        while st.remaining > 0 {
-            st = self.shared.done_cv.wait(st).unwrap();
+    /// `ctx` and `caller`'s pointees must remain valid until this
+    /// returns; `run` must be sound for this pool's worker-local type and
+    /// for `caller`, and its writes must be disjoint across participants.
+    unsafe fn dispatch(&mut self, ctx: *const (), run: ShareFn, caller: Local) {
+        let shared = &*self.shared;
+        // SAFETY: every worker finished the previous epoch (`remaining`
+        // was 0 when the last dispatch returned), so none reads the cell.
+        unsafe { *shared.job.get() = Job { ctx, run } };
+        shared.panicked.store(false, Ordering::Relaxed);
+        shared.remaining.store(self.handles.len(), Ordering::Relaxed);
+        shared.epoch.fetch_add(1, Ordering::SeqCst);
+        shared.wake(&shared.work);
+        // SAFETY: forwarded from this function's contract.
+        let mine = catch_unwind(AssertUnwindSafe(|| unsafe { run(ctx, caller, 0) }));
+        shared.wait_until(&shared.done, || {
+            shared.remaining.load(Ordering::SeqCst) == 0
+        });
+        if let Err(payload) = mine {
+            resume_unwind(payload);
         }
-        st.job = None;
-        let panicked = st.panicked;
-        drop(st);
-        if panicked {
+        if shared.panicked.load(Ordering::Relaxed) {
             panic!("a worker thread panicked during a parallel phase");
         }
     }
@@ -270,106 +405,14 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            self.shared.work_cv.notify_all();
-        }
+        let shared = &*self.shared;
+        shared.shutdown.store(true, Ordering::SeqCst);
+        shared.epoch.fetch_add(1, Ordering::SeqCst);
+        shared.wake(&shared.work);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
-}
-
-/// The id-ordered range of worker `w` given a fixed `chunk` size.
-fn chunk_of(len: usize, chunk: usize, w: usize) -> std::ops::Range<usize> {
-    let start = (w * chunk).min(len);
-    let end = w
-        .checked_add(1)
-        .and_then(|n| n.checked_mul(chunk))
-        .map_or(len, |e| e.min(len));
-    start..end
-}
-
-fn chunk_size(len: usize, workers: usize) -> usize {
-    len.div_ceil(workers).max(1)
-}
-
-// ---------------------------------------------------------------------
-// Parallel packet aggregation (Communicate, global model)
-// ---------------------------------------------------------------------
-
-struct PacketCtx<'a> {
-    g: &'a PortLabeledGraph,
-    node_robots: &'a [Vec<RobotId>],
-    occupied: &'a [NodeId],
-    neighborhood: bool,
-    /// `occupied.len()` pre-sized slots; slot `i` belongs to `occupied[i]`.
-    out: *mut InfoPacket,
-    chunk: usize,
-}
-
-unsafe fn packet_chunk(ctx: *const (), _local: *mut (), w: usize) {
-    // SAFETY: re-typing the context `par_packets` erased; it is kept
-    // alive by the blocking dispatch.
-    let ctx = unsafe { &*(ctx as *const PacketCtx<'_>) };
-    for i in chunk_of(ctx.occupied.len(), ctx.chunk, w) {
-        // SAFETY: slot `i` is in this worker's chunk, disjoint from every
-        // other worker's; `out` has `occupied.len()` initialized slots.
-        let slot = unsafe { &mut *ctx.out.add(i) };
-        write_packet_into(
-            ctx.g,
-            ctx.node_robots,
-            ctx.occupied[i],
-            ctx.neighborhood,
-            slot,
-            &mut Vec::new(),
-        );
-    }
-}
-
-/// Builds the round's packets in parallel into `view`, under one fresh
-/// identity: slot `i` gets `occupied[i]`'s packet, then the main thread
-/// truncates and sorts by sender — the identical truncate+sort the
-/// sequential `build_packets_into` performs, so the result is
-/// byte-identical to the sequential build for any worker count.
-pub(crate) fn par_packets(
-    pool: &WorkerPool,
-    g: &PortLabeledGraph,
-    node_robots: &[Vec<RobotId>],
-    occupied: &[NodeId],
-    neighborhood: bool,
-    view: &mut RobotView,
-) {
-    view.packets_id = next_packets_id();
-    let out = &mut view.packets;
-    // Grow with blank packets only on a cold buffer; warm rounds reuse
-    // every slot's interior buffers, exactly like the sequential path.
-    while out.len() < occupied.len() {
-        out.push(blank_packet());
-    }
-    out.truncate(occupied.len());
-    let ctx = PacketCtx {
-        g,
-        node_robots,
-        occupied,
-        neighborhood,
-        out: out.as_mut_ptr(),
-        chunk: chunk_size(occupied.len(), pool.workers),
-    };
-    // SAFETY: `ctx` outlives the (blocking) dispatch; workers write only
-    // their disjoint chunk of `out`'s initialized slots; `packet_chunk`
-    // ignores the worker-local pointer, so the pool's algorithm type is
-    // irrelevant here.
-    unsafe {
-        pool.dispatch(
-            (&ctx) as *const PacketCtx<'_> as *const (),
-            packet_chunk,
-        );
-    }
-    // Senders are distinct (one packet per node): unstable sort is
-    // deterministic and allocation-free.
-    out.sort_unstable_by_key(|p| p.sender);
 }
 
 // ---------------------------------------------------------------------
@@ -381,64 +424,100 @@ struct ComputeCtx<'a, 'r, A: DispersionAlgorithm> {
     /// Activated robots in configuration (robot-ID) order — the exact
     /// order the sequential Compute loop visits.
     live: &'a [(RobotId, NodeId)],
-    /// The simulator's view: its packet list and identity are the
-    /// round's (global model); ignored under local communication, where
-    /// each worker builds own-node packets.
-    round_view: &'a RobotView,
+    /// The round's packet list and its identity under global
+    /// communication; every participant's view takes a share. Empty
+    /// under local communication, where each participant builds
+    /// own-node packets.
+    packets: PacketList,
+    packets_id: u64,
+    /// Start of the next unclaimed block of `live`.
+    next: AtomicUsize,
+    /// Robots per block.
+    block: usize,
     /// `live.len()` slots; slot `i` receives robot `live[i]`'s decision.
     slots: *mut Decision<A>,
-    chunk: usize,
 }
 
-unsafe fn compute_chunk<A>(ctx: *const (), local: *mut (), w: usize)
+/// The block size for `len` robots: [`BLOCK`], or less when that leaves
+/// some participant without a block, so a small round still splits.
+fn block_size(len: usize, participants: usize) -> usize {
+    len.div_ceil(participants).clamp(1, BLOCK)
+}
+
+/// The indices of `0..len` a participant claims, `block` at a time, from
+/// the shared counter `next`; each index is yielded by exactly one
+/// claimant.
+fn claimed(next: &AtomicUsize, len: usize, block: usize) -> impl Iterator<Item = usize> + '_ {
+    let mut mine = 0..0;
+    std::iter::from_fn(move || {
+        if mine.is_empty() {
+            let start = next.fetch_add(block, Ordering::Relaxed);
+            if start >= len {
+                return None;
+            }
+            mine = start..(start + block).min(len);
+        }
+        mine.next()
+    })
+}
+
+unsafe fn compute_share<A>(ctx: *const (), local: Local, participant: usize)
 where
     A: DispersionAlgorithm + Clone + Send + 'static,
     A::Memory: Send + Sync,
 {
     // SAFETY: `par_compute::<A>` erased a `ComputeCtx<'_, '_, A>` and
-    // checked (via TypeId) that this pool's locals are `WorkerLocal<A>`;
-    // both stay alive across the blocking dispatch.
+    // checked (via TypeId) that this pool's locals hold an `A`; both stay
+    // alive across the blocking dispatch, and each participant's view is
+    // its own.
     let ctx = unsafe { &*(ctx as *const ComputeCtx<'_, '_, A>) };
-    let local = unsafe { &mut *(local as *mut WorkerLocal<A>) };
-    let range = chunk_of(ctx.live.len(), ctx.chunk, w);
-    if range.is_empty() {
-        return;
+    let algorithm = unsafe { &*(local.algorithm as *const A) };
+    let scratch = unsafe { &mut *local.compute };
+    let global = ctx.inputs.model.comm == CommModel::Global;
+    if global {
+        scratch.view.packets = ctx.packets.clone();
+        scratch.view.packets_id = ctx.packets_id;
     }
-    if ctx.inputs.model.comm == CommModel::Global {
-        // Refresh this worker's packet copy element-wise (`clone_from`
-        // reuses every interior buffer once warm).
-        let view = &mut local.compute.view;
-        ctx.round_view.packets.clone_into(&mut view.packets);
-        view.packets_id = ctx.round_view.packets_id;
+    // Worker `w` decides its reserved robot `live[w]` first, then claims
+    // blocks with everyone else.
+    let reserved = (participant != 0 && participant < ctx.live.len()).then_some(participant);
+    let slot = Cell::new(0usize);
+    let robots = reserved
+        .into_iter()
+        .chain(claimed(&ctx.next, ctx.live.len(), ctx.block))
+        .map(|i| {
+            slot.set(i);
+            ctx.live[i]
+        });
+    compute_pass(algorithm, ctx.inputs, robots, scratch, |robot, _, action, next| {
+        // SAFETY: index `slot` is reserved for or was claimed by this
+        // participant alone; `slots` has `live.len()` initialized slots.
+        unsafe {
+            *ctx.slots.add(slot.get()) = Some((robot, action, next));
+        }
+    });
+    if global {
+        // Hand the share back, so the caller holds the only one again.
+        scratch.view.packets = PacketList::new();
     }
-    let mut slot = range.start;
-    compute_pass(
-        &local.algorithm,
-        ctx.inputs,
-        ctx.live[range].iter().copied(),
-        &mut local.compute,
-        |robot, _, action, next| {
-            // SAFETY: slot `slot` is in this worker's chunk, disjoint from
-            // every other worker's; `slots` has `live.len()` initialized
-            // slots.
-            unsafe {
-                *ctx.slots.add(slot) = Some((robot, action, next));
-            }
-            slot += 1;
-        },
-    );
 }
 
 /// Runs the Compute phase of one round across the pool: robot `live[i]`'s
 /// decision lands in `slots[i]`, so draining `slots` in order yields the
 /// byte-identical decision sequence of the sequential loop, for any
-/// worker count. Each worker runs the sequential Compute pass over its
-/// chunk. Allocation-free once every worker's buffers are warm.
+/// participant count and any split of the blocks.
+///
+/// The caller participates with `algorithm` and `scratch`, whose view
+/// must hold the round's packet list under global communication
+/// ([`ViewScratch::build_packets`]); the list is back in place when this
+/// returns. The caller decides `live[0]` before the workers start.
+/// Allocation-free once every participant's buffers are warm.
 pub(crate) fn par_compute<A>(
-    pool: &WorkerPool,
+    pool: &mut WorkerPool,
+    algorithm: &A,
     inputs: &RoundInputs<'_, <A as DispersionAlgorithm>::Memory>,
     live: &[(RobotId, NodeId)],
-    round_view: &RobotView,
+    scratch: &mut ViewScratch,
     slots: &mut Vec<Decision<A>>,
 ) where
     A: DispersionAlgorithm + Clone + Send + 'static,
@@ -451,111 +530,313 @@ pub(crate) fn par_compute<A>(
     );
     slots.clear();
     slots.resize_with(live.len(), || None);
+    let Some(&first) = live.first() else {
+        return;
+    };
+    compute_pass(algorithm, inputs, [first], scratch, |robot, _, action, next| {
+        slots[0] = Some((robot, action, next));
+    });
+    if live.len() == 1 {
+        return;
+    }
+    // `live[0]` is decided; `live[w]` is reserved for worker `w`.
+    let reserved_end = pool.participants().min(live.len());
+    let global = inputs.model.comm == CommModel::Global;
     let ctx = ComputeCtx::<'_, '_, A> {
         inputs,
         live,
-        round_view,
+        packets: if global {
+            std::mem::take(&mut scratch.view.packets)
+        } else {
+            PacketList::new()
+        },
+        packets_id: scratch.view.packets_id,
+        next: AtomicUsize::new(reserved_end),
+        block: block_size(live.len() - reserved_end, pool.participants()),
         slots: slots.as_mut_ptr(),
-        chunk: chunk_size(live.len(), pool.workers),
     };
-    // SAFETY: `ctx` outlives the (blocking) dispatch; the TypeId check
-    // above guarantees every worker-local is a `WorkerLocal<A>`; chunks
-    // are disjoint so each slot has a single writer; shared inputs are
-    // `&`-borrows of `Sync` data (`A::Memory: Sync`).
+    let caller = Local {
+        algorithm: algorithm as *const A as *const (),
+        compute: scratch,
+    };
+    // SAFETY: `ctx` and the caller's algorithm and scratch outlive the
+    // (blocking) dispatch; the TypeId check above guarantees every
+    // worker-local holds an `A`, as does the caller; reserved robots and
+    // claimed blocks are disjoint, so each slot has a single writer;
+    // shared inputs are `&`-borrows of `Sync` data (`A::Memory: Sync`).
     unsafe {
         pool.dispatch(
             (&ctx) as *const ComputeCtx<'_, '_, A> as *const (),
-            compute_chunk::<A>,
+            compute_share::<A>,
+            caller,
         );
+    }
+    if global {
+        scratch.view.packets = ctx.packets;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Configuration, MemoryFootprint, ModelSpec, RobotView};
+    use dispersion_graph::{generators, Port};
+
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Tag(u64);
+    impl MemoryFootprint for Tag {
+        fn persistent_bits(&self) -> usize {
+            64
+        }
+    }
+
+    /// Folds what it sees of its view (but not the packet-list identity)
+    /// and its memory into the next memory, and moves by it.
+    #[derive(Clone)]
+    struct Echo;
+    impl DispersionAlgorithm for Echo {
+        type Memory = Tag;
+        fn name(&self) -> &'static str {
+            "echo"
+        }
+        fn init(&self, me: RobotId, _k: usize) -> Tag {
+            Tag(u64::from(me.get()))
+        }
+        fn step(&self, view: &RobotView, mem: &Tag) -> (Action, Tag) {
+            let packets: u64 = view.packets.iter().map(|p| p.count as u64 + 1).sum();
+            let tag = mem.0 * 1_000_003
+                + u64::from(view.me.get()) * 101
+                + view.colocated.len() as u64 * 7
+                + packets
+                + view.degree as u64;
+            let action = if tag.is_multiple_of(3) {
+                Action::Stay
+            } else {
+                Action::Move(Port::from_index((tag as usize) % view.degree))
+            };
+            (action, Tag(tag))
+        }
+    }
+
+    /// A job whose share bumps its participant's counter by `rounds`.
+    struct CountCtx {
+        out: *mut u64,
+        rounds: u64,
+    }
+    unsafe fn count_share(ctx: *const (), _local: Local, participant: usize) {
+        let ctx = unsafe { &*(ctx as *const CountCtx) };
+        unsafe { *ctx.out.add(participant) += ctx.rounds };
+    }
+
+    /// The caller's local state for jobs that ignore it.
+    fn no_local() -> Local {
+        Local {
+            algorithm: std::ptr::null(),
+            compute: std::ptr::null_mut(),
+        }
+    }
+
+    fn count_once(pool: &mut WorkerPool, counts: &mut [u64], rounds: u64) {
+        let ctx = CountCtx {
+            out: counts.as_mut_ptr(),
+            rounds,
+        };
+        unsafe { pool.dispatch((&ctx) as *const CountCtx as *const (), count_share, no_local()) };
+    }
 
     #[test]
     fn chunks_partition_the_range() {
-        for len in [0usize, 1, 2, 7, 16, 1000] {
-            for workers in [1usize, 2, 3, 8, 64] {
-                let chunk = chunk_size(len, workers);
+        // Claimants that pull from one counter, interleaved in a fixed
+        // rotation and one after another, cover every index exactly once.
+        for len in [0usize, 1, 2, 7, 31, 32, 33, 100, 1000] {
+            for claimants in [1usize, 2, 3, 8] {
+                let block = block_size(len, claimants);
+                assert!((1..=BLOCK).contains(&block));
+                assert!(len <= BLOCK * claimants || block == BLOCK);
+                let next = AtomicUsize::new(0);
+                let mut iters: Vec<_> =
+                    (0..claimants).map(|_| claimed(&next, len, block)).collect();
                 let mut covered = vec![false; len];
-                for w in 0..workers {
-                    for i in chunk_of(len, chunk, w) {
-                        assert!(!covered[i], "index {i} visited twice");
-                        covered[i] = true;
+                let mut live = claimants;
+                while live > 0 {
+                    live = 0;
+                    for it in &mut iters {
+                        if let Some(i) = it.next() {
+                            assert!(!covered[i], "index {i} claimed twice");
+                            covered[i] = true;
+                            live += 1;
+                        }
                     }
                 }
-                assert!(covered.iter().all(|&c| c), "len {len} workers {workers}");
+                assert!(covered.iter().all(|&c| c), "len {len} claimants {claimants}");
             }
         }
     }
 
     #[test]
     fn pool_survives_many_dispatches_and_a_panic() {
-        use crate::{Action, MemoryFootprint, RobotView};
-
-        #[derive(Clone)]
-        struct Nil;
-        impl MemoryFootprint for Nil {
-            fn persistent_bits(&self) -> usize {
-                0
-            }
-        }
-        #[derive(Clone)]
-        struct Frozen;
-        impl DispersionAlgorithm for Frozen {
-            type Memory = Nil;
-            fn name(&self) -> &'static str {
-                "frozen"
-            }
-            fn init(&self, _me: RobotId, _k: usize) -> Nil {
-                Nil
-            }
-            fn step(&self, _v: &RobotView, _m: &Nil) -> (Action, Nil) {
-                (Action::Stay, Nil)
-            }
-        }
-
-        let pool = spawn_pool(4, &Frozen);
-        assert_eq!(pool.workers(), 4);
-
-        // A counting job: each worker bumps its own slot.
-        struct CountCtx {
-            out: *mut u64,
-            rounds: u64,
-        }
-        unsafe fn count_chunk(ctx: *const (), _local: *mut (), w: usize) {
-            let ctx = unsafe { &*(ctx as *const CountCtx) };
-            unsafe { *ctx.out.add(w) += ctx.rounds };
-        }
+        let mut pool = spawn_pool(4, &Echo);
+        assert_eq!(pool.participants(), 4);
         let mut counts = vec![0u64; 4];
         for _ in 0..100 {
-            let ctx = CountCtx {
-                out: counts.as_mut_ptr(),
-                rounds: 1,
-            };
-            unsafe { pool.dispatch((&ctx) as *const CountCtx as *const (), count_chunk) };
+            count_once(&mut pool, &mut counts, 1);
         }
-        assert_eq!(counts, vec![100; 4]);
+        assert_eq!(counts, vec![100; 4], "the caller is participant 0");
 
-        // A panicking job is re-raised on the dispatching thread...
-        unsafe fn boom(_ctx: *const (), _local: *mut (), w: usize) {
-            if w == 2 {
+        // A panicking worker is re-raised on the dispatching thread...
+        unsafe fn boom(_ctx: *const (), _local: Local, participant: usize) {
+            if participant == 2 {
                 panic!("worker 2 exploded");
             }
         }
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| unsafe {
-            pool.dispatch(std::ptr::null(), boom);
+        let caught = catch_unwind(AssertUnwindSafe(|| unsafe {
+            pool.dispatch(std::ptr::null(), boom, no_local());
         }));
         assert!(caught.is_err());
 
         // ...and the pool keeps working afterwards.
-        let ctx = CountCtx {
-            out: counts.as_mut_ptr(),
-            rounds: 5,
-        };
-        unsafe { pool.dispatch((&ctx) as *const CountCtx as *const (), count_chunk) };
+        count_once(&mut pool, &mut counts, 5);
         assert_eq!(counts, vec![105; 4]);
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_is_reraised_after_the_workers_finish() {
+        struct SlowCtx {
+            finished: [AtomicBool; 3],
+        }
+        unsafe fn slow_workers(ctx: *const (), _local: Local, participant: usize) {
+            let ctx = unsafe { &*(ctx as *const SlowCtx) };
+            if participant == 0 {
+                panic!("the caller's share exploded");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            ctx.finished[participant].store(true, Ordering::SeqCst);
+        }
+        let mut pool = spawn_pool(3, &Echo);
+        let ctx = SlowCtx {
+            finished: [AtomicBool::new(false), AtomicBool::new(false), AtomicBool::new(false)],
+        };
+        let caught = catch_unwind(AssertUnwindSafe(|| unsafe {
+            pool.dispatch((&ctx) as *const SlowCtx as *const (), slow_workers, no_local());
+        }));
+        let payload = caught.expect_err("the caller's panic is re-raised");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"the caller's share exploded"),
+            "the caller's own panic comes back unchanged"
+        );
+        assert!(
+            ctx.finished[1].load(Ordering::SeqCst) && ctx.finished[2].load(Ordering::SeqCst),
+            "the dispatch waited for every worker before unwinding"
+        );
+        let mut counts = vec![0u64; 3];
+        count_once(&mut pool, &mut counts, 2);
+        assert_eq!(counts, vec![2; 3]);
+    }
+
+    #[test]
+    fn dropping_a_parked_pool_joins_its_workers_promptly() {
+        let mut pool = spawn_pool(4, &Echo);
+        let mut counts = vec![0u64; 4];
+        count_once(&mut pool, &mut counts, 1);
+        // Idle past the spin-and-yield window: every worker parks.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.shared.work.sleepers.load(Ordering::SeqCst) < 3 {
+            assert!(Instant::now() < deadline, "workers never parked");
+            std::thread::sleep(PARK_AFTER);
+        }
+        // A parked pool still dispatches...
+        count_once(&mut pool, &mut counts, 1);
+        assert_eq!(counts, vec![2; 4]);
+        while pool.shared.work.sleepers.load(Ordering::SeqCst) < 3 {
+            assert!(Instant::now() < deadline, "workers never parked again");
+            std::thread::sleep(PARK_AFTER);
+        }
+        // ...and drops without waiting on anything but the wake-up.
+        let start = Instant::now();
+        drop(pool);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "joining parked workers took {:?}",
+            start.elapsed()
+        );
+    }
+
+    /// Decisions of `live` under `model` by the sequential pass and by a
+    /// pool of `participants`, after the parallel caller's view got the
+    /// round's packets back.
+    #[allow(clippy::type_complexity)]
+    fn both_ways(
+        participants: usize,
+        model: ModelSpec,
+        live_len: usize,
+    ) -> (Vec<(RobotId, Action, Tag)>, Vec<(RobotId, Action, Tag)>) {
+        let n = 40;
+        let g = generators::cycle(n).unwrap();
+        let config = Configuration::random(n, 3 * BLOCK + 5, 3, true);
+        let k = config.robot_count();
+        let mut node_robots = vec![Vec::new(); n];
+        let mut occupied = Vec::new();
+        for (r, v) in config.iter() {
+            if node_robots[v.index()].is_empty() {
+                occupied.push(v);
+            }
+            node_robots[v.index()].push(r);
+        }
+        let memories: Vec<Option<Tag>> = (1..=k as u32)
+            .map(|i| Some(Echo.init(RobotId::new(i), k)))
+            .collect();
+        let arrival_ports = vec![None; k];
+        let inputs = RoundInputs {
+            g: &g,
+            node_robots: &node_robots,
+            memories: &memories,
+            arrival_ports: &arrival_ports,
+            model,
+            round: 4,
+            k,
+        };
+        let live: Vec<_> = config.iter().take(live_len).collect();
+        let fresh_scratch = || {
+            let mut scratch = ViewScratch::new();
+            if model.comm == CommModel::Global {
+                scratch.build_packets(&g, &node_robots, &occupied, model.neighborhood);
+            }
+            scratch
+        };
+
+        let mut sequential = Vec::new();
+        let mut scratch = fresh_scratch();
+        compute_pass(&Echo, &inputs, live.iter().copied(), &mut scratch, |r, _, a, m| {
+            sequential.push((r, a, m))
+        });
+
+        let mut pool = spawn_pool(participants, &Echo);
+        let mut scratch = fresh_scratch();
+        let mut slots = Vec::new();
+        par_compute(&mut pool, &Echo, &inputs, &live, &mut scratch, &mut slots);
+        if model.comm == CommModel::Global {
+            assert_eq!(scratch.view.packets.len(), occupied.len(), "packets handed back");
+        }
+        let parallel = slots.into_iter().map(|s| s.expect("filled")).collect();
+        (sequential, parallel)
+    }
+
+    #[test]
+    fn par_compute_matches_the_sequential_pass_for_any_item_count() {
+        for model in [ModelSpec::GLOBAL_WITH_NEIGHBORHOOD, ModelSpec::LOCAL_BLIND] {
+            // Fewer items than participants, one item, none, and several
+            // blocks with a ragged tail.
+            for live_len in [0usize, 1, 2, 3, BLOCK + 1, 3 * BLOCK + 5] {
+                for participants in [2usize, 3, 8] {
+                    let (sequential, parallel) = both_ways(participants, model, live_len);
+                    assert_eq!(sequential.len(), live_len);
+                    assert_eq!(
+                        sequential, parallel,
+                        "{model}, {live_len} robots, {participants} participants"
+                    );
+                }
+            }
+        }
     }
 }

@@ -94,4 +94,6 @@ pub use packet::{
 pub use robot::RobotId;
 pub use sim::{RoundOutput, SimOptions, SimOutcome, Simulator, SimulatorBuilder, Step};
 pub use trace::{ExecutionTrace, RoundRecord, TracePolicy};
-pub use view::{build_view, build_views, write_node_view, NeighborObservation, RobotView};
+pub use view::{
+    build_view, build_views, write_node_view, NeighborObservation, PacketList, RobotView,
+};

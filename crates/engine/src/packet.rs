@@ -238,7 +238,7 @@ fn write_packet_slot(
 
 /// An empty packet carcass whose buffers a later [`write_packet_into`]
 /// will fill — the growth unit of a cold packet buffer.
-pub(crate) fn blank_packet() -> InfoPacket {
+fn blank_packet() -> InfoPacket {
     InfoPacket {
         sender: RobotId::new(1),
         count: 0,
@@ -250,14 +250,12 @@ pub(crate) fn blank_packet() -> InfoPacket {
 
 /// Writes the packet of occupied node `v` into `p`, reusing `p`'s
 /// buffers and taking extra reports from (and parking surplus ones in)
-/// `spare`. The slot-addressed core shared by the sequential builders
-/// above and the parallel executor (which hands each worker a disjoint
-/// range of pre-grown slots).
+/// `spare`. The slot-addressed core of the builders above.
 ///
 /// # Panics
 ///
 /// Panics if `v` is unoccupied.
-pub(crate) fn write_packet_into(
+fn write_packet_into(
     g: &PortLabeledGraph,
     node_robots: &[Vec<RobotId>],
     v: NodeId,

@@ -389,17 +389,24 @@ where
     A::Memory: Send + Sync,
     N: DynamicNetwork,
 {
-    /// Runs the per-node packet aggregation and the per-robot Compute
-    /// phase of every round on `threads` persistent worker threads
-    /// (spawned here, joined when the simulator drops). `threads <= 1`
-    /// — the default — keeps the untouched sequential path.
+    /// Runs the per-robot Compute phase of every round on `threads`
+    /// threads: the calling thread plus `threads − 1` persistent workers
+    /// (spawned here, joined when the simulator drops). `threads <= 1` —
+    /// the default — keeps the untouched sequential path, and
+    /// [`Simulator::threads`] reports the count either way.
     ///
-    /// The executor partitions work into fixed id-ordered chunks and
-    /// merges results through pre-assigned slots, so a run is
-    /// **byte-identical for every thread count**: golden traces, graph
-    /// fingerprints, and seed reproducibility are all preserved (see
-    /// `executor.rs`). Each worker owns a clone of the algorithm, which
-    /// is why this — unlike the other builder methods — requires
+    /// Each round the calling thread builds the packets and decides the
+    /// first activated robot, then each worker decides one robot reserved
+    /// for it, and all of them claim blocks of the remaining robots from
+    /// a shared counter. Every decision lands in
+    /// its robot's pre-assigned slot and the slots are merged in robot-ID
+    /// order, so a run is **byte-identical for every thread count**:
+    /// golden traces, graph fingerprints, and seed reproducibility are all
+    /// preserved (see `executor.rs`). Between rounds the workers spin and
+    /// yield, and park only after about a millisecond without work,
+    /// so an idle simulator costs no CPU. More threads than cores work but
+    /// buy nothing. Each worker owns a clone of the algorithm, which is
+    /// why this — unlike the other builder methods — requires
     /// `A: Clone + Send` and a `Send + Sync` memory type.
     pub fn threads(mut self, threads: usize) -> Self {
         self.pool = (threads > 1).then(|| {
@@ -455,7 +462,8 @@ pub struct Simulator<A: DispersionAlgorithm, N: DynamicNetwork> {
     monitor: Option<InvariantMonitor>,
     /// Persistent worker pool ([`SimulatorBuilder::threads`]) plus the
     /// monomorphized parallel-Compute entry point; `None` (the default)
-    /// runs the untouched sequential round loop.
+    /// runs the untouched sequential round loop. The calling thread joins
+    /// each dispatch with `algorithm` and `scratch.compute`.
     pool: Option<(WorkerPool, executor::ParComputeFn<A>)>,
     /// Activated robots of the round in configuration order, built before
     /// the adversary runs: the oracle, the sequential Compute loop and the
@@ -486,10 +494,11 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
         &self.network
     }
 
-    /// Worker threads executing the round loop: the pool size configured
-    /// via [`SimulatorBuilder::threads`], or 1 for the sequential path.
+    /// Threads executing the round loop: the count configured via
+    /// [`SimulatorBuilder::threads`] (the calling thread and its
+    /// workers), or 1 for the sequential path.
     pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |(pool, _)| pool.workers())
+        self.pool.as_ref().map_or(1, |(pool, _)| pool.participants())
     }
 
     fn crash(&mut self, r: RobotId) -> bool {
@@ -605,30 +614,19 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
         // Communicate: under global communication every robot receives the
         // same packet list — build it once into the shared view, under one
         // fresh identity for the round.
-        let neighborhood = self.model.neighborhood;
         if self.model.comm == CommModel::Global {
-            match &self.pool {
-                Some((pool, _)) => executor::par_packets(
-                    pool,
-                    g,
-                    &self.scratch.node_robots,
-                    &self.scratch.occupied,
-                    neighborhood,
-                    &mut self.scratch.compute.view,
-                ),
-                None => self.scratch.compute.build_packets(
-                    g,
-                    &self.scratch.node_robots,
-                    &self.scratch.occupied,
-                    neighborhood,
-                ),
-            }
+            self.scratch.compute.build_packets(
+                g,
+                &self.scratch.node_robots,
+                &self.scratch.occupied,
+                self.model.neighborhood,
+            );
         }
 
         // Compute (pure; memories updated after Move). With a worker pool
-        // the same visit order is split into fixed id-ordered chunks whose
-        // slot-ordered merge reproduces the sequential decision sequence
-        // exactly (see `executor.rs`).
+        // the same robots are decided in claimed blocks whose slot-ordered
+        // merge reproduces the sequential decision sequence exactly (see
+        // `executor.rs`).
         let inputs = RoundInputs {
             g,
             node_robots: &self.scratch.node_robots,
@@ -638,12 +636,13 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
             round,
             k: self.k,
         };
-        if let Some((pool, par_compute)) = &self.pool {
+        if let Some((pool, par_compute)) = &mut self.pool {
             par_compute(
                 pool,
+                &self.algorithm,
                 &inputs,
                 &self.live,
-                &self.scratch.compute.view,
+                &mut self.scratch.compute,
                 &mut self.par_slots,
             );
             self.decisions.extend(

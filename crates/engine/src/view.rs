@@ -1,7 +1,9 @@
 //! Per-robot round views: everything a robot may legally observe during
 //! the Communicate phase of one CCM round.
 
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use dispersion_graph::{Port, PortLabeledGraph};
 
@@ -18,6 +20,65 @@ use crate::{CommModel, Configuration, InfoPacket, ModelSpec, RobotId};
 pub(crate) fn next_packets_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The information packets of a view: a reference-counted, immutable
+/// list shared by every view that carries it.
+///
+/// Under global communication every robot of a round receives the same
+/// packets, so the simulator builds the list once and each executor
+/// participant takes a share of it (one reference-count increment)
+/// instead of a copy. The owner rebuilds it in place once the shares are
+/// dropped; a write while a share is still out copies the list first,
+/// so a held view never changes.
+///
+/// Reads go through [`Deref`] to `[InfoPacket]`, so `view.packets.iter()`,
+/// `view.packets[0]` and `&view.packets` as a `&[InfoPacket]` all work; a
+/// hand-built view converts its `Vec` with [`From`]. The empty list
+/// allocates nothing. Equality and `Debug` are those of the slice.
+#[derive(Clone, Default)]
+pub struct PacketList(Option<Arc<Vec<InfoPacket>>>);
+
+impl PacketList {
+    /// An empty list; allocates nothing.
+    pub const fn new() -> Self {
+        PacketList(None)
+    }
+
+    /// The list for in-place rebuilding: no allocation when this is the
+    /// only share of a list that already exists, a copy when other shares
+    /// are out (they keep seeing the old list).
+    pub(crate) fn make_mut(&mut self) -> &mut Vec<InfoPacket> {
+        Arc::make_mut(self.0.get_or_insert_with(Default::default))
+    }
+}
+
+impl Deref for PacketList {
+    type Target = [InfoPacket];
+
+    fn deref(&self) -> &[InfoPacket] {
+        self.0.as_deref().map_or(&[], Vec::as_slice)
+    }
+}
+
+impl From<Vec<InfoPacket>> for PacketList {
+    fn from(packets: Vec<InfoPacket>) -> Self {
+        PacketList(Some(Arc::new(packets)))
+    }
+}
+
+impl PartialEq for PacketList {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for PacketList {}
+
+impl std::fmt::Debug for PacketList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// What a robot senses about one adjacent node under 1-neighborhood
@@ -68,8 +129,13 @@ pub struct RobotView {
     pub neighbors: Option<Vec<NeighborObservation>>,
     /// Information packets received in the Communicate phase: all occupied
     /// nodes' packets under global communication, only the own node's
-    /// packet under local communication.
-    pub packets: Vec<InfoPacket>,
+    /// packet under local communication, ascending by sender.
+    ///
+    /// A [`PacketList`] is shared, not copied: every view of a round under
+    /// global communication points at the one list the simulator built.
+    /// Read it as a `[InfoPacket]` slice; build one for a hand-made view
+    /// with `Vec::into`.
+    pub packets: PacketList,
     /// Identity of `packets`. A nonzero value is minted by the engine
     /// (once per round by the simulator, once per call by [`build_view`]
     /// and [`build_views`]), is never reused within the process, and
@@ -145,12 +211,13 @@ pub fn build_view(
     });
     let own_sender = colocated[0];
     let packets = match model.comm {
-        CommModel::Global => packets.to_vec(),
+        CommModel::Global => packets.to_vec().into(),
         CommModel::Local => packets
             .iter()
             .filter(|p| p.sender == own_sender)
             .cloned()
-            .collect(),
+            .collect::<Vec<_>>()
+            .into(),
     };
     RobotView {
         round,
@@ -227,10 +294,11 @@ pub(crate) fn write_node_view_with(
 ///
 /// Each view equals the [`build_view`] of the same robot up to its
 /// [`RobotView::packets_id`]: under global communication all views share
-/// one identity minted for the call, under local communication each
-/// view's own-node list gets its own. The robot-at-node index is built
-/// once per call, so the views cost `O(k + Σ deg)` rather than a
-/// configuration scan per robot and per neighbor.
+/// one packet list and one identity minted for the call, under local
+/// communication each view's own-node list gets its own. The
+/// robot-at-node index is built once per call, so the views cost
+/// `O(k + Σ deg)` rather than a configuration scan per robot and per
+/// neighbor.
 pub fn build_views(
     g: &PortLabeledGraph,
     config: &Configuration,
@@ -248,10 +316,16 @@ pub fn build_views(
         }
         row.push(r);
     }
-    let mut packets = Vec::new();
+    let mut packets = PacketList::new();
     let mut packets_id = 0;
     if model.comm == CommModel::Global {
-        build_packets_into(g, &node_robots, &occupied, model.neighborhood, &mut packets);
+        build_packets_into(
+            g,
+            &node_robots,
+            &occupied,
+            model.neighborhood,
+            packets.make_mut(),
+        );
         packets_id = next_packets_id();
     }
     config
@@ -265,19 +339,19 @@ pub fn build_views(
                 arrival_port: arrival_port_of(r),
                 colocated: Vec::new(),
                 neighbors: None,
-                packets: Vec::new(),
+                packets: PacketList::new(),
                 packets_id,
             };
             write_node_view(g, &node_robots, v, model.neighborhood, &mut view);
             match model.comm {
-                CommModel::Global => view.packets.clone_from(&packets),
+                CommModel::Global => view.packets = packets.clone(),
                 CommModel::Local => {
                     build_own_packet_into(
                         g,
                         &node_robots,
                         v,
                         model.neighborhood,
-                        &mut view.packets,
+                        view.packets.make_mut(),
                     );
                     view.packets_id = next_packets_id();
                 }
@@ -390,7 +464,7 @@ mod tests {
             arrival_port: None,
             colocated: Vec::new(),
             neighbors: None,
-            packets: Vec::new(),
+            packets: PacketList::new(),
             packets_id: 0,
         };
         // Warm the buffers on node 1 (two colocated robots), then move to
@@ -466,6 +540,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn packet_list_shares_until_written() {
+        let (g, c) = sample();
+        let packets = crate::packet::build_packets(&g, &c, true);
+        assert!(PacketList::new().is_empty());
+        assert_eq!(PacketList::default(), PacketList::from(Vec::new()));
+
+        let mut owner = PacketList::from(packets.clone());
+        let share = owner.clone();
+        assert_eq!(&*share, packets.as_slice());
+        // A write while a share is out copies: the share keeps the old list.
+        owner.make_mut().truncate(1);
+        assert_eq!(owner.len(), 1);
+        assert_eq!(&*share, packets.as_slice());
+        assert_ne!(owner, share);
+        // Once the share is gone, the owner writes its own list in place.
+        drop(share);
+        let before = owner.as_ptr();
+        owner.make_mut().truncate(0);
+        assert_eq!(owner.as_ptr(), before);
+        owner.make_mut().extend(packets.iter().cloned());
+        assert_eq!(&*owner, packets.as_slice());
+        assert_eq!(format!("{owner:?}"), format!("{packets:?}"));
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! which is blind to worker threads by design. Here the counter is a
 //! process-global atomic: once the simulator, the pool, and every
 //! worker's local buffers are warm, a non-recording `step()` must not
-//! allocate on *any* thread — the dispatch protocol is a mutex/condvar
-//! epoch bump, the packet and Compute kernels write into retained
-//! buffers, and each worker's packet copy is refreshed element-wise with
-//! buffer-reusing `clone_from`.
+//! allocate on *any* thread — a dispatch is an atomic epoch bump (and a
+//! condvar notify only for parked workers), the packet build and Compute
+//! write into retained buffers, and each participant's view takes a
+//! share of the round's packet list (a reference-count increment) rather
+//! than a copy, so the caller rebuilds the list in place next round.
+//! Every worker decides its reserved robot each round, so the warm-up
+//! sizes every worker's view, whichever blocks it claims.
 //!
 //! This test lives in its own binary so libtest's harness threads and the
 //! other allocation test cannot pollute the global counter: it is the
