@@ -17,11 +17,10 @@
 //!   own. Participant 0 is the caller, workers are `1..n`.
 //! * **Work is claimed in blocks.** Robot `live[i]`'s decision always
 //!   lands in slot `i` of a pre-sized output array, whichever participant
-//!   computed it. Participants claim blocks of `live` (32 robots, or an
-//!   equal share per participant when that is fewer, so a small round
-//!   still splits) from one atomic counter until it runs past the end,
-//!   so a participant that runs slower (cold caches on another core, or
-//!   descheduled by the OS) simply claims fewer blocks. The split varies
+//!   computed it. Participants claim blocks of 32 robots of `live` from
+//!   one atomic counter until it runs past the end, so a participant
+//!   that runs slower (cold caches on another core, or descheduled by
+//!   the OS) simply claims fewer blocks. The split varies
 //!   from run to run; the output does not, because `step` is a pure
 //!   function of view and memory and each slot has exactly one writer.
 //!   The caller drains the slots in index order, which is the sequential
@@ -124,9 +123,10 @@ use dispersion_graph::NodeId;
 use crate::compute::{compute_pass, RoundInputs, ViewScratch};
 use crate::{Action, CommModel, DispersionAlgorithm, PacketList, RobotId};
 
-/// Most robots per claimed Compute block: large enough that claiming
-/// costs nothing next to 32 steps, small enough that a slow participant's
-/// last block does not hold up the round.
+/// Robots per claimed Compute block (a round's last block may be
+/// shorter): large enough that claiming costs nothing next to 32 steps,
+/// small enough that a slow participant's last block does not hold up
+/// the round.
 const BLOCK: usize = 32;
 
 /// Busy-wait probes of a hand-off between two yields: a microsecond or
@@ -432,30 +432,22 @@ struct ComputeCtx<'a, 'r, A: DispersionAlgorithm> {
     packets_id: u64,
     /// Start of the next unclaimed block of `live`.
     next: AtomicUsize,
-    /// Robots per block.
-    block: usize,
     /// `live.len()` slots; slot `i` receives robot `live[i]`'s decision.
     slots: *mut Decision<A>,
 }
 
-/// The block size for `len` robots: [`BLOCK`], or less when that leaves
-/// some participant without a block, so a small round still splits.
-fn block_size(len: usize, participants: usize) -> usize {
-    len.div_ceil(participants).clamp(1, BLOCK)
-}
-
-/// The indices of `0..len` a participant claims, `block` at a time, from
-/// the shared counter `next`; each index is yielded by exactly one
+/// The indices of `0..len` a participant claims, [`BLOCK`] at a time,
+/// from the shared counter `next`; each index is yielded by exactly one
 /// claimant.
-fn claimed(next: &AtomicUsize, len: usize, block: usize) -> impl Iterator<Item = usize> + '_ {
+fn claimed(next: &AtomicUsize, len: usize) -> impl Iterator<Item = usize> + '_ {
     let mut mine = 0..0;
     std::iter::from_fn(move || {
         if mine.is_empty() {
-            let start = next.fetch_add(block, Ordering::Relaxed);
+            let start = next.fetch_add(BLOCK, Ordering::Relaxed);
             if start >= len {
                 return None;
             }
-            mine = start..(start + block).min(len);
+            mine = start..(start + BLOCK).min(len);
         }
         mine.next()
     })
@@ -484,7 +476,7 @@ where
     let slot = Cell::new(0usize);
     let robots = reserved
         .into_iter()
-        .chain(claimed(&ctx.next, ctx.live.len(), ctx.block))
+        .chain(claimed(&ctx.next, ctx.live.len()))
         .map(|i| {
             slot.set(i);
             ctx.live[i]
@@ -552,7 +544,6 @@ pub(crate) fn par_compute<A>(
         },
         packets_id: scratch.view.packets_id,
         next: AtomicUsize::new(reserved_end),
-        block: block_size(live.len() - reserved_end, pool.participants()),
         slots: slots.as_mut_ptr(),
     };
     let caller = Local {
@@ -650,12 +641,8 @@ mod tests {
         // rotation and one after another, cover every index exactly once.
         for len in [0usize, 1, 2, 7, 31, 32, 33, 100, 1000] {
             for claimants in [1usize, 2, 3, 8] {
-                let block = block_size(len, claimants);
-                assert!((1..=BLOCK).contains(&block));
-                assert!(len <= BLOCK * claimants || block == BLOCK);
                 let next = AtomicUsize::new(0);
-                let mut iters: Vec<_> =
-                    (0..claimants).map(|_| claimed(&next, len, block)).collect();
+                let mut iters: Vec<_> = (0..claimants).map(|_| claimed(&next, len)).collect();
                 let mut covered = vec![false; len];
                 let mut live = claimants;
                 while live > 0 {
