@@ -148,21 +148,6 @@ pub enum Command {
         /// Engine worker threads for each checked run.
         threads: usize,
     },
-    /// `dispersion bench …` — run the engine round-loop throughput
-    /// harness (the `BENCH_engine.json` matrix).
-    Bench {
-        /// Write the JSON document here instead of stdout.
-        out: Option<String>,
-        /// Label recorded in the JSON document.
-        label: String,
-        /// Earlier emission to embed as the baseline section.
-        baseline: Option<String>,
-        /// Smoke configuration: drop n = 1024, one repeat per case.
-        quick: bool,
-        /// Override the engine thread count of every matrix case
-        /// (`None` keeps the matrix's own thread axis).
-        threads: Option<usize>,
-    },
     /// `dispersion dot …` — export one round's graph as Graphviz DOT.
     Dot {
         /// Dynamic network to sample.
@@ -523,40 +508,6 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                 threads: threads.max(1),
             })
         }
-        "bench" => {
-            let mut out = None;
-            let mut label = String::from("current");
-            let mut baseline = None;
-            let mut quick = false;
-            let mut threads = None;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--out" => out = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--label" => label = take_value(flag, &mut iter)?.to_string(),
-                    "--baseline" => baseline = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--quick" => quick = true,
-                    "--threads" => {
-                        let t: usize = parse_num(
-                            flag,
-                            take_value(flag, &mut iter)?,
-                            "an engine thread count ≥ 1",
-                        )?;
-                        if t == 0 {
-                            return Err(ParseError::Invalid("--threads must be ≥ 1"));
-                        }
-                        threads = Some(t);
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.into())),
-                }
-            }
-            Ok(Command::Bench {
-                out,
-                label,
-                baseline,
-                quick,
-                threads,
-            })
-        }
         "trap" => {
             let mut theorem = 1u8;
             let mut k = 6usize;
@@ -664,8 +615,6 @@ USAGE:
     dispersion campaign-status --artifact FILE
     dispersion check [--artifact FILE | [--network …] [--n N] [--k K] [--seed S]
                      [--faults F] [--structural]] [--threads T]
-    dispersion bench [--out FILE] [--label L] [--baseline FILE] [--quick]
-                     [--threads T]
     dispersion trap --theorem 1|2 [--k K] [--rounds R]
     dispersion dot [--network …] [--n N] [--k K] [--seed S]
     dispersion lower-bound [--k K]
@@ -692,12 +641,6 @@ SUBCOMMANDS:
                  spec directly (full suite; --structural drops the
                  Algorithm 4 theorem bounds); violations report the round,
                  the ids involved, and the replay seed
-    bench        measure engine round-loop throughput (rounds/sec and
-                 robot-steps/sec) over ring/grid/adversarial networks,
-                 including the thread-scaling rows; --quick is the CI
-                 smoke matrix, --baseline embeds an earlier emission for
-                 side-by-side comparison, --threads overrides the thread
-                 count of every case
     dot          Graphviz DOT of one adversary round (occupancy annotated)
     trap         run a Theorem 1/2 impossibility trap against its victim
     lower-bound  run the Theorem 3 star-pair adversary (exactly k-1 rounds)
@@ -1008,50 +951,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_bench() {
-        assert_eq!(
-            parse(["bench"]).unwrap(),
-            Command::Bench {
-                out: None,
-                label: "current".into(),
-                baseline: None,
-                quick: false,
-                threads: None,
-            }
-        );
-        assert_eq!(
-            parse([
-                "bench",
-                "--out",
-                "BENCH_engine.json",
-                "--label",
-                "post-refactor",
-                "--baseline",
-                "results/BENCH_engine_baseline.json",
-                "--quick",
-                "--threads",
-                "4",
-            ])
-            .unwrap(),
-            Command::Bench {
-                out: Some("BENCH_engine.json".into()),
-                label: "post-refactor".into(),
-                baseline: Some("results/BENCH_engine_baseline.json".into()),
-                quick: true,
-                threads: Some(4),
-            }
-        );
-        assert!(matches!(
-            parse(["bench", "--out"]),
-            Err(ParseError::MissingValue(_))
-        ));
-        assert!(matches!(
-            parse(["bench", "--threads", "0"]),
-            Err(ParseError::Invalid(_))
-        ));
-    }
-
-    #[test]
     fn parses_dot() {
         assert_eq!(
             parse(["dot", "--network", "star-pair", "--n", "10", "--k", "6"]).unwrap(),
@@ -1086,6 +985,10 @@ mod tests {
         assert_eq!(parse([]).unwrap_err(), ParseError::MissingCommand);
         assert!(matches!(
             parse(["frob"]),
+            Err(ParseError::UnknownCommand(_))
+        ));
+        assert!(matches!(
+            parse(["bench"]),
             Err(ParseError::UnknownCommand(_))
         ));
         // Errors render.

@@ -67,13 +67,6 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
             structural,
             threads,
         } => check(artifact, network, n, k, seed, faults, structural, threads),
-        Command::Bench {
-            out,
-            label,
-            baseline,
-            quick,
-            threads,
-        } => bench(out, &label, baseline, quick, threads),
         Command::Dot { network, n, k, seed } => Ok(dot(network, n, k, seed)?),
         Command::Trap { theorem, k, rounds } => Ok(trap(theorem, k, rounds)?),
         Command::LowerBound { k } => Ok(lower(k)?),
@@ -283,57 +276,6 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
         out.push('\n');
     }
     Ok(out)
-}
-
-fn bench(
-    out: Option<String>,
-    label: &str,
-    baseline: Option<String>,
-    quick: bool,
-    threads: Option<usize>,
-) -> Result<String, DispersionError> {
-    use dispersion_lab::throughput::{
-        engine_cases, extract_results_array, measure, render_bench_json, render_table,
-    };
-
-    let baseline = match baseline {
-        Some(path) => {
-            let doc = std::fs::read_to_string(&path)
-                .map_err(|e| DispersionError::Other(format!("{path}: {e}").into()))?;
-            let arr = extract_results_array(&doc).ok_or_else(|| {
-                DispersionError::Other(format!("{path}: no results array found").into())
-            })?;
-            let base_label = dispersion_lab::json::str_value(&doc.replace('\n', " "), "label")
-                .unwrap_or_else(|| "baseline".to_string());
-            Some((base_label, arr))
-        }
-        None => None,
-    };
-
-    let mut cases = engine_cases(quick);
-    if let Some(threads) = threads {
-        for case in &mut cases {
-            case.threads = threads;
-        }
-    }
-    let results: Vec<_> = cases.iter().map(measure).collect();
-    let doc = render_bench_json(
-        label,
-        &results,
-        baseline.as_ref().map(|(l, a)| (l.as_str(), a.as_str())),
-    );
-
-    let mut output = render_table(&results);
-    output.push('\n');
-    match out {
-        Some(path) => {
-            std::fs::write(&path, &doc)
-                .map_err(|e| DispersionError::Other(format!("{path}: {e}").into()))?;
-            output.push_str(&format!("wrote {path}\n"));
-        }
-        None => output.push_str(&doc),
-    }
-    Ok(output)
 }
 
 fn make_network(kind: NetworkKind, n: usize, seed: u64) -> Box<dyn DynamicNetwork> {

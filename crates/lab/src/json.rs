@@ -129,11 +129,6 @@ pub fn bool_value(line: &str, key: &str) -> Option<bool> {
     raw_value(line, key)?.parse().ok()
 }
 
-/// Extracts a floating-point field (also accepts integer literals).
-pub fn f64_value(line: &str, key: &str) -> Option<f64> {
-    raw_value(line, key)?.parse().ok()
-}
-
 /// Extracts a string field (unescaped).
 pub fn str_value(line: &str, key: &str) -> Option<String> {
     let raw = raw_value(line, key)?;

@@ -42,7 +42,6 @@ pub mod report;
 pub mod runner;
 pub mod spec;
 pub mod status;
-pub mod throughput;
 
 pub use failpoint::{FailAction, FailpointRegistry, FAILPOINTS_ENV};
 pub use job::{RunJob, RunRecord, RunStatus};
