@@ -5,52 +5,13 @@ use std::fmt;
 
 use dispersion_lab::{AdversaryKind, AlgorithmKind, CampaignSpec, NRule, Placement};
 
-/// Which dynamic network `run` simulates against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetworkKind {
-    /// Fresh random connected graph each round.
-    Churn,
-    /// One random connected graph, fixed.
-    Static,
-    /// Dynamic ring, re-embedded each round.
-    Ring,
-    /// Dynamic ring with one edge missing each round.
-    BrokenRing,
-    /// The Theorem 3 lower-bound adversary.
-    StarPair,
-    /// T-interval connected dynamics (window 4).
-    TInterval,
-    /// Oracle-guided progress-minimizing sampler.
-    MinProgress,
-}
-
-impl NetworkKind {
-    /// Parses a network name.
-    pub fn parse(s: &str) -> Result<Self, ParseError> {
-        match s {
-            "churn" => Ok(NetworkKind::Churn),
-            "static" => Ok(NetworkKind::Static),
-            "ring" => Ok(NetworkKind::Ring),
-            "broken-ring" => Ok(NetworkKind::BrokenRing),
-            "star-pair" => Ok(NetworkKind::StarPair),
-            "t-interval" => Ok(NetworkKind::TInterval),
-            "min-progress" => Ok(NetworkKind::MinProgress),
-            other => Err(ParseError::BadValue {
-                flag: "--network".into(),
-                value: other.into(),
-                expected: "churn | static | ring | broken-ring | star-pair | t-interval | min-progress",
-            }),
-        }
-    }
-}
-
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
     /// `dispersion run …` — run Algorithm 4.
     Run {
         /// Dynamic network to run against.
-        network: NetworkKind,
+        network: AdversaryKind,
         /// Nodes.
         n: usize,
         /// Robots.
@@ -88,7 +49,7 @@ pub enum Command {
     /// `dispersion sweep …` — rounds-vs-k summary over seeds.
     Sweep {
         /// Dynamic network to sweep.
-        network: NetworkKind,
+        network: AdversaryKind,
         /// Largest k (powers of two from 4).
         max_k: usize,
         /// Seeds per cell.
@@ -133,7 +94,7 @@ pub enum Command {
         /// the spec flags).
         artifact: Option<String>,
         /// Dynamic network for a direct spec check.
-        network: NetworkKind,
+        network: AdversaryKind,
         /// Nodes.
         n: usize,
         /// Robots.
@@ -151,13 +112,13 @@ pub enum Command {
     /// `dispersion dot …` — export one round's graph as Graphviz DOT.
     Dot {
         /// Dynamic network to sample.
-        network: NetworkKind,
+        network: AdversaryKind,
         /// Nodes.
         n: usize,
         /// Robots (annotated on the nodes).
         k: usize,
-        /// Round to sample (the adversaries react to the configuration a
-        /// fresh rooted run would present at round 0).
+        /// RNG seed. The round-0 graph is sampled against the rooted
+        /// configuration a fresh run starts from.
         seed: u64,
     },
     /// `dispersion help` or `--help`.
@@ -250,6 +211,22 @@ fn parse_list<T>(
         })
 }
 
+/// Parses a single-run `--network` value: any campaign network except
+/// `panic-probe`, which exists to test a campaign's panic isolation.
+fn parse_network(value: &str) -> Result<AdversaryKind, ParseError> {
+    match AdversaryKind::parse(value) {
+        Ok(AdversaryKind::PanicProbe) => {
+            Err(ParseError::Invalid("`panic-probe` runs only inside campaigns"))
+        }
+        Ok(kind) => Ok(kind),
+        Err(_) => Err(ParseError::BadValue {
+            flag: "--network".into(),
+            value: value.into(),
+            expected: AdversaryKind::NAMES,
+        }),
+    }
+}
+
 /// Parses the argument list (without the program name).
 pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, ParseError> {
     let mut iter = args.into_iter();
@@ -257,7 +234,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" => {
-            let mut network = NetworkKind::Churn;
+            let mut network = AdversaryKind::Churn;
             let mut n = 20usize;
             let mut k = 12usize;
             let mut seed = 7u64;
@@ -267,7 +244,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             let mut json = false;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--network" => network = NetworkKind::parse(take_value(flag, &mut iter)?)?,
+                    "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
                     "--n" => n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
                     "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
                     "--seed" => {
@@ -303,12 +280,12 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             })
         }
         "sweep" => {
-            let mut network = NetworkKind::Churn;
+            let mut network = AdversaryKind::Churn;
             let mut max_k = 32usize;
             let mut seeds = 5u64;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--network" => network = NetworkKind::parse(take_value(flag, &mut iter)?)?,
+                    "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
                     "--max-k" => {
                         max_k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
                     }
@@ -459,7 +436,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
         }
         "check" => {
             let mut artifact = None;
-            let mut network = NetworkKind::Churn;
+            let mut network = AdversaryKind::Churn;
             let mut n = 20usize;
             let mut k = 12usize;
             let mut seed = 7u64;
@@ -469,7 +446,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             while let Some(flag) = iter.next() {
                 match flag {
                     "--artifact" => artifact = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--network" => network = NetworkKind::parse(take_value(flag, &mut iter)?)?,
+                    "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
                     "--n" => n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
                     "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
                     "--seed" => {
@@ -540,13 +517,13 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             Ok(Command::Trap { theorem, k, rounds })
         }
         "dot" => {
-            let mut network = NetworkKind::Churn;
+            let mut network = AdversaryKind::Churn;
             let mut n = 12usize;
             let mut k = 8usize;
             let mut seed = 0u64;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--network" => network = NetworkKind::parse(take_value(flag, &mut iter)?)?,
+                    "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
                     "--n" => n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
                     "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
                     "--seed" => {
@@ -602,10 +579,9 @@ pub const HELP: &str = "\
 dispersion — mobile-robot dispersion on dynamic graphs (ICDCS 2020 reproduction)
 
 USAGE:
-    dispersion run [--network churn|static|ring|broken-ring|star-pair|t-interval|min-progress]
-                   [--n N] [--k K] [--seed S] [--faults F] [--scattered] [--watch]
-                   [--json]
-    dispersion sweep [--network …] [--max-k K] [--seeds S]
+    dispersion run [--network NET] [--n N] [--k K] [--seed S] [--faults F]
+                   [--scattered] [--watch] [--json]
+    dispersion sweep [--network NET] [--max-k K] [--seeds S]
     dispersion campaign [--name NAME] [--algorithms a,b,…] [--networks x,y,…]
                         [--ks 4,8,16] [--n-rule 3k/2] [--faults 0,1] [--seeds S]
                         [--campaign-seed S] [--placement rooted|scattered|near-dispersed]
@@ -613,13 +589,19 @@ USAGE:
                         [--timeout SECS] [--retries R] [--threads T] [--fresh]
                         [--keep-traces] [--check]
     dispersion campaign-status --artifact FILE
-    dispersion check [--artifact FILE | [--network …] [--n N] [--k K] [--seed S]
+    dispersion check [--artifact FILE | [--network NET] [--n N] [--k K] [--seed S]
                      [--faults F] [--structural]] [--threads T]
     dispersion trap --theorem 1|2 [--k K] [--rounds R]
-    dispersion dot [--network …] [--n N] [--k K] [--seed S]
+    dispersion dot [--network NET] [--n N] [--k K] [--seed S]
     dispersion lower-bound [--k K]
     dispersion memory [--max-k K]
     dispersion help
+
+NETWORKS:
+    NET is a campaign network name: churn | static | static-star |
+    static-cycle | ring | broken-ring | star-pair | t-interval | min-progress |
+    path-trap | clique-trap (campaigns also take panic-probe). Single runs use
+    the campaign defaults: edge probability 0.1, round cap 100000.
 
 SUBCOMMANDS:
     run          run Algorithm 4 (global comm + 1-neighborhood knowledge)
@@ -637,7 +619,8 @@ SUBCOMMANDS:
                  progress, per-status counts, retries, and quarantined
                  jobs read from a (possibly partial) campaign artifact
     check        run under the runtime invariant oracle: replay a campaign
-                 artifact's runs under checking, or conformance-check one
+                 artifact's runs under checking (default knobs; a replay
+                 that differs from an ok record is flagged), or check one
                  spec directly (full suite; --structural drops the
                  Algorithm 4 theorem bounds); violations report the round,
                  the ids involved, and the replay seed
@@ -657,7 +640,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Run {
-                network: NetworkKind::Churn,
+                network: AdversaryKind::Churn,
                 n: 20,
                 k: 12,
                 seed: 7,
@@ -691,7 +674,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Run {
-                network: NetworkKind::StarPair,
+                network: AdversaryKind::StarPair,
                 n: 30,
                 k: 18,
                 seed: 42,
@@ -708,7 +691,7 @@ mod tests {
         assert_eq!(
             parse(["sweep", "--network", "ring", "--max-k", "16", "--seeds", "3"]).unwrap(),
             Command::Sweep {
-                network: NetworkKind::Ring,
+                network: AdversaryKind::Ring,
                 max_k: 16,
                 seeds: 3,
             }
@@ -719,18 +702,25 @@ mod tests {
 
     #[test]
     fn parses_all_network_kinds() {
-        for (name, kind) in [
-            ("churn", NetworkKind::Churn),
-            ("static", NetworkKind::Static),
-            ("ring", NetworkKind::Ring),
-            ("broken-ring", NetworkKind::BrokenRing),
-            ("star-pair", NetworkKind::StarPair),
-            ("t-interval", NetworkKind::TInterval),
-            ("min-progress", NetworkKind::MinProgress),
-        ] {
-            assert_eq!(NetworkKind::parse(name).unwrap(), kind);
+        // Every campaign network runs singly too, except the panic probe.
+        for name in AdversaryKind::NAMES.split(" | ") {
+            let parsed = parse(["run", "--network", name]);
+            match AdversaryKind::parse(name).unwrap() {
+                AdversaryKind::PanicProbe => {
+                    assert!(matches!(parsed, Err(ParseError::Invalid(_))), "{name}")
+                }
+                kind => {
+                    let Ok(Command::Run { network, .. }) = parsed else {
+                        panic!("{name}: {parsed:?}");
+                    };
+                    assert_eq!(network, kind);
+                }
+            }
         }
-        assert!(NetworkKind::parse("mesh").is_err());
+        assert!(matches!(
+            parse(["dot", "--network", "mesh"]),
+            Err(ParseError::BadValue { .. })
+        ));
     }
 
     #[test]
@@ -871,7 +861,7 @@ mod tests {
             parse(["check", "--network", "ring", "--n", "10", "--k", "6", "--seed", "3"]).unwrap(),
             Command::Check {
                 artifact: None,
-                network: NetworkKind::Ring,
+                network: AdversaryKind::Ring,
                 n: 10,
                 k: 6,
                 seed: 3,
@@ -955,7 +945,7 @@ mod tests {
         assert_eq!(
             parse(["dot", "--network", "star-pair", "--n", "10", "--k", "6"]).unwrap(),
             Command::Dot {
-                network: NetworkKind::StarPair,
+                network: AdversaryKind::StarPair,
                 n: 10,
                 k: 6,
                 seed: 0,

@@ -3,20 +3,17 @@
 
 use dispersion_core::baselines::{BlindGlobal, GreedyLocal};
 use dispersion_core::{impossibility, lower_bound, DispersionDynamic, DispersionError};
-use dispersion_engine::adversary::{
-    CliqueTrapAdversary, DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork,
-    MinProgressSampler, PathTrapAdversary, StarPairAdversary, StaticNetwork,
-    TIntervalNetwork,
-};
-use dispersion_engine::{
-    CheckPolicy, Configuration, CrashPhase, FaultPlan, ModelSpec, RobotId, SimError, Simulator,
-    Step,
-};
-use dispersion_graph::{generators, NodeId};
+use dispersion_engine::adversary::{CliqueTrapAdversary, EdgeChurnNetwork, PathTrapAdversary};
+use dispersion_engine::{CheckPolicy, Configuration, ModelSpec, RobotId, SimError, Simulator, Step};
+use dispersion_graph::NodeId;
 
-use dispersion_lab::{artifact_path, run_campaign, CampaignSpec, RunnerOptions};
+use dispersion_lab::job::{self, RunJob};
+use dispersion_lab::{
+    artifact_path, run_campaign, AdversaryKind, AlgorithmKind, CampaignSpec, Placement,
+    RunRecord, RunStatus, RunnerOptions,
+};
 
-use crate::args::{Command, NetworkKind, HELP};
+use crate::args::{Command, HELP};
 use crate::render;
 
 /// Runs a parsed command, returning its printable output.
@@ -137,7 +134,7 @@ fn campaign_status(artifact: &str) -> Result<String, DispersionError> {
 #[allow(clippy::too_many_arguments)]
 fn check(
     artifact: Option<String>,
-    network: NetworkKind,
+    network: AdversaryKind,
     n: usize,
     k: usize,
     seed: u64,
@@ -151,12 +148,36 @@ fn check(
     }
 }
 
+/// One Algorithm 4 run as a lab job: `seed` is the job's seed and the
+/// knobs are the campaign defaults (edge probability, round cap) under
+/// the given placement — the form `check --artifact` replays records in.
+fn single_run(
+    adversary: AdversaryKind,
+    n: usize,
+    k: usize,
+    seed: u64,
+    faults: usize,
+    placement: Placement,
+) -> (RunJob, CampaignSpec) {
+    let job = RunJob {
+        job_id: 0,
+        algorithm: AlgorithmKind::Alg4,
+        adversary,
+        n,
+        k,
+        faults,
+        seed_index: 0,
+        derived_seed: seed,
+    };
+    (job, CampaignSpec { placement, ..CampaignSpec::default() })
+}
+
 /// Re-runs a spec under the invariant monitor: one monitored run, then a
 /// same-seed replay that must regenerate the identical graph sequence
 /// (adversary determinism). Violations render with round, ids, and the
 /// replay seed rather than aborting the CLI.
 fn check_spec(
-    kind: NetworkKind,
+    kind: AdversaryKind,
     n: usize,
     k: usize,
     seed: u64,
@@ -165,30 +186,15 @@ fn check_spec(
     threads: usize,
 ) -> Result<String, SimError> {
     let policy = if structural { CheckPolicy::Structural } else { CheckPolicy::Full };
-    let plan = || {
-        if faults > 0 {
-            FaultPlan::random(k, faults, (k as u64 / 2).max(1), CrashPhase::BeforeCommunicate, seed)
-        } else {
-            FaultPlan::none()
-        }
-    };
+    let (job, spec) = single_run(kind, n, k, seed, faults, Placement::Rooted);
     let build = || {
-        Simulator::builder(
-            DispersionDynamic::new(),
-            make_network(kind, n, seed),
-            ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-            Configuration::rooted(n, k, NodeId::new(0)),
-        )
-        .faults(plan())
-        .check(policy)
-        .check_seed(seed)
-        .threads(threads)
+        job::builder(DispersionDynamic::new(), &job, &spec).check(policy).threads(threads)
     };
+    let mut sim = build().build()?;
     let mut out = format!(
         "conformance check: n={n} k={k} network={} seed={seed} faults={faults} policy={policy}\n",
-        make_network(kind, n, seed).name(),
+        sim.network().name(),
     );
-    let mut sim = build().build()?;
     match sim.run() {
         Ok(outcome) => {
             out.push_str(&format!(
@@ -216,15 +222,28 @@ fn check_spec(
     Ok(out)
 }
 
+/// How a clean replay of an `ok` record differs from it, if it does: a
+/// replay of another run (other knobs) must not count as clean.
+fn divergence(rec: &RunRecord, replay: &RunRecord) -> Option<String> {
+    let fields = |r: &RunRecord| (r.dispersed, r.rounds, r.moves, r.crashes);
+    (rec.status == RunStatus::Ok && fields(rec) != fields(replay)).then(|| {
+        format!(
+            "recorded dispersed={} rounds={} moves={} crashes={}, \
+             replayed dispersed={} rounds={} moves={} crashes={}",
+            rec.dispersed, rec.rounds, rec.moves, rec.crashes,
+            replay.dispersed, replay.rounds, replay.moves, replay.crashes,
+        )
+    })
+}
+
 /// Replays every run record of a campaign artifact under the conformance
 /// monitor (full suite for Algorithm 4, structural for baselines).
 /// Replay uses the default spec knobs (round cap, edge probability,
 /// placement); the per-run (algorithm, adversary, n, k, faults, seed)
-/// tuples come from the records themselves.
+/// tuples come from the records themselves. A replay that fails the
+/// monitor is flagged, and so is one whose outcome differs from an `ok`
+/// record's: the record came from other knobs, so it was not checked.
 fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError> {
-    use dispersion_lab::job::{self, RunJob};
-    use dispersion_lab::{AdversaryKind, AlgorithmKind, RunRecord, RunStatus};
-
     let text = std::fs::read_to_string(path)
         .map_err(|e| DispersionError::Other(format!("{path}: {e}").into()))?;
     let spec = CampaignSpec::default();
@@ -250,20 +269,25 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
             seed_index: rec.seed_index,
             derived_seed: rec.seed,
         };
-        let checked = job::execute_with_threads(&job, &spec, false, true, None, threads);
-        match checked.status {
-            RunStatus::Ok => clean += 1,
-            status => bad.push(format!(
-                "job {} ({} vs {} n={} k={} f={} seed={}): {} — {}",
-                rec.job_id,
-                rec.algorithm,
-                rec.adversary,
-                rec.n,
-                rec.k,
-                rec.faults,
-                rec.seed,
+        // A panicking replay (the campaigns' `panic-probe`) is flagged,
+        // not fatal to the rest of the replay.
+        let replay = std::panic::catch_unwind(|| {
+            job::execute(&job, &spec, false, true, None, threads)
+        })
+        .unwrap_or_else(|_| job::panic_record(&job, &spec, "replay panicked".into()));
+        let verdict = match replay.status {
+            RunStatus::Ok => divergence(&rec, &replay).map(|d| format!("diverged — {d}")),
+            status => Some(format!(
+                "{} — {}",
                 status.name(),
-                checked.message.as_deref().unwrap_or("(no message)"),
+                replay.message.as_deref().unwrap_or("(no message)")
+            )),
+        };
+        match verdict {
+            None => clean += 1,
+            Some(verdict) => bad.push(format!(
+                "job {} ({} vs {} n={} k={} f={} seed={}): {verdict}",
+                rec.job_id, rec.algorithm, rec.adversary, rec.n, rec.k, rec.faults, rec.seed,
             )),
         }
     }
@@ -278,23 +302,9 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
     Ok(out)
 }
 
-fn make_network(kind: NetworkKind, n: usize, seed: u64) -> Box<dyn DynamicNetwork> {
-    match kind {
-        NetworkKind::Churn => Box::new(EdgeChurnNetwork::new(n, 0.12, seed)),
-        NetworkKind::Static => Box::new(StaticNetwork::new(
-            generators::random_connected(n, 0.12, seed).expect("n ≥ 1"),
-        )),
-        NetworkKind::Ring => Box::new(DynamicRingNetwork::new(n.max(3), false, seed)),
-        NetworkKind::BrokenRing => Box::new(DynamicRingNetwork::new(n.max(3), true, seed)),
-        NetworkKind::StarPair => Box::new(StarPairAdversary::new(n)),
-        NetworkKind::TInterval => Box::new(TIntervalNetwork::new(n, 4, 0.1, seed)),
-        NetworkKind::MinProgress => Box::new(MinProgressSampler::new(n, 8, 0.12, seed)),
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run(
-    kind: NetworkKind,
+    kind: AdversaryKind,
     n: usize,
     k: usize,
     seed: u64,
@@ -303,26 +313,10 @@ fn run(
     watch: bool,
     json: bool,
 ) -> Result<String, SimError> {
-    let network = make_network(kind, n, seed);
-    let net_name = network.name().to_string();
-    let initial = if scattered {
-        Configuration::random(n, k, seed, true)
-    } else {
-        Configuration::rooted(n, k, NodeId::new(0))
-    };
-    let plan = if faults > 0 {
-        FaultPlan::random(k, faults, (k as u64 / 2).max(1), CrashPhase::BeforeCommunicate, seed)
-    } else {
-        FaultPlan::none()
-    };
-    let mut sim = Simulator::builder(
-        DispersionDynamic::new(),
-        network,
-        ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-        initial,
-    )
-    .faults(plan)
-    .build()?;
+    let placement = if scattered { Placement::Scattered } else { Placement::Rooted };
+    let (job, spec) = single_run(kind, n, k, seed, faults, placement);
+    let mut sim = job::builder(DispersionDynamic::new(), &job, &spec).build()?;
+    let net_name = sim.network().name().to_string();
 
     let mut out = String::new();
     if json {
@@ -377,11 +371,12 @@ fn run(
     Ok(out)
 }
 
-fn dot(kind: NetworkKind, n: usize, k: usize, seed: u64) -> Result<String, SimError> {
+fn dot(kind: AdversaryKind, n: usize, k: usize, seed: u64) -> Result<String, SimError> {
     // Sample the graph an adversary would present to a rooted round-0
     // configuration, and annotate occupancy.
-    let mut network = make_network(kind, n, seed);
-    let config = Configuration::rooted(n, k, NodeId::new(0));
+    let (job, spec) = single_run(kind, n, k, seed, 0, Placement::Rooted);
+    let mut network = job::network(&job, &spec);
+    let config = job::initial_config(&job, &spec);
     // A stay-put oracle: adaptive adversaries need *some* move prediction;
     // for a visual sample the identity prediction is fine.
     struct StayOracle<'a> {
@@ -425,7 +420,7 @@ fn dot(kind: NetworkKind, n: usize, k: usize, seed: u64) -> Result<String, SimEr
     }))
 }
 
-fn sweep(kind: NetworkKind, max_k: usize, seeds: u64) -> Result<String, SimError> {
+fn sweep(kind: AdversaryKind, max_k: usize, seeds: u64) -> Result<String, SimError> {
     use dispersion_engine::stats::RunSummary;
     let mut out = String::from("   k     n  min  mean   max  all ≤ k\n");
     let mut k = 4usize;
@@ -433,14 +428,8 @@ fn sweep(kind: NetworkKind, max_k: usize, seeds: u64) -> Result<String, SimError
         let n = k + k / 2;
         let mut outcomes = Vec::new();
         for seed in 0..seeds {
-            let mut sim = Simulator::builder(
-                DispersionDynamic::new(),
-                make_network(kind, n, seed),
-                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-                Configuration::random(n, k, seed, true),
-            )
-            .build()?;
-            outcomes.push(sim.run()?);
+            let (job, spec) = single_run(kind, n, k, seed, 0, Placement::Scattered);
+            outcomes.push(job::builder(DispersionDynamic::new(), &job, &spec).build()?.run()?);
         }
         let summary = RunSummary::collect(&outcomes);
         out.push_str(&format!(
@@ -559,7 +548,7 @@ mod tests {
     #[test]
     fn run_command_reports_dispersion() {
         let out = execute(Command::Run {
-            network: NetworkKind::Churn,
+            network: AdversaryKind::Churn,
             n: 12,
             k: 8,
             seed: 3,
@@ -576,7 +565,7 @@ mod tests {
     #[test]
     fn run_json_emits_document() {
         let out = execute(Command::Run {
-            network: NetworkKind::StarPair,
+            network: AdversaryKind::StarPair,
             n: 10,
             k: 6,
             seed: 1,
@@ -594,7 +583,7 @@ mod tests {
     #[test]
     fn sweep_command_summarizes() {
         let out = execute(Command::Sweep {
-            network: NetworkKind::Churn,
+            network: AdversaryKind::Churn,
             max_k: 8,
             seeds: 3,
         })
@@ -606,7 +595,7 @@ mod tests {
     #[test]
     fn run_watch_streams_rounds() {
         let out = execute(Command::Run {
-            network: NetworkKind::StarPair,
+            network: AdversaryKind::StarPair,
             n: 10,
             k: 6,
             seed: 1,
@@ -623,7 +612,7 @@ mod tests {
     #[test]
     fn run_with_faults() {
         let out = execute(Command::Run {
-            network: NetworkKind::Churn,
+            network: AdversaryKind::Churn,
             n: 14,
             k: 10,
             seed: 5,
@@ -638,17 +627,21 @@ mod tests {
         assert!(out.contains("crashes:"), "{out}");
     }
 
+    /// Every network `--network` accepts: the campaign names bar the
+    /// panic probe.
+    fn single_run_networks() -> Vec<AdversaryKind> {
+        AdversaryKind::NAMES
+            .split(" | ")
+            .map(|name| AdversaryKind::parse(name).unwrap())
+            .filter(|&kind| kind != AdversaryKind::PanicProbe)
+            .collect()
+    }
+
     #[test]
     fn every_network_kind_runs() {
-        for kind in [
-            NetworkKind::Churn,
-            NetworkKind::Static,
-            NetworkKind::Ring,
-            NetworkKind::BrokenRing,
-            NetworkKind::StarPair,
-            NetworkKind::TInterval,
-            NetworkKind::MinProgress,
-        ] {
+        let kinds = single_run_networks();
+        assert_eq!(kinds.len(), 11);
+        for kind in kinds {
             let out = execute(Command::Run {
                 network: kind,
                 n: 10,
@@ -661,6 +654,56 @@ mod tests {
             })
             .unwrap();
             assert!(out.contains("dispersed: true"), "{kind:?}: {out}");
+        }
+    }
+
+    #[test]
+    fn run_json_matches_the_lab_job() {
+        // `run` is the lab job with `--seed` as its seed, Algorithm 4,
+        // rooted, under the default campaign knobs.
+        let number = |doc: &str, key: &str| -> Vec<u64> {
+            let pat = format!("\"{key}\":");
+            doc.match_indices(&pat)
+                .map(|(at, _)| {
+                    let digits = &doc[at + pat.len()..];
+                    let end = digits.find(|c: char| !c.is_ascii_digit()).unwrap();
+                    digits[..end].parse().unwrap()
+                })
+                .collect()
+        };
+        let spec = CampaignSpec { placement: Placement::Rooted, ..CampaignSpec::default() };
+        for kind in single_run_networks() {
+            let (n, k, seed, faults) = (12, 8, 3, 2);
+            let doc = execute(Command::Run {
+                network: kind,
+                n,
+                k,
+                seed,
+                faults,
+                scattered: false,
+                watch: false,
+                json: true,
+            })
+            .unwrap();
+            let job = RunJob {
+                job_id: 0,
+                algorithm: AlgorithmKind::Alg4,
+                adversary: kind,
+                n,
+                k,
+                faults,
+                seed_index: 0,
+                derived_seed: seed,
+            };
+            let rec = job::execute(&job, &spec, false, false, None, 1);
+            assert_eq!(rec.status, RunStatus::Ok, "{kind:?}");
+            assert_eq!(number(&doc, "rounds"), vec![rec.rounds], "{kind:?}");
+            // The per-round trace entries carry the moves.
+            assert_eq!(number(&doc, "moves").iter().sum::<u64>(), rec.moves, "{kind:?}");
+            assert!(
+                doc.contains(&format!("\"dispersed\":{}", rec.dispersed)),
+                "{kind:?}: {doc}"
+            );
         }
     }
 
@@ -712,7 +755,7 @@ mod tests {
     fn check_command_passes_on_correct_runs() {
         let out = execute(Command::Check {
             artifact: None,
-            network: NetworkKind::Churn,
+            network: AdversaryKind::Churn,
             n: 12,
             k: 8,
             seed: 3,
@@ -726,7 +769,7 @@ mod tests {
         assert!(out.contains("same-seed replay regenerated"), "{out}");
         let structural = execute(Command::Check {
             artifact: None,
-            network: NetworkKind::StarPair,
+            network: AdversaryKind::StarPair,
             n: 10,
             k: 6,
             seed: 1,
@@ -763,7 +806,7 @@ mod tests {
         let artifact = out_dir.join("check-smoke.jsonl");
         let out = execute(Command::Check {
             artifact: Some(artifact.display().to_string()),
-            network: NetworkKind::Churn,
+            network: AdversaryKind::Churn,
             n: 0,
             k: 0,
             seed: 0,
@@ -780,9 +823,45 @@ mod tests {
     }
 
     #[test]
+    fn check_artifact_flags_divergent_and_panicking_replays() {
+        // Rooted runs capped at 3 rounds do not disperse; the replay under
+        // the default knobs (scattered, 100 000 rounds) does, so it
+        // checked a different run and every record is flagged.
+        let out_dir = std::env::temp_dir().join("dispersion-cli-divergence-test");
+        let dir = out_dir.display().to_string();
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let campaign = crate::args::parse([
+            "campaign", "--name", "capped", "--networks", "churn", "--ks", "8,16", "--seeds",
+            "2", "--placement", "rooted", "--max-rounds", "3", "--out", &dir, "--fresh",
+        ])
+        .unwrap();
+        let out = execute(campaign).unwrap();
+        assert!(out.contains("4 executed"), "{out}");
+        let artifact = out_dir.join("capped.jsonl").display().to_string();
+        let replay =
+            execute(crate::args::parse(["check", "--artifact", &artifact]).unwrap()).unwrap();
+        assert!(replay.contains("0 clean, 4 flagged"), "{replay}");
+        assert!(replay.contains("diverged — recorded dispersed=false rounds=3"), "{replay}");
+
+        // A record whose replay panics is flagged; the replay goes on.
+        let campaign = crate::args::parse([
+            "campaign", "--name", "probe", "--networks", "panic-probe,star-pair", "--ks", "4",
+            "--seeds", "1", "--out", &dir, "--fresh",
+        ])
+        .unwrap();
+        execute(campaign).unwrap();
+        let artifact = out_dir.join("probe.jsonl").display().to_string();
+        let replay =
+            execute(crate::args::parse(["check", "--artifact", &artifact]).unwrap()).unwrap();
+        assert!(replay.contains("1 clean, 1 flagged"), "{replay}");
+        assert!(replay.contains("panic — replay panicked"), "{replay}");
+        let _ = std::fs::remove_dir_all(&out_dir);
+    }
+
+    #[test]
     fn dot_command_emits_graphviz() {
         let out = execute(Command::Dot {
-            network: NetworkKind::StarPair,
+            network: AdversaryKind::StarPair,
             n: 8,
             k: 5,
             seed: 0,

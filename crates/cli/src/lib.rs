@@ -20,4 +20,4 @@ pub mod args;
 pub mod commands;
 pub mod render;
 
-pub use args::{Command, NetworkKind, ParseError};
+pub use args::{Command, ParseError};

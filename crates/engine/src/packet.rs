@@ -17,7 +17,7 @@ use dispersion_graph::{NodeId, Port, PortLabeledGraph};
 use crate::{Configuration, RobotId};
 
 /// What the sender knows about one *occupied* neighbor node.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NeighborReport {
     /// The port at the sender's node leading to this neighbor (an element
     /// of `P_r^occupied(v_i)`).
@@ -31,29 +31,8 @@ pub struct NeighborReport {
     pub robots: Vec<RobotId>,
 }
 
-// Manual `Clone` so `clone_from` reuses the report's buffers; the
-// parallel executor refreshes each worker's packet copy element-wise,
-// and the derived `clone_from` would reallocate every round.
-impl Clone for NeighborReport {
-    fn clone(&self) -> Self {
-        NeighborReport {
-            port: self.port,
-            min_robot: self.min_robot,
-            count: self.count,
-            robots: self.robots.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.port = source.port;
-        self.min_robot = source.min_robot;
-        self.count = source.count;
-        self.robots.clone_from(&source.robots);
-    }
-}
-
 /// One per-node information packet (Section V).
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InfoPacket {
     /// Smallest-ID robot on the node; doubles as the node's identity.
     pub sender: RobotId,
@@ -73,33 +52,6 @@ pub struct InfoPacket {
     /// `P_r^occupied`), ascending by port. `None` without 1-neighborhood
     /// knowledge.
     pub occupied_neighbors: Option<Vec<NeighborReport>>,
-}
-
-// Manual `Clone` for the same reason as [`NeighborReport`]: warm
-// `clone_from` must reuse the robot list and every neighbor report's
-// buffers, keeping the parallel Compute phase allocation-free.
-impl Clone for InfoPacket {
-    fn clone(&self) -> Self {
-        InfoPacket {
-            sender: self.sender,
-            count: self.count,
-            robots: self.robots.clone(),
-            degree: self.degree,
-            occupied_neighbors: self.occupied_neighbors.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.sender = source.sender;
-        self.count = source.count;
-        self.robots.clone_from(&source.robots);
-        self.degree = source.degree;
-        match (&mut self.occupied_neighbors, &source.occupied_neighbors) {
-            // Vec's clone_from is element-wise, reusing each report.
-            (Some(dst), Some(src)) => dst.clone_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
-    }
 }
 
 impl InfoPacket {

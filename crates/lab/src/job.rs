@@ -11,7 +11,7 @@ use dispersion_engine::adversary::{
 };
 use dispersion_engine::{
     Budget, CheckPolicy, Configuration, CrashPhase, DispersionAlgorithm, FaultPlan, MoveOracle,
-    SimError, SimOutcome, Simulator,
+    SimError, SimOutcome, Simulator, SimulatorBuilder,
 };
 use dispersion_graph::{generators, NodeId, PortLabeledGraph};
 
@@ -254,7 +254,9 @@ impl DynamicNetwork for PanicProbe {
     }
 }
 
-fn make_network(job: &RunJob, spec: &CampaignSpec) -> Box<dyn DynamicNetwork> {
+/// The job's dynamic network, drawn from its adversary kind, the spec's
+/// edge probability and the job's seed.
+pub fn network(job: &RunJob, spec: &CampaignSpec) -> Box<dyn DynamicNetwork> {
     let (n, p, seed) = (job.n, spec.edge_prob, job.derived_seed);
     match job.adversary {
         AdversaryKind::Churn => Box::new(EdgeChurnNetwork::new(n, p, seed)),
@@ -278,7 +280,8 @@ fn make_network(job: &RunJob, spec: &CampaignSpec) -> Box<dyn DynamicNetwork> {
     }
 }
 
-fn initial_config(job: &RunJob, spec: &CampaignSpec) -> Configuration {
+/// The job's initial configuration under the spec's placement.
+pub fn initial_config(job: &RunJob, spec: &CampaignSpec) -> Configuration {
     match spec.placement {
         Placement::Rooted => Configuration::rooted(job.n, job.k, NodeId::new(0)),
         Placement::Scattered => Configuration::random(job.n, job.k, job.derived_seed, true),
@@ -298,6 +301,34 @@ fn check_policy(algorithm: AlgorithmKind, check: bool) -> CheckPolicy {
     }
 }
 
+/// Assembles one run of `alg` (the implementation of `job.algorithm`):
+/// the job's [`network`], the algorithm's communication model, the
+/// [`initial_config`] under the spec's placement, the spec's round cap,
+/// the job's crash-fault plan (`job.faults` robots, within the first
+/// `k/2` rounds) and the job's seed as the check seed. Callers arm the
+/// monitor policy, engine threads and budget they need.
+pub fn builder<A: DispersionAlgorithm>(
+    alg: A,
+    job: &RunJob,
+    spec: &CampaignSpec,
+) -> SimulatorBuilder<A, Box<dyn DynamicNetwork>> {
+    let plan = if job.faults > 0 {
+        FaultPlan::random(
+            job.k,
+            job.faults,
+            (job.k as u64 / 2).max(1),
+            CrashPhase::BeforeCommunicate,
+            job.derived_seed,
+        )
+    } else {
+        FaultPlan::none()
+    };
+    Simulator::builder(alg, network(job, spec), job.algorithm.model(), initial_config(job, spec))
+        .max_rounds(spec.max_rounds)
+        .faults(plan)
+        .check_seed(job.derived_seed)
+}
+
 fn run_with<A>(
     alg: A,
     job: &RunJob,
@@ -310,34 +341,15 @@ where
     A: DispersionAlgorithm + Clone + Send + 'static,
     A::Memory: Send + Sync,
 {
-    let plan = if job.faults > 0 {
-        FaultPlan::random(
-            job.k,
-            job.faults,
-            (job.k as u64 / 2).max(1),
-            CrashPhase::BeforeCommunicate,
-            job.derived_seed,
-        )
-    } else {
-        FaultPlan::none()
-    };
-    Simulator::builder(
-        alg,
-        make_network(job, spec),
-        job.algorithm.model(),
-        initial_config(job, spec),
-    )
-    .max_rounds(spec.max_rounds)
-    .faults(plan)
-    .check(check_policy(job.algorithm, check))
-    .check_seed(job.derived_seed)
-    .threads(threads)
-    .budget(match deadline {
-        Some(d) => Budget::none().with_deadline(d),
-        None => Budget::none(),
-    })
-    .build()?
-    .run()
+    builder(alg, job, spec)
+        .check(check_policy(job.algorithm, check))
+        .threads(threads)
+        .budget(match deadline {
+            Some(d) => Budget::none().with_deadline(d),
+            None => Budget::none(),
+        })
+        .build()?
+        .run()
 }
 
 fn render_trace(outcome: &SimOutcome) -> String {
@@ -390,20 +402,10 @@ fn base_record(job: &RunJob, spec: &CampaignSpec) -> RunRecord {
 /// violation (round, ids, replay seed) as the message. With a `deadline`,
 /// the simulator runs under a wall-clock [`Budget`] and an expired run
 /// becomes a [`RunStatus::Timeout`] record instead of spinning forever.
+/// `threads` engine workers run inside the simulator; the record is
+/// byte-identical for every thread count (the executor's determinism
+/// contract), only `wall_time_us` varies.
 pub fn execute(
-    job: &RunJob,
-    spec: &CampaignSpec,
-    keep_traces: bool,
-    check: bool,
-    deadline: Option<Instant>,
-) -> RunRecord {
-    execute_with_threads(job, spec, keep_traces, check, deadline, 1)
-}
-
-/// [`execute`] with `threads` engine workers inside the simulator. The
-/// record is byte-identical for every thread count (the executor's
-/// determinism contract); only `wall_time_us` varies.
-pub fn execute_with_threads(
     job: &RunJob,
     spec: &CampaignSpec,
     keep_traces: bool,
@@ -500,7 +502,7 @@ mod tests {
     fn alg4_job_disperses_within_k() {
         let spec = CampaignSpec::default();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 12, 8);
-        let rec = execute(&job, &spec, false, false, None);
+        let rec = execute(&job, &spec, false, false, None, 1);
         assert_eq!(rec.status, RunStatus::Ok);
         assert!(rec.dispersed);
         assert!(rec.rounds <= 8);
@@ -518,7 +520,7 @@ mod tests {
             (AlgorithmKind::RandomWalk, AdversaryKind::StarPair),
         ] {
             let job = one_job(algorithm, adversary, 12, 8);
-            let rec = execute(&job, &spec, false, true, None);
+            let rec = execute(&job, &spec, false, true, None, 1);
             assert_eq!(rec.status, RunStatus::Ok, "{:?}: {:?}", algorithm, rec.message);
         }
         assert_eq!(check_policy(AlgorithmKind::Alg4, true), CheckPolicy::Full);
@@ -558,7 +560,7 @@ mod tests {
     fn attempt_field_round_trips_and_defaults_for_old_artifacts() {
         let spec = CampaignSpec::default();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 10, 6);
-        let mut rec = execute(&job, &spec, false, false, None);
+        let mut rec = execute(&job, &spec, false, false, None, 1);
         rec.attempt = 3;
         let line = rec.to_json_line();
         assert_eq!(RunRecord::parse_line(&line).expect("parses"), rec);
@@ -577,7 +579,7 @@ mod tests {
     fn records_round_trip_through_jsonl() {
         let spec = CampaignSpec::default();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::Churn, 12, 8);
-        let rec = execute(&job, &spec, false, false, None);
+        let rec = execute(&job, &spec, false, false, None, 1);
         let parsed = RunRecord::parse_line(&rec.to_json_line()).expect("parses");
         assert_eq!(parsed, rec);
     }
@@ -586,7 +588,7 @@ mod tests {
     fn keep_traces_embeds_rounds() {
         let spec = CampaignSpec::default();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 10, 6);
-        let rec = execute(&job, &spec, true, false, None);
+        let rec = execute(&job, &spec, true, false, None, 1);
         let trace = rec.trace_json.as_deref().expect("trace kept");
         assert!(trace.starts_with("[{\"round\":0"), "{trace}");
         // The trace does not break field extraction on the same line.
@@ -601,7 +603,7 @@ mod tests {
         let spec = CampaignSpec::default();
         let mut job = one_job(AlgorithmKind::Alg4, AdversaryKind::Churn, 4, 6);
         job.n = 4;
-        let rec = execute(&job, &spec, false, false, None);
+        let rec = execute(&job, &spec, false, false, None, 1);
         assert_eq!(rec.status, RunStatus::Error);
         assert!(rec.message.as_deref().unwrap_or("").contains("robots"));
     }
@@ -610,7 +612,7 @@ mod tests {
     fn canonical_line_zeroes_wall_time_only() {
         let spec = CampaignSpec::default();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 10, 6);
-        let a = execute(&job, &spec, false, false, None);
+        let a = execute(&job, &spec, false, false, None, 1);
         let canon = a.canonical_line();
         assert!(canon.contains("\"wall_time_us\":0"));
         let reparsed = RunRecord::parse_line(&canon).unwrap();

@@ -367,7 +367,7 @@ fn execute_caught(
             Some(FailAction::Hang { ms }) => std::thread::sleep(Duration::from_millis(ms)),
             _ => {}
         }
-        job::execute_with_threads(
+        job::execute(
             job,
             spec,
             opts.keep_traces,
