@@ -1,7 +1,6 @@
 //! Ablation experiment: round counts per sliding-policy variant.
 //!
-//! Complements the `ablation` criterion bench (which times wall-clock):
-//! this prints the *round* counts, the quantity the paper bounds. Every
+//! Prints the *round* counts, the quantity the paper bounds. Every
 //! variant must stay within Θ(k); the differences show which design
 //! choices buy constants.
 

@@ -8,9 +8,7 @@
 use dispersion_bench::{banner, Table};
 use dispersion_core::faulty::run_with_faults;
 use dispersion_engine::adversary::{EdgeChurnNetwork, StarPairAdversary};
-use dispersion_engine::{
-    Configuration, CrashEvent, CrashPhase, FaultPlan, RobotId, SimOptions,
-};
+use dispersion_engine::{Configuration, CrashEvent, CrashPhase, FaultPlan, RobotId};
 use dispersion_graph::NodeId;
 
 fn upfront_plan(k: usize, f: usize) -> FaultPlan {
@@ -38,7 +36,6 @@ fn main() {
             StarPairAdversary::new(n),
             Configuration::rooted(n, k, NodeId::new(0)),
             upfront_plan(k, f),
-            SimOptions::default(),
         )
         .expect("valid run");
         assert!(out.dispersed);
@@ -72,7 +69,6 @@ fn main() {
                     EdgeChurnNetwork::new(n, 0.12, seed),
                     Configuration::rooted(n, k, NodeId::new(0)),
                     plan,
-                    SimOptions::default(),
                 )
                 .expect("valid run");
                 all &= out.dispersed;

@@ -1,4 +1,4 @@
-//! Shared harness code for the experiment binaries and criterion benches.
+//! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary under `src/bin/`
 //! (see `DESIGN.md` §4 for the index); the helpers here run the standard

@@ -9,8 +9,8 @@ use dispersion_graph::NodeId;
 
 use dispersion_lab::job::{self, RunJob};
 use dispersion_lab::{
-    artifact_path, run_campaign, AdversaryKind, AlgorithmKind, CampaignSpec, Placement,
-    RunRecord, RunStatus, RunnerOptions,
+    artifact_path, read_header_knobs, run_campaign, AdversaryKind, AlgorithmKind, CampaignSpec,
+    Placement, RunRecord, RunStatus, RunnerOptions,
 };
 
 use crate::args::{Command, HELP};
@@ -238,19 +238,21 @@ fn divergence(rec: &RunRecord, replay: &RunRecord) -> Option<String> {
 
 /// Replays every run record of a campaign artifact under the conformance
 /// monitor (full suite for Algorithm 4, structural for baselines).
-/// Replay uses the default spec knobs (round cap, edge probability,
-/// placement); the per-run (algorithm, adversary, n, k, faults, seed)
-/// tuples come from the records themselves. A replay that fails the
-/// monitor is flagged, and so is one whose outcome differs from an `ok`
-/// record's: the record came from other knobs, so it was not checked.
+/// Replay uses the knobs the artifact's header records (placement, round
+/// cap, edge probability; the defaults for a header written before they
+/// were recorded); the per-run (algorithm, adversary, n, k, faults,
+/// seed) tuples come from the records themselves. A replay that fails
+/// the monitor is flagged, and so is one whose outcome differs from an
+/// `ok` record's: the replay did not reproduce the recorded run.
 fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| DispersionError::Other(format!("{path}: {e}").into()))?;
-    let spec = CampaignSpec::default();
+    let mut spec = CampaignSpec::default();
     let (mut clean, mut skipped) = (0usize, 0usize);
     let mut bad = Vec::new();
     for line in text.lines() {
         let Some(rec) = RunRecord::parse_line(line) else {
+            read_header_knobs(line, &mut spec);
             continue; // header, reports, or foreign lines
         };
         let (Ok(algorithm), Ok(adversary)) =
@@ -824,9 +826,10 @@ mod tests {
 
     #[test]
     fn check_artifact_flags_divergent_and_panicking_replays() {
-        // Rooted runs capped at 3 rounds do not disperse; the replay under
-        // the default knobs (scattered, 100 000 rounds) does, so it
-        // checked a different run and every record is flagged.
+        // Rooted runs capped at 3 rounds do not disperse. The replay reads
+        // the knobs from the header, reproduces every one of them, and
+        // counts them clean (under the default knobs, scattered and
+        // 100 000 rounds, each would disperse and diverge).
         let out_dir = std::env::temp_dir().join("dispersion-cli-divergence-test");
         let dir = out_dir.display().to_string();
         let _ = std::fs::remove_dir_all(&out_dir);
@@ -838,10 +841,17 @@ mod tests {
         let out = execute(campaign).unwrap();
         assert!(out.contains("4 executed"), "{out}");
         let artifact = out_dir.join("capped.jsonl").display().to_string();
-        let replay =
-            execute(crate::args::parse(["check", "--artifact", &artifact]).unwrap()).unwrap();
-        assert!(replay.contains("0 clean, 4 flagged"), "{replay}");
-        assert!(replay.contains("diverged — recorded dispersed=false rounds=3"), "{replay}");
+        let check = || execute(crate::args::parse(["check", "--artifact", &artifact]).unwrap());
+        let replay = check().unwrap();
+        assert!(replay.contains("4 clean, 0 flagged"), "{replay}");
+
+        // A record whose outcome the replay does not reproduce is flagged.
+        let text = std::fs::read_to_string(&artifact).unwrap();
+        assert_eq!(text.matches("\"rounds\":3,").count(), 4, "{text}");
+        std::fs::write(&artifact, text.replacen("\"rounds\":3,", "\"rounds\":2,", 1)).unwrap();
+        let replay = check().unwrap();
+        assert!(replay.contains("3 clean, 1 flagged"), "{replay}");
+        assert!(replay.contains("diverged — recorded dispersed=false rounds=2"), "{replay}");
 
         // A record whose replay panics is flagged; the replay goes on.
         let campaign = crate::args::parse([

@@ -133,8 +133,8 @@ impl DispersionDynamic {
     }
 
     /// Creates the algorithm with an explicit [`SlidingPolicy`] (used by
-    /// the ablation benches; every policy preserves the Θ(k)/Θ(log k)
-    /// bounds).
+    /// the `exp_ablation` experiment; every policy preserves the
+    /// Θ(k)/Θ(log k) bounds).
     pub fn with_policy(policy: SlidingPolicy) -> Self {
         DispersionDynamic {
             policy,

@@ -8,9 +8,7 @@
 //! the convenience runner and the Theorem 5 checks.
 
 use dispersion_engine::adversary::DynamicNetwork;
-use dispersion_engine::{
-    Configuration, FaultPlan, ModelSpec, SimError, SimOptions, SimOutcome, Simulator,
-};
+use dispersion_engine::{Configuration, FaultPlan, ModelSpec, SimError, SimOutcome, Simulator};
 
 use crate::DispersionDynamic;
 
@@ -25,7 +23,6 @@ pub fn run_with_faults<N: DynamicNetwork>(
     network: N,
     initial: Configuration,
     faults: FaultPlan,
-    options: SimOptions,
 ) -> Result<SimOutcome, SimError> {
     Simulator::builder(
         DispersionDynamic::new(),
@@ -33,7 +30,6 @@ pub fn run_with_faults<N: DynamicNetwork>(
         ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
         initial,
     )
-    .options(options)
     .faults(faults)
     .build()
     .and_then(|mut sim| sim.run())
@@ -60,7 +56,6 @@ mod tests {
             StarPairAdversary::new(10),
             Configuration::rooted(10, 6, NodeId::new(0)),
             FaultPlan::none(),
-            SimOptions::default(),
         )
         .unwrap();
         assert!(out.dispersed);
@@ -81,7 +76,6 @@ mod tests {
             StarPairAdversary::new(14),
             Configuration::rooted(14, 10, NodeId::new(0)),
             FaultPlan::from_events(events),
-            SimOptions::default(),
         )
         .unwrap();
         assert!(out.dispersed);
@@ -108,7 +102,6 @@ mod tests {
             EdgeChurnNetwork::new(16, 0.2, 3),
             Configuration::rooted(16, 10, NodeId::new(0)),
             FaultPlan::from_events(events),
-            SimOptions::default(),
         )
         .unwrap();
         assert!(out.dispersed);
@@ -128,7 +121,6 @@ mod tests {
             StarPairAdversary::new(12),
             Configuration::rooted(12, 8, NodeId::new(0)),
             FaultPlan::from_events(events),
-            SimOptions::default(),
         )
         .unwrap();
         assert!(out.dispersed);
@@ -146,7 +138,6 @@ mod tests {
                     EdgeChurnNetwork::new(18, 0.15, seed),
                     Configuration::rooted(18, 12, NodeId::new(0)),
                     plan,
-                    SimOptions::default(),
                 )
                 .unwrap();
                 assert!(out.dispersed, "seed {seed} phase {phase:?}");
@@ -168,7 +159,6 @@ mod tests {
             EdgeChurnNetwork::new(8, 0.2, 0),
             Configuration::rooted(8, 6, NodeId::new(0)),
             plan,
-            SimOptions::default(),
         )
         .unwrap();
         assert!(out.dispersed);

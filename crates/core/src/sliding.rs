@@ -29,7 +29,7 @@ pub enum MoverRule {
     #[default]
     LargestId,
     /// The smallest robot that is not the node's anchor moves. Equally
-    /// correct; exists for the ablation benches.
+    /// correct; exists for the `exp_ablation` experiment.
     SmallestNonAnchor,
 }
 
@@ -46,7 +46,8 @@ pub enum LeafPortRule {
 /// Tie-break policy for sliding. The defaults are the rules the paper's
 /// pseudocode fixes (or that we fixed where it leaves them open, see
 /// DESIGN.md §3); the alternatives are provably equivalent choices used
-/// by the ablation benches to show the bounds do not hinge on them.
+/// by the `exp_ablation` experiment to show the bounds do not hinge on
+/// them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlidingPolicy {
     /// Mover selection at multi-robot nodes.

@@ -75,7 +75,7 @@ impl Budget {
     }
 
     /// Arms a hard round limit: executing round `limit` (0-based) is an
-    /// error. Unlike [`crate::SimOptions::max_rounds`] — which ends
+    /// error. Unlike [`crate::SimulatorBuilder::max_rounds`] — which ends
     /// [`crate::Simulator::run`] gracefully with `dispersed = false` —
     /// the budget fence is an error, for callers that treat
     /// non-termination within the bound as a failure.

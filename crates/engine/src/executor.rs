@@ -570,6 +570,7 @@ pub(crate) fn par_compute<A>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::index_robots;
     use crate::{Configuration, MemoryFootprint, ModelSpec, RobotView};
     use dispersion_graph::{generators, Port};
 
@@ -764,12 +765,7 @@ mod tests {
         let k = config.robot_count();
         let mut node_robots = vec![Vec::new(); n];
         let mut occupied = Vec::new();
-        for (r, v) in config.iter() {
-            if node_robots[v.index()].is_empty() {
-                occupied.push(v);
-            }
-            node_robots[v.index()].push(r);
-        }
+        index_robots(&config, &mut node_robots, &mut occupied);
         let memories: Vec<Option<Tag>> = (1..=k as u32)
             .map(|i| Some(Echo.init(RobotId::new(i), k)))
             .collect();

@@ -461,10 +461,10 @@ impl Invariant for PortLabelSanity {
 }
 
 /// Every `G_r` is connected — the 1-interval connectivity assumption
-/// (Section II). Re-checked independently of
-/// [`crate::SimOptions::validate_graphs`] with a warm union-find, so the
-/// monitor still catches a disconnected graph when validation was
-/// disabled for speed.
+/// (Section II). The simulator already rejects a disconnected adversary
+/// graph before the monitor sees it; this invariant re-checks the
+/// property with its own warm union-find, as an independent cross-check
+/// of that validation.
 pub struct OneIntervalConnectivity {
     union_find: DisjointSets,
 }

@@ -295,6 +295,7 @@ mod tests {
     use crate::adversary::{DynamicNetwork, StaticNetwork};
     use crate::algorithm::MemoryFootprint;
     use crate::compute::activated_robots_into;
+    use crate::packet::index_robots;
     use crate::{build_views, Activation, RobotView, Simulator, Step, TracePolicy};
     use dispersion_graph::{generators, relabel, Port};
     use rand::rngs::StdRng;
@@ -403,13 +404,7 @@ mod tests {
         ) -> Self {
             let mut node_robots = vec![Vec::new(); config.node_count()];
             let mut occupied = Vec::new();
-            for (r, v) in config.iter() {
-                let row: &mut Vec<RobotId> = &mut node_robots[v.index()];
-                if row.is_empty() {
-                    occupied.push(v);
-                }
-                row.push(r);
-            }
+            index_robots(&config, &mut node_robots, &mut occupied);
             let mut live = Vec::new();
             activated_robots_into(&config, activation, round, &mut live);
             Fixture {

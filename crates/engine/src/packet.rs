@@ -66,12 +66,39 @@ impl InfoPacket {
     }
 }
 
+/// Rebuilds the robot-at-node index of `config` in place: afterwards
+/// `node_robots[v]` lists the live robots at node `v`, ascending, and
+/// `occupied` lists the nodes holding any, in first-seen (robot-ID)
+/// order.
+///
+/// Only the rows listed in `occupied` on entry are cleared, so every
+/// other row must already be empty, as it is in fresh buffers and after
+/// a previous call. Reused buffers make the rebuild allocation-free once
+/// warm.
+pub(crate) fn index_robots(
+    config: &Configuration,
+    node_robots: &mut [Vec<RobotId>],
+    occupied: &mut Vec<NodeId>,
+) {
+    for &v in occupied.iter() {
+        node_robots[v.index()].clear();
+    }
+    occupied.clear();
+    for (r, v) in config.iter() {
+        let row = &mut node_robots[v.index()];
+        if row.is_empty() {
+            occupied.push(v);
+        }
+        row.push(r);
+    }
+}
+
 /// Builds the packets of round `r`: one per occupied node, ascending by
 /// sender ID. `neighborhood` controls whether sensing fields are filled.
 ///
-/// Allocating convenience over [`build_packets_into`], used by the
-/// adversary oracle and tests; the simulator's round loop uses the
-/// `_into` form with reused buffers.
+/// An allocating convenience for tests and for analysis code that
+/// inspects a single round; the simulator and the adversary oracle
+/// rebuild packets in reused buffers instead.
 ///
 /// # Panics
 ///
@@ -86,43 +113,32 @@ pub fn build_packets(
         config.node_count(),
         "configuration/graph size mismatch"
     );
-    let mut node_robots: Vec<Vec<RobotId>> = vec![Vec::new(); g.node_count()];
+    let mut node_robots = vec![Vec::new(); g.node_count()];
     let mut occupied = Vec::new();
-    for (r, v) in config.iter() {
-        let row = &mut node_robots[v.index()];
-        if row.is_empty() {
-            occupied.push(v);
-        }
-        row.push(r);
-    }
+    index_robots(config, &mut node_robots, &mut occupied);
     let mut packets = Vec::new();
-    build_packets_into(g, &node_robots, &occupied, neighborhood, &mut packets);
+    build_packets_with(
+        g,
+        &node_robots,
+        &occupied,
+        neighborhood,
+        &mut packets,
+        &mut Vec::new(),
+    );
     packets
 }
 
 /// Writes the round's packets into `out`, one per node of `occupied`,
-/// sorted ascending by sender — overwriting `out`'s previous contents
-/// in place so a warm buffer makes the whole construction
-/// allocation-free.
+/// sorted ascending by sender, overwriting `out`'s previous contents in
+/// place. `node_robots[w]` must list the live robots at node `w`,
+/// ascending; rows of unoccupied nodes must be empty ([`index_robots`]).
 ///
-/// `node_robots[w]` must list the live robots at node `w`, ascending;
-/// rows of unoccupied nodes must be empty.
-pub fn build_packets_into(
-    g: &PortLabeledGraph,
-    node_robots: &[Vec<RobotId>],
-    occupied: &[NodeId],
-    neighborhood: bool,
-    out: &mut Vec<InfoPacket>,
-) {
-    build_packets_with(g, node_robots, occupied, neighborhood, out, &mut Vec::new());
-}
-
-/// [`build_packets_into`] with a pool of neighbor reports: a packet that
-/// needs fewer reports than its slot held parks the rest in `spare`, and
-/// a packet that needs more takes them from there. Which node lands in a
-/// slot, and how many occupied neighbors it has, changes with every
-/// candidate graph; the pool keeps the report buffers alive across those
-/// changes, so once warm a rebuild allocates nothing.
+/// `spare` pools neighbor reports: a packet that needs fewer reports
+/// than its slot held parks the rest there, and a packet that needs more
+/// takes them back. Which node lands in a slot, and how many occupied
+/// neighbors it has, changes with every candidate graph; the pool keeps
+/// the report buffers alive across those changes, so once warm a rebuild
+/// allocates nothing.
 pub(crate) fn build_packets_with(
     g: &PortLabeledGraph,
     node_robots: &[Vec<RobotId>],
@@ -142,18 +158,7 @@ pub(crate) fn build_packets_with(
 
 /// Writes only node `v`'s own packet into `out[0]` — the Communicate
 /// phase under *local* communication, where a robot receives nothing
-/// from other nodes.
-pub fn build_own_packet_into(
-    g: &PortLabeledGraph,
-    node_robots: &[Vec<RobotId>],
-    v: NodeId,
-    neighborhood: bool,
-    out: &mut Vec<InfoPacket>,
-) {
-    build_own_packet_with(g, node_robots, v, neighborhood, out, &mut Vec::new());
-}
-
-/// [`build_own_packet_into`] with a pool of neighbor reports, as in
+/// from other nodes. `spare` pools neighbor reports as in
 /// [`build_packets_with`].
 pub(crate) fn build_own_packet_with(
     g: &PortLabeledGraph,
@@ -338,29 +343,23 @@ mod tests {
             [(r(3), v(1)), (r(5), v(1)), (r(2), v(2)), (r(1), v(4))],
         );
         let c2 = Configuration::from_pairs(5, [(r(1), v(0)), (r(2), v(3))]);
-        let index = |c: &Configuration| {
-            let mut rows: Vec<Vec<RobotId>> = vec![Vec::new(); 5];
-            let mut occ = Vec::new();
-            for (robot, node) in c.iter() {
-                if rows[node.index()].is_empty() {
-                    occ.push(node);
-                }
-                rows[node.index()].push(robot);
-            }
-            (rows, occ)
-        };
+        // One index and one report pool, reused like the simulator's.
+        let mut rows = vec![Vec::new(); 5];
+        let mut occ = Vec::new();
+        let mut spare = Vec::new();
         // Fill the buffer from the big configuration, then overwrite with
         // the small one: stale packets/reports must not survive.
         let mut buf = Vec::new();
-        let (rows, occ) = index(&c1);
-        build_packets_into(&g, &rows, &occ, true, &mut buf);
+        index_robots(&c1, &mut rows, &mut occ);
+        build_packets_with(&g, &rows, &occ, true, &mut buf, &mut spare);
         assert_eq!(buf, build_packets(&g, &c1, true));
-        let (rows, occ) = index(&c2);
-        build_packets_into(&g, &rows, &occ, true, &mut buf);
+        index_robots(&c2, &mut rows, &mut occ);
+        build_packets_with(&g, &rows, &occ, true, &mut buf, &mut spare);
         assert_eq!(buf, build_packets(&g, &c2, true));
+        assert_eq!(rows.iter().flatten().count(), 2, "stale rows cleared");
         // Own-packet form picks exactly node v's packet.
-        let (rows, _) = index(&c1);
-        build_own_packet_into(&g, &rows, v(1), true, &mut buf);
+        index_robots(&c1, &mut rows, &mut occ);
+        build_own_packet_with(&g, &rows, v(1), true, &mut buf, &mut spare);
         assert_eq!(buf.len(), 1);
         assert_eq!(buf[0], build_packets(&g, &c1, true)[2]);
     }

@@ -21,37 +21,11 @@ use crate::compute::{activated_robots_into, compute_pass, RoundInputs, ViewScrat
 use crate::executor::{self, WorkerPool};
 use crate::invariants::{CheckPolicy, InvariantMonitor, RoundContext, TerminalContext};
 use crate::oracle::{EngineOracle, OracleScratch};
+use crate::packet::index_robots;
 use crate::{
     Action, Activation, CommModel, Configuration, CrashPhase, DispersionAlgorithm, ExecutionTrace,
     FaultPlan, MemoryFootprint, ModelSpec, RobotId, RoundRecord, SimError, TracePolicy,
 };
-
-/// Tunables for a run.
-#[derive(Clone, Copy, Debug)]
-pub struct SimOptions {
-    /// Hard round cap; the run reports `dispersed = false` when exceeded.
-    pub max_rounds: u64,
-    /// What the simulator retains across rounds (records, graphs, or
-    /// nothing — the allocation-free benchmark mode).
-    pub trace: TracePolicy,
-    /// Re-validate adversary graphs (connectivity, port labeling, fixed
-    /// node count). Validation is incremental: a graph identical to the
-    /// last validated one is skipped, so static networks pay it once.
-    pub validate_graphs: bool,
-    /// Robot activation schedule (the paper's model is [`Activation::FullSync`]).
-    pub activation: Activation,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            max_rounds: 100_000,
-            trace: TracePolicy::Rounds,
-            validate_graphs: true,
-            activation: Activation::FullSync,
-        }
-    }
-}
 
 /// Result of a completed run.
 #[derive(Clone, Debug)]
@@ -130,14 +104,9 @@ struct RoundScratch {
 }
 
 impl RoundScratch {
-    fn new(n: usize, per_node_capacity: usize) -> Self {
-        // Not `vec![row; n]`: cloning a Vec drops its spare capacity, which
-        // would silently void the `scratch_capacity` reservation for all
-        // but one row.
+    fn new(n: usize) -> Self {
         RoundScratch {
-            node_robots: (0..n)
-                .map(|_| Vec::with_capacity(per_node_capacity))
-                .collect(),
+            node_robots: vec![Vec::new(); n],
             occupied: Vec::new(),
             compute: ViewScratch::new(),
             last_record: RoundRecord {
@@ -196,10 +165,11 @@ pub struct SimulatorBuilder<A: DispersionAlgorithm, N: DynamicNetwork> {
     network: N,
     model: ModelSpec,
     initial: Configuration,
-    options: SimOptions,
+    max_rounds: u64,
+    trace: TracePolicy,
+    activation: Activation,
     faults: FaultPlan,
     budget: Budget,
-    scratch_capacity: usize,
     check: CheckPolicy,
     check_seed: Option<u64>,
     check_round_limit: Option<u64>,
@@ -208,18 +178,19 @@ pub struct SimulatorBuilder<A: DispersionAlgorithm, N: DynamicNetwork> {
 }
 
 impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
-    /// Starts a builder with default options (trace rounds, validate
-    /// graphs, full-sync activation, no faults).
+    /// Starts a builder with the defaults: a 100 000-round cap, per-round
+    /// records, full-sync activation, no faults.
     pub fn new(algorithm: A, network: N, model: ModelSpec, initial: Configuration) -> Self {
         SimulatorBuilder {
             algorithm,
             network,
             model,
             initial,
-            options: SimOptions::default(),
+            max_rounds: 100_000,
+            trace: TracePolicy::Rounds,
+            activation: Activation::FullSync,
             faults: FaultPlan::none(),
             budget: Budget::none(),
-            scratch_capacity: 0,
             check: CheckPolicy::Off,
             check_seed: None,
             check_round_limit: None,
@@ -228,33 +199,24 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
         }
     }
 
-    /// Replaces all options at once.
-    pub fn options(mut self, options: SimOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Hard round cap for [`Simulator::run`].
+    /// Hard round cap for [`Simulator::run`]; a run that reaches it
+    /// reports `dispersed = false`.
     pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.options.max_rounds = max_rounds;
+        self.max_rounds = max_rounds;
         self
     }
 
-    /// What the simulator retains across rounds.
+    /// What the simulator retains across rounds (records, graphs, or
+    /// nothing — the allocation-free mode).
     pub fn trace(mut self, trace: TracePolicy) -> Self {
-        self.options.trace = trace;
+        self.trace = trace;
         self
     }
 
-    /// Whether adversary graphs are re-validated (on by default).
-    pub fn validate_graphs(mut self, validate: bool) -> Self {
-        self.options.validate_graphs = validate;
-        self
-    }
-
-    /// Robot activation schedule.
+    /// Robot activation schedule (the paper's model is
+    /// [`Activation::FullSync`]).
     pub fn activation(mut self, activation: Activation) -> Self {
-        self.options.activation = activation;
+        self.activation = activation;
         self
     }
 
@@ -273,14 +235,6 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
     /// zero-allocation hot path.
     pub fn budget(mut self, budget: Budget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Pre-reserves scratch capacity for `robots_per_node` robots on
-    /// every node's index row, avoiding even the warm-up allocations.
-    /// Purely an optimization hint; 0 (the default) allocates lazily.
-    pub fn scratch_capacity(mut self, robots_per_node: usize) -> Self {
-        self.scratch_capacity = robots_per_node;
         self
     }
 
@@ -342,10 +296,10 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
             memories[r.index()] = Some(self.algorithm.init(r, k));
         }
         let ever_occupied = self.initial.occupied_indicator();
-        let recorded_graphs = self.options.trace.graphs().then(GraphSequence::new);
+        let recorded_graphs = self.trace.graphs().then(GraphSequence::new);
         // The configuration indexes the robot-at-node rows before the
         // adversary's graph is validated, so they follow its node count.
-        let scratch = RoundScratch::new(self.initial.node_count(), self.scratch_capacity);
+        let scratch = RoundScratch::new(self.initial.node_count());
         let monitor = self.check.enabled().then(|| {
             let mut monitor = InvariantMonitor::stock(self.check, k, self.check_round_limit);
             if let Some(seed) = self.check_seed {
@@ -360,7 +314,9 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
             algorithm: self.algorithm,
             network: self.network,
             model: self.model,
-            options: self.options,
+            max_rounds: self.max_rounds,
+            trace: self.trace,
+            activation: self.activation,
             faults: self.faults,
             budget: self.budget,
             k,
@@ -438,7 +394,9 @@ pub struct Simulator<A: DispersionAlgorithm, N: DynamicNetwork> {
     algorithm: A,
     network: N,
     model: ModelSpec,
-    options: SimOptions,
+    max_rounds: u64,
+    trace: TracePolicy,
+    activation: Activation,
     faults: FaultPlan,
     /// Termination fences; the unarmed default costs three `Option`
     /// discriminant tests per round.
@@ -520,7 +478,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
     /// The returned [`RoundOutput`] borrows the simulator's reusable
     /// record — nothing is cloned unless tracing is on.
     ///
-    /// `step` ignores [`SimOptions::max_rounds`]; the cap belongs to
+    /// `step` ignores [`SimulatorBuilder::max_rounds`]; the cap belongs to
     /// `run`'s loop.
     ///
     /// # Errors
@@ -551,18 +509,12 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
         // previous round dirtied, and the round's activated robots. Both
         // are built before the adversary runs — nothing changes the
         // configuration until Move — so the oracle reads them too.
-        for &v in &self.scratch.occupied {
-            self.scratch.node_robots[v.index()].clear();
-        }
-        self.scratch.occupied.clear();
-        for (r, v) in self.config.iter() {
-            let row = &mut self.scratch.node_robots[v.index()];
-            if row.is_empty() {
-                self.scratch.occupied.push(v);
-            }
-            row.push(r);
-        }
-        activated_robots_into(&self.config, self.options.activation, round, &mut self.live);
+        index_robots(
+            &self.config,
+            &mut self.scratch.node_robots,
+            &mut self.scratch.occupied,
+        );
+        activated_robots_into(&self.config, self.activation, round, &mut self.live);
 
         // Adversary picks G_r. The graph is borrowed from the network for
         // the rest of the round — no per-round copy.
@@ -582,9 +534,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
             };
             self.network.graph_for_round(round, &self.config, &oracle)
         };
-        if self.options.validate_graphs
-            && self.scratch.validated.as_ref() != Some(g)
-        {
+        if self.scratch.validated.as_ref() != Some(g) {
             if g.node_count() != self.config.node_count() {
                 return Err(SimError::BadAdversaryGraph {
                     round,
@@ -725,7 +675,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
         // Crash IDs are unique; unstable sort is deterministic.
         record.crashed.sort_unstable();
         record.max_memory_bits = max_memory_bits;
-        if self.options.trace.records() {
+        if self.trace.records() {
             self.records.push(record.clone());
         }
         if let Some(seq) = self.recorded_graphs.as_mut() {
@@ -803,7 +753,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
     /// robot requests a nonexistent port.
     pub fn run(&mut self) -> Result<SimOutcome, SimError> {
         loop {
-            if self.round >= self.options.max_rounds {
+            if self.round >= self.max_rounds {
                 // No further round may execute; the termination state is
                 // decided by the configuration after this round's early
                 // crashes (mirrors the per-round order of `step`).
@@ -873,6 +823,22 @@ mod tests {
         }
     }
 
+    /// Robots that never move: a rooted configuration never disperses.
+    struct Frozen;
+
+    impl DispersionAlgorithm for Frozen {
+        type Memory = Nil;
+        fn name(&self) -> &str {
+            "frozen"
+        }
+        fn init(&self, _me: RobotId, _k: usize) -> Nil {
+            Nil
+        }
+        fn step(&self, _v: &RobotView, _m: &Nil) -> (Action, Nil) {
+            (Action::Stay, Nil)
+        }
+    }
+
     #[test]
     fn disperses_on_star() {
         // k robots on the center of a star: each extra robot takes a
@@ -918,20 +884,6 @@ mod tests {
 
     #[test]
     fn round_cap_reports_not_dispersed() {
-        /// Robots that never move cannot disperse a rooted configuration.
-        struct Frozen;
-        impl DispersionAlgorithm for Frozen {
-            type Memory = Nil;
-            fn name(&self) -> &str {
-                "frozen"
-            }
-            fn init(&self, _me: RobotId, _k: usize) -> Nil {
-                Nil
-            }
-            fn step(&self, _v: &RobotView, _m: &Nil) -> (Action, Nil) {
-                (Action::Stay, Nil)
-            }
-        }
         let g = generators::path(4).unwrap();
         let out = Simulator::builder(
             Frozen,
@@ -1100,6 +1052,59 @@ mod tests {
     }
 
     #[test]
+    fn validation_cache_checks_every_changed_graph() {
+        /// Plays `script[r]` in round `r`, then repeats the last entry.
+        struct Scripted {
+            script: Vec<dispersion_graph::PortLabeledGraph>,
+        }
+        impl crate::adversary::DynamicNetwork for Scripted {
+            fn node_count(&self) -> usize {
+                4
+            }
+            fn graph_for_round(
+                &mut self,
+                round: u64,
+                _config: &Configuration,
+                _oracle: &dyn crate::MoveOracle,
+            ) -> &dispersion_graph::PortLabeledGraph {
+                let last = self.script.len() - 1;
+                &self.script[(round as usize).min(last)]
+            }
+        }
+        let run = |script: Vec<PortLabeledGraph>| {
+            Simulator::builder(
+                Frozen,
+                Scripted { script },
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                Configuration::rooted(4, 2, NodeId::new(0)),
+            )
+            .max_rounds(6)
+            .build()
+            .unwrap()
+            .run()
+        };
+        let path = generators::path(4).unwrap();
+        let cycle = generators::cycle(4).unwrap();
+        // Four nodes and two edges each, like the path's first half.
+        let mut b = dispersion_graph::GraphBuilder::new(4);
+        b.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
+        b.add_edge(NodeId::new(2), NodeId::new(3)).unwrap();
+        let split = b.build().unwrap();
+
+        // Valid for rounds 0–2 (one of them a cache hit), then a
+        // disconnected graph: rejected in the round it appears.
+        let err = run(vec![path.clone(), path.clone(), cycle.clone(), split]).unwrap_err();
+        assert!(
+            matches!(err, SimError::BadAdversaryGraph { round: 3, .. }),
+            "{err:?}"
+        );
+        // Returning to a graph validated earlier is accepted.
+        let out = run(vec![path.clone(), cycle.clone(), path, cycle]).unwrap();
+        assert!(!out.dispersed);
+        assert_eq!(out.rounds, 6);
+    }
+
+    #[test]
     fn invalid_move_is_an_error() {
         /// Robots that ask for a port beyond the degree.
         struct PortNine;
@@ -1248,21 +1253,6 @@ mod tests {
 
     #[test]
     fn round_budget_fence_is_an_error() {
-        /// Robots that never move cannot disperse a rooted configuration,
-        /// so the fence always fires.
-        struct Frozen;
-        impl DispersionAlgorithm for Frozen {
-            type Memory = Nil;
-            fn name(&self) -> &str {
-                "frozen"
-            }
-            fn init(&self, _me: RobotId, _k: usize) -> Nil {
-                Nil
-            }
-            fn step(&self, _v: &RobotView, _m: &Nil) -> (Action, Nil) {
-                (Action::Stay, Nil)
-            }
-        }
         let g = generators::path(4).unwrap();
         let mut sim = Simulator::builder(
             Frozen,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use dispersion_graph::{Port, PortLabeledGraph};
 
-use crate::packet::{build_own_packet_into, build_packets_into};
+use crate::packet::{build_own_packet_with, build_packets_with};
 use crate::{CommModel, Configuration, InfoPacket, ModelSpec, RobotId};
 
 /// Mints a fresh packet-list identity for [`RobotView::packets_id`]:
@@ -233,26 +233,16 @@ pub fn build_view(
 }
 
 /// Overwrites the node-dependent parts of `view` — `degree`, `colocated`,
-/// `neighbors` — for a robot standing on node `v`, reusing the buffers so
-/// a warm view is updated without heap allocation. The caller fills the
-/// robot-dependent fields (`me`, `arrival_port`) and the packets.
+/// `neighbors` — for a robot standing on node `v`, reusing the buffers.
+/// The caller fills the robot-dependent fields (`me`, `arrival_port`)
+/// and the packets.
 ///
 /// `node_robots[w]` must list the live robots at node `w`, ascending;
 /// rows of unoccupied nodes must be empty.
-pub fn write_node_view(
-    g: &PortLabeledGraph,
-    node_robots: &[Vec<RobotId>],
-    v: dispersion_graph::NodeId,
-    neighborhood: bool,
-    view: &mut RobotView,
-) {
-    write_node_view_with(g, node_robots, v, neighborhood, view, &mut Vec::new());
-}
-
-/// [`write_node_view`] with a pool of observations: moving to a node of
-/// smaller degree parks the surplus observations in `spare`, and a node
-/// of larger degree takes them back, so a warm view stays
-/// allocation-free however the degrees vary.
+///
+/// `spare` pools observations: moving to a node of smaller degree parks
+/// the surplus ones there, and a node of larger degree takes them back,
+/// so a warm view stays allocation-free however the degrees vary.
 pub(crate) fn write_node_view_with(
     g: &PortLabeledGraph,
     node_robots: &[Vec<RobotId>],
@@ -319,12 +309,13 @@ pub fn build_views(
     let mut packets = PacketList::new();
     let mut packets_id = 0;
     if model.comm == CommModel::Global {
-        build_packets_into(
+        build_packets_with(
             g,
             &node_robots,
             &occupied,
             model.neighborhood,
             packets.make_mut(),
+            &mut Vec::new(),
         );
         packets_id = next_packets_id();
     }
@@ -342,16 +333,24 @@ pub fn build_views(
                 packets: PacketList::new(),
                 packets_id,
             };
-            write_node_view(g, &node_robots, v, model.neighborhood, &mut view);
+            write_node_view_with(
+                g,
+                &node_robots,
+                v,
+                model.neighborhood,
+                &mut view,
+                &mut Vec::new(),
+            );
             match model.comm {
                 CommModel::Global => view.packets = packets.clone(),
                 CommModel::Local => {
-                    build_own_packet_into(
+                    build_own_packet_with(
                         g,
                         &node_robots,
                         v,
                         model.neighborhood,
                         view.packets.make_mut(),
+                        &mut Vec::new(),
                     );
                     view.packets_id = next_packets_id();
                 }
@@ -469,9 +468,10 @@ mod tests {
         };
         // Warm the buffers on node 1 (two colocated robots), then move to
         // node 2: leftovers must be fully overwritten.
-        write_node_view(&g, &rows, v(1), true, &mut view);
+        let mut spare = Vec::new();
+        write_node_view_with(&g, &rows, v(1), true, &mut view, &mut spare);
         assert_eq!(view.colocated, vec![r(1), r(3)]);
-        write_node_view(&g, &rows, v(2), true, &mut view);
+        write_node_view_with(&g, &rows, v(2), true, &mut view, &mut spare);
         view.me = r(2);
         let packets = crate::packet::build_packets(&g, &c, true);
         let reference = build_view(

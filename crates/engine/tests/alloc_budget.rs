@@ -161,17 +161,15 @@ fn adversarial_network_steady_state_allocates_nothing() {
     .max_rounds(1_000_000)
     .trace(TracePolicy::Off)
     .check(CheckPolicy::Off)
-    // The ring re-embeds every round, so the walking group visits all 64
-    // node-index rows eventually; reserve them up front instead of paying
-    // a hundreds-of-rounds warm-up.
-    .scratch_capacity(k)
     .build()
     .expect("k ≤ n");
 
-    // A longer warm-up than the static test: the relabel/generator
-    // scratch and the validation stamp buffer also need to reach their
-    // plateau.
-    for _ in 0..32 {
+    // A much longer warm-up than the static test. The ring re-embeds
+    // every round, so the walking group reaches the 64 node-index rows
+    // one by one, and each row grows its capacity on first use; the
+    // relabel/generator scratch and the validation stamp buffer also need
+    // to reach their plateau.
+    for _ in 0..1000 {
         match sim.step().expect("valid walk") {
             Step::Advanced(_) => {}
             Step::Dispersed => panic!("the walker group never disperses"),

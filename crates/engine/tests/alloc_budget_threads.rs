@@ -100,17 +100,16 @@ fn parallel_steady_state_step_allocates_nothing() {
     .max_rounds(1_000_000)
     .trace(TracePolicy::Off)
     .check(CheckPolicy::Off)
-    // The ring re-embeds every round; reserve every node-index row so the
-    // steady state is reached within the warm-up (see alloc_budget.rs).
-    .scratch_capacity(k)
     .threads(4)
     .build()
     .expect("k ≤ n");
     assert_eq!(sim.threads(), 4);
 
-    // Warm-up: scratch arena, adversary double-buffers, and each
-    // worker's private view/packet buffers all reach steady size.
-    for _ in 0..64 {
+    // Warm-up: scratch arena (every node-index row the re-embedding ring
+    // walks the group over; see alloc_budget.rs), adversary
+    // double-buffers, and each worker's private view/packet buffers all
+    // reach steady size.
+    for _ in 0..1000 {
         match sim.step().expect("valid walk") {
             Step::Advanced(_) => {}
             Step::Dispersed => panic!("the walker group never disperses"),

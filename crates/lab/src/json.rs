@@ -124,6 +124,11 @@ pub fn u64_value(line: &str, key: &str) -> Option<u64> {
     raw_value(line, key)?.parse().ok()
 }
 
+/// Extracts a floating-point field.
+pub fn f64_value(line: &str, key: &str) -> Option<f64> {
+    raw_value(line, key)?.parse().ok()
+}
+
 /// Extracts a boolean field.
 pub fn bool_value(line: &str, key: &str) -> Option<bool> {
     raw_value(line, key)?.parse().ok()

@@ -47,8 +47,8 @@ pub use failpoint::{FailAction, FailpointRegistry, FAILPOINTS_ENV};
 pub use job::{RunJob, RunRecord, RunStatus};
 pub use report::{CampaignReport, CellKey, CellStats, Table};
 pub use runner::{
-    artifact_path, backoff_delay, run_campaign, scan_artifact, ArtifactScan, FsyncPolicy,
-    RunnerOptions,
+    artifact_path, backoff_delay, read_header_knobs, run_campaign, scan_artifact, ArtifactScan,
+    FsyncPolicy, RunnerOptions,
 };
 pub use spec::{derive_seed, AdversaryKind, AlgorithmKind, CampaignSpec, NRule, Placement};
 pub use status::{read_status, ArtifactStatus};

@@ -29,7 +29,7 @@ use crate::failpoint::{FailAction, FailpointRegistry};
 use crate::job::{self, RunJob, RunRecord};
 use crate::json::{self, JsonObject};
 use crate::report::CampaignReport;
-use crate::spec::CampaignSpec;
+use crate::spec::{CampaignSpec, Placement};
 use crate::LabError;
 
 /// When the writer forces appended records to stable storage.
@@ -135,13 +135,42 @@ pub fn artifact_path(spec: &CampaignSpec, opts: &RunnerOptions) -> PathBuf {
     opts.out_dir.join(format!("{}.jsonl", spec.name))
 }
 
+/// The header record: the spec's identity, plus the run knobs a replay
+/// needs that the run records do not carry (see [`read_header_knobs`]).
 fn header_line(spec: &CampaignSpec) -> String {
     let mut o = JsonObject::new();
     o.str_field("type", "campaign")
         .str_field("name", &spec.name)
         .str_field("spec_hash", &format!("{:016x}", spec.spec_hash()))
-        .u64_field("jobs", spec.job_count());
+        .u64_field("jobs", spec.job_count())
+        .str_field("placement", spec.placement.name())
+        .u64_field("max_rounds", spec.max_rounds)
+        // `Display` writes the shortest text that parses back to the same
+        // `f64`, so the value round-trips exactly.
+        .raw_field("edge_prob", &spec.edge_prob.to_string());
     o.finish()
+}
+
+/// If `line` is a campaign header, copies the run knobs it records
+/// (placement, round cap, edge probability) onto `spec`, so that a
+/// replay of the artifact's runs uses the knobs that produced them. Any
+/// other line, and a knob the header lacks (as in headers written before
+/// it was recorded), leaves `spec` as it is.
+pub fn read_header_knobs(line: &str, spec: &mut CampaignSpec) {
+    if json::str_value(line, "type").as_deref() != Some("campaign") {
+        return;
+    }
+    if let Some(placement) =
+        json::str_value(line, "placement").and_then(|name| Placement::parse(&name).ok())
+    {
+        spec.placement = placement;
+    }
+    if let Some(max_rounds) = json::u64_value(line, "max_rounds") {
+        spec.max_rounds = max_rounds;
+    }
+    if let Some(edge_prob) = json::f64_value(line, "edge_prob") {
+        spec.edge_prob = edge_prob;
+    }
 }
 
 fn io_err(path: &Path) -> impl Fn(std::io::Error) -> LabError + '_ {
@@ -583,6 +612,32 @@ mod tests {
             json::u64_value(&line, "jobs"),
             Some(spec.job_count())
         );
+    }
+
+    #[test]
+    fn header_round_trips_replay_knobs() {
+        let spec = CampaignSpec {
+            placement: Placement::Rooted,
+            max_rounds: 3,
+            edge_prob: 0.123_456_789,
+            ..CampaignSpec::default()
+        };
+        let mut read = CampaignSpec::default();
+        read_header_knobs(&header_line(&spec), &mut read);
+        assert_eq!(read.placement, Placement::Rooted);
+        assert_eq!(read.max_rounds, 3);
+        assert_eq!(read.edge_prob.to_bits(), spec.edge_prob.to_bits(), "exact, not rounded");
+        // A run record is not a header, whatever fields it carries.
+        let mut read = CampaignSpec::default();
+        read_header_knobs(&header_line(&spec).replace("campaign", "run"), &mut read);
+        assert_eq!(read.max_rounds, CampaignSpec::default().max_rounds);
+        // An older header without the knobs leaves the defaults in place.
+        let old = r#"{"type":"campaign","name":"c","spec_hash":"0000000000000001","jobs":3}"#;
+        let mut read = CampaignSpec::default();
+        read_header_knobs(old, &mut read);
+        assert_eq!(read.placement, CampaignSpec::default().placement);
+        assert_eq!(read.max_rounds, CampaignSpec::default().max_rounds);
+        assert_eq!(read.edge_prob, CampaignSpec::default().edge_prob);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 
 use dispersion_core::faulty::run_with_faults;
 use dispersion_engine::adversary::StarPairAdversary;
-use dispersion_engine::{
-    Configuration, CrashEvent, CrashPhase, FaultPlan, RobotId, SimOptions,
-};
+use dispersion_engine::{Configuration, CrashEvent, CrashPhase, FaultPlan, RobotId};
 use dispersion_graph::NodeId;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -45,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         StarPairAdversary::new(n),
         Configuration::rooted(n, k, NodeId::new(0)),
         plan,
-        SimOptions::default(),
     )?;
 
     for rec in &outcome.trace.records {

@@ -4,9 +4,7 @@
 
 use dispersion_core::faulty::{run_with_faults, theorem5_runtime_holds};
 use dispersion_engine::adversary::{EdgeChurnNetwork, StarPairAdversary, StaticNetwork};
-use dispersion_engine::{
-    Configuration, CrashEvent, CrashPhase, FaultPlan, RobotId, SimOptions,
-};
+use dispersion_engine::{Configuration, CrashEvent, CrashPhase, FaultPlan, RobotId};
 use dispersion_graph::{generators, NodeId};
 
 fn r(i: u32) -> RobotId {
@@ -24,7 +22,6 @@ fn both_phases_random_sweep() {
                 EdgeChurnNetwork::new(n, 0.15, seed.wrapping_add(50)),
                 Configuration::random(n, k, seed, true),
                 plan,
-                SimOptions::default(),
             )
             .unwrap();
             assert!(out.dispersed, "{phase:?} seed {seed}");
@@ -51,7 +48,6 @@ fn crash_of_the_root_anchor() {
         StarPairAdversary::new(12),
         Configuration::rooted(12, 8, NodeId::new(0)),
         FaultPlan::from_events(events),
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);
@@ -72,7 +68,6 @@ fn crash_of_every_path_mover() {
         EdgeChurnNetwork::new(14, 0.2, 9),
         Configuration::rooted(14, 10, NodeId::new(0)),
         FaultPlan::from_events(events),
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);
@@ -93,7 +88,6 @@ fn simultaneous_mass_crash() {
         EdgeChurnNetwork::new(16, 0.15, 1),
         Configuration::rooted(16, 12, NodeId::new(0)),
         FaultPlan::from_events(events),
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);
@@ -128,7 +122,6 @@ fn crash_splits_component() {
         StaticNetwork::new(g),
         cfg,
         FaultPlan::from_events(events),
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);
@@ -161,7 +154,6 @@ fn crash_vacates_a_node_that_gets_reused() {
         StaticNetwork::new(g),
         cfg,
         FaultPlan::from_events(events),
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);
@@ -183,7 +175,6 @@ fn f_equals_k_minus_one() {
         EdgeChurnNetwork::new(10, 0.2, 2),
         Configuration::rooted(10, 9, NodeId::new(0)),
         FaultPlan::from_events(events),
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);
@@ -203,7 +194,6 @@ fn crashes_after_dispersion_cannot_undo_it() {
         StarPairAdversary::new(8),
         Configuration::rooted(8, 4, NodeId::new(0)),
         plan,
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);
@@ -223,7 +213,6 @@ fn faulty_runs_still_make_progress_when_possible() {
         StarPairAdversary::new(12),
         Configuration::rooted(12, 8, NodeId::new(0)),
         plan,
-        SimOptions::default(),
     )
     .unwrap();
     assert!(out.dispersed);

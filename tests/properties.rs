@@ -499,7 +499,7 @@ proptest! {
 // Differential oracle: planned vs unmemoized Algorithm 4
 // ---------------------------------------------------------------------------
 
-/// The six sliding policies of the ablation benches: the paper's rules,
+/// Six sliding policies: the paper's rules,
 /// each alternative rule alone, all of them together, and BFS trees.
 fn sliding_policies() -> [SlidingPolicy; 6] {
     let paper = SlidingPolicy::default();

@@ -223,7 +223,6 @@ fn theorem5_mid_run_crashes_stay_within_bound() {
             EdgeChurnNetwork::new(n, 0.15, seed),
             Configuration::rooted(n, k, NodeId::new(0)),
             plan,
-            dispersion_engine::SimOptions::default(),
         )
         .unwrap();
         assert!(out.dispersed, "seed {seed}");
