@@ -93,7 +93,10 @@ fn main() {
         let churn = summarize(policy, n, k, false);
         let adaptive = summarize(policy, n, k, true);
         assert!(churn.all_dispersed && adaptive.all_dispersed, "{name}");
-        assert!(churn.within(k as u64) && adaptive.within(k as u64), "{name}");
+        assert!(
+            churn.within(k as u64) && adaptive.within(k as u64),
+            "{name}"
+        );
         t.row([
             name.to_string(),
             format!("{:.1}", churn.mean_rounds),

@@ -31,9 +31,17 @@ fn main() {
     ]);
     for (label, strategy, deviant) in [
         ("none (control)", None, 0u32),
-        ("freeze, largest id", Some(ByzantineStrategy::Freeze), k as u32),
+        (
+            "freeze, largest id",
+            Some(ByzantineStrategy::Freeze),
+            k as u32,
+        ),
         ("freeze, smallest id", Some(ByzantineStrategy::Freeze), 1),
-        ("chase crowds", Some(ByzantineStrategy::ChaseCrowds), k as u32),
+        (
+            "chase crowds",
+            Some(ByzantineStrategy::ChaseCrowds),
+            k as u32,
+        ),
         ("scramble", Some(ByzantineStrategy::Scramble), k as u32),
     ] {
         let deviants: Vec<RobotId> = strategy

@@ -28,7 +28,13 @@ fn main() {
     let comps = ex.components();
     assert_eq!(comps.len(), 2, "the figure shows exactly two components");
 
-    let mut t = Table::new(["component", "nodes", "robots", "multiplicity node", "tree root"]);
+    let mut t = Table::new([
+        "component",
+        "nodes",
+        "robots",
+        "multiplicity node",
+        "tree root",
+    ]);
     for (label, comp) in [("CG¹ (green)", ex.green()), ("CG² (red)", ex.red())] {
         let tree = ex.tree_of(&comp);
         let robots: Vec<String> = comp

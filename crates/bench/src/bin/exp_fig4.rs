@@ -21,7 +21,12 @@ fn main() {
     let ex = worked_example::build();
 
     println!("Fig. 4(a): disjoint path sets");
-    let mut t = Table::new(["component", "count(root)", "paths kept", "paths (root → leaf)"]);
+    let mut t = Table::new([
+        "component",
+        "count(root)",
+        "paths kept",
+        "paths (root → leaf)",
+    ]);
     for (label, comp) in [("CG¹ (green)", ex.green()), ("CG² (red)", ex.red())] {
         let tree = ex.tree_of(&comp);
         let paths = ex.paths_of(&comp, &tree);
@@ -38,7 +43,10 @@ fn main() {
             .collect();
         t.row([
             label.to_string(),
-            comp.node(tree.root()).expect("root exists").count.to_string(),
+            comp.node(tree.root())
+                .expect("root exists")
+                .count
+                .to_string(),
             paths.len().to_string(),
             rendered.join("  "),
         ]);

@@ -80,7 +80,14 @@ fn main() {
                 )
             });
             let dfs = summarize(|seed| {
-                run(LocalDfs::new(), ModelSpec::LOCAL_WITH_NEIGHBORHOOD, n, k, sparse, seed)
+                run(
+                    LocalDfs::new(),
+                    ModelSpec::LOCAL_WITH_NEIGHBORHOOD,
+                    n,
+                    k,
+                    sparse,
+                    seed,
+                )
             });
             let walk = summarize(|seed| {
                 run(

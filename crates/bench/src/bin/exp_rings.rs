@@ -18,14 +18,7 @@ fn main() {
         "Algorithm 4's O(k) bound specializes to dynamic rings",
     );
 
-    let mut t = Table::new([
-        "variant",
-        "n",
-        "k",
-        "rounds",
-        "rounds/k",
-        "memory bits",
-    ]);
+    let mut t = Table::new(["variant", "n", "k", "rounds", "rounds/k", "memory bits"]);
     for k in [4usize, 8, 16, 32] {
         let n = k + 3;
         for (variant, drop_edge) in [("full ring", false), ("one edge missing", true)] {

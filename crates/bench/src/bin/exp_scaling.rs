@@ -48,7 +48,14 @@ fn main() {
         "output is identical at every worker-thread count",
     );
 
-    let mut t = Table::new(["n", "k", "threads", "rounds", "robot-steps/s", "vs threads=1"]);
+    let mut t = Table::new([
+        "n",
+        "k",
+        "threads",
+        "rounds",
+        "robot-steps/s",
+        "vs threads=1",
+    ]);
     for n in [1024usize, 4096, 16384] {
         let k = n / 2;
         let mut reference: Option<(SimOutcome, f64)> = None;
@@ -58,7 +65,10 @@ fn main() {
             let speedup = match &reference {
                 None => 1.0,
                 Some((seq, seq_s)) => {
-                    assert_eq!(outcome.rounds, seq.rounds, "n={n} threads={threads}: rounds");
+                    assert_eq!(
+                        outcome.rounds, seq.rounds,
+                        "n={n} threads={threads}: rounds"
+                    );
                     assert_eq!(
                         placement(&outcome),
                         placement(seq),

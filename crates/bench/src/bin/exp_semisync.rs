@@ -11,9 +11,7 @@ use dispersion_bench::{banner, Table};
 use dispersion_core::DispersionDynamic;
 use dispersion_engine::adversary::{EdgeChurnNetwork, StarPairAdversary};
 use dispersion_engine::stats::RunSummary;
-use dispersion_engine::{
-    Activation, Configuration, ModelSpec, Simulator,
-};
+use dispersion_engine::{Activation, Configuration, ModelSpec, Simulator};
 use dispersion_graph::NodeId;
 
 const SEEDS: u64 = 8;

@@ -17,7 +17,12 @@ use dispersion_lab::{
 const ROUNDS: u64 = 1000;
 const KS: [usize; 4] = [5, 6, 8, 12];
 
-fn spec(name: &str, adversary: AdversaryKind, placement: Placement, max_rounds: u64) -> CampaignSpec {
+fn spec(
+    name: &str,
+    adversary: AdversaryKind,
+    placement: Placement,
+    max_rounds: u64,
+) -> CampaignSpec {
     CampaignSpec {
         name: name.into(),
         algorithms: vec![AlgorithmKind::GreedyLocal],
@@ -40,7 +45,11 @@ fn run(spec: &CampaignSpec) -> CampaignReport {
     run_campaign(spec, &opts).expect("campaign runs")
 }
 
-fn cell<'a>(report: &'a CampaignReport, adversary: &str, k: usize) -> &'a dispersion_lab::CellStats {
+fn cell<'a>(
+    report: &'a CampaignReport,
+    adversary: &str,
+    k: usize,
+) -> &'a dispersion_lab::CellStats {
     report
         .cells
         .get(&CellKey {
@@ -60,8 +69,18 @@ fn main() {
         "local comm + 1-NK: impossible (k ≥ 5), even with unlimited memory",
     );
 
-    let trap = run(&spec("exp-t1-trap", AdversaryKind::PathTrap, Placement::NearDispersed, ROUNDS));
-    let control = run(&spec("exp-t1-control", AdversaryKind::StaticStar, Placement::Rooted, 100_000));
+    let trap = run(&spec(
+        "exp-t1-trap",
+        AdversaryKind::PathTrap,
+        Placement::NearDispersed,
+        ROUNDS,
+    ));
+    let control = run(&spec(
+        "exp-t1-control",
+        AdversaryKind::StaticStar,
+        Placement::Rooted,
+        100_000,
+    ));
 
     let mut t = Table::new([
         "k",
@@ -72,9 +91,14 @@ fn main() {
     ]);
     for k in KS {
         let trapped = cell(&trap, "path-trap", k).run_summary().expect("trap ran");
-        let free = cell(&control, "static-star", k).run_summary().expect("control ran");
+        let free = cell(&control, "static-star", k)
+            .run_summary()
+            .expect("control ran");
         assert!(!trapped.all_dispersed, "Theorem 1 violated at k={k}");
-        assert_eq!(trapped.max_rounds, ROUNDS, "trap must hold all {ROUNDS} rounds");
+        assert_eq!(
+            trapped.max_rounds, ROUNDS,
+            "trap must hold all {ROUNDS} rounds"
+        );
         assert!(free.all_dispersed, "control must disperse at k={k}");
         t.row([
             k.to_string(),

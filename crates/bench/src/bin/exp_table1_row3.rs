@@ -59,12 +59,18 @@ fn main() {
                     k,
                 ),
             ),
-            ("edge churn", run_alg4_rooted(EdgeChurnNetwork::new(n, 0.1, k as u64), n, k)),
+            (
+                "edge churn",
+                run_alg4_rooted(EdgeChurnNetwork::new(n, 0.1, k as u64), n, k),
+            ),
             (
                 "T-interval (T=4)",
                 run_alg4_rooted(TIntervalNetwork::new(n, 4, 0.1, k as u64), n, k),
             ),
-            ("star-pair (adaptive)", run_alg4_rooted(StarPairAdversary::new(n), n, k)),
+            (
+                "star-pair (adaptive)",
+                run_alg4_rooted(StarPairAdversary::new(n), n, k),
+            ),
             (
                 "churn, arbitrary start",
                 run_alg4_random(EdgeChurnNetwork::new(n, 0.1, k as u64), n, k, k as u64),

@@ -13,12 +13,12 @@ use dispersion_core::baselines::{BlindGlobal, GreedyLocal, LocalDfs, RandomWalk}
 use dispersion_core::byzantine::{ByzantineStrategy, WithByzantine};
 use dispersion_core::DispersionDynamic;
 use dispersion_engine::adversary::{
-    CliqueTrapAdversary, DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork,
-    MinProgressSampler, StarPairAdversary, StaticNetwork,
+    CliqueTrapAdversary, DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork, MinProgressSampler,
+    StarPairAdversary, StaticNetwork,
 };
 use dispersion_engine::{
-    Configuration, CrashPhase, DispersionAlgorithm, FaultPlan, ModelSpec,
-    RobotId, SimOutcome, Simulator,
+    Configuration, CrashPhase, DispersionAlgorithm, FaultPlan, ModelSpec, RobotId, SimOutcome,
+    Simulator,
 };
 use dispersion_graph::{generators, NodeId};
 
@@ -99,9 +99,9 @@ impl GoldenAdversary {
             GoldenAdversary::StaticRandom => Box::new(StaticNetwork::new(
                 generators::random_connected(n, 0.2, seed).expect("n ≥ 1"),
             )),
-            GoldenAdversary::StaticCycle => Box::new(StaticNetwork::new(
-                generators::cycle(n).expect("n ≥ 3"),
-            )),
+            GoldenAdversary::StaticCycle => {
+                Box::new(StaticNetwork::new(generators::cycle(n).expect("n ≥ 3")))
+            }
             GoldenAdversary::Churn => Box::new(EdgeChurnNetwork::new(n, 0.2, seed)),
             GoldenAdversary::BrokenRing => Box::new(DynamicRingNetwork::new(n, true, seed)),
             GoldenAdversary::StarPair => Box::new(StarPairAdversary::new(n)),
@@ -147,13 +147,7 @@ fn strategy_name(strategy: ByzantineStrategy) -> &'static str {
 /// The pinned case list. Append only — renaming or re-seeding a case
 /// invalidates its fixture.
 pub fn golden_cases() -> Vec<GoldenCase> {
-    let case = |name,
-                algorithm,
-                adversary,
-                n,
-                k,
-                seed,
-                faults| GoldenCase {
+    let case = |name, algorithm, adversary, n, k, seed, faults| GoldenCase {
         name,
         algorithm,
         adversary,
@@ -176,31 +170,203 @@ pub fn golden_cases() -> Vec<GoldenCase> {
         byzantine: Some((count, strategy)),
     };
     vec![
-        case("alg4_static_random", GoldenAlgorithm::Alg4, GoldenAdversary::StaticRandom, 16, 10, 3, 0),
-        case("alg4_static_cycle", GoldenAlgorithm::Alg4, GoldenAdversary::StaticCycle, 16, 10, 3, 0),
-        case("alg4_churn", GoldenAlgorithm::Alg4, GoldenAdversary::Churn, 16, 10, 5, 0),
-        case("alg4_broken_ring", GoldenAlgorithm::Alg4, GoldenAdversary::BrokenRing, 16, 10, 7, 0),
-        case("alg4_star_pair", GoldenAlgorithm::Alg4, GoldenAdversary::StarPair, 16, 10, 0, 0),
-        case("alg4_min_progress", GoldenAlgorithm::Alg4, GoldenAdversary::MinProgress, 12, 8, 9, 0),
-        case("alg4_churn_faults", GoldenAlgorithm::Alg4, GoldenAdversary::Churn, 16, 10, 11, 3),
-        case("local_dfs_static_random", GoldenAlgorithm::LocalDfs, GoldenAdversary::StaticRandom, 16, 10, 3, 0),
-        case("greedy_local_static_cycle", GoldenAlgorithm::GreedyLocal, GoldenAdversary::StaticCycle, 16, 10, 3, 0),
-        case("random_walk_churn", GoldenAlgorithm::RandomWalk, GoldenAdversary::Churn, 16, 10, 13, 0),
-        case("blind_global_star_pair", GoldenAlgorithm::BlindGlobal, GoldenAdversary::StarPair, 14, 9, 0, 0),
-        case("local_dfs_churn_faults", GoldenAlgorithm::LocalDfs, GoldenAdversary::Churn, 16, 10, 17, 2),
-        case("greedy_local_broken_ring_faults", GoldenAlgorithm::GreedyLocal, GoldenAdversary::BrokenRing, 16, 10, 19, 2),
-        case("random_walk_static_random_faults", GoldenAlgorithm::RandomWalk, GoldenAdversary::StaticRandom, 16, 10, 21, 2),
-        case("blind_global_static_cycle_faults", GoldenAlgorithm::BlindGlobal, GoldenAdversary::StaticCycle, 14, 9, 23, 2),
-        byz("alg4_byz_freeze_static_random", GoldenAlgorithm::Alg4, GoldenAdversary::StaticRandom, 12, 8, 25, 2, ByzantineStrategy::Freeze),
-        byz("alg4_byz_chase_churn", GoldenAlgorithm::Alg4, GoldenAdversary::Churn, 12, 8, 27, 2, ByzantineStrategy::ChaseCrowds),
-        byz("alg4_byz_scramble_broken_ring", GoldenAlgorithm::Alg4, GoldenAdversary::BrokenRing, 12, 8, 29, 2, ByzantineStrategy::Scramble),
-        byz("local_dfs_byz_freeze_static_cycle", GoldenAlgorithm::LocalDfs, GoldenAdversary::StaticCycle, 12, 8, 31, 2, ByzantineStrategy::Freeze),
-        case("alg4_min_progress_large", GoldenAlgorithm::Alg4, GoldenAdversary::MinProgress, 48, 32, 33, 0),
+        case(
+            "alg4_static_random",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::StaticRandom,
+            16,
+            10,
+            3,
+            0,
+        ),
+        case(
+            "alg4_static_cycle",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::StaticCycle,
+            16,
+            10,
+            3,
+            0,
+        ),
+        case(
+            "alg4_churn",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::Churn,
+            16,
+            10,
+            5,
+            0,
+        ),
+        case(
+            "alg4_broken_ring",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::BrokenRing,
+            16,
+            10,
+            7,
+            0,
+        ),
+        case(
+            "alg4_star_pair",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::StarPair,
+            16,
+            10,
+            0,
+            0,
+        ),
+        case(
+            "alg4_min_progress",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::MinProgress,
+            12,
+            8,
+            9,
+            0,
+        ),
+        case(
+            "alg4_churn_faults",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::Churn,
+            16,
+            10,
+            11,
+            3,
+        ),
+        case(
+            "local_dfs_static_random",
+            GoldenAlgorithm::LocalDfs,
+            GoldenAdversary::StaticRandom,
+            16,
+            10,
+            3,
+            0,
+        ),
+        case(
+            "greedy_local_static_cycle",
+            GoldenAlgorithm::GreedyLocal,
+            GoldenAdversary::StaticCycle,
+            16,
+            10,
+            3,
+            0,
+        ),
+        case(
+            "random_walk_churn",
+            GoldenAlgorithm::RandomWalk,
+            GoldenAdversary::Churn,
+            16,
+            10,
+            13,
+            0,
+        ),
+        case(
+            "blind_global_star_pair",
+            GoldenAlgorithm::BlindGlobal,
+            GoldenAdversary::StarPair,
+            14,
+            9,
+            0,
+            0,
+        ),
+        case(
+            "local_dfs_churn_faults",
+            GoldenAlgorithm::LocalDfs,
+            GoldenAdversary::Churn,
+            16,
+            10,
+            17,
+            2,
+        ),
+        case(
+            "greedy_local_broken_ring_faults",
+            GoldenAlgorithm::GreedyLocal,
+            GoldenAdversary::BrokenRing,
+            16,
+            10,
+            19,
+            2,
+        ),
+        case(
+            "random_walk_static_random_faults",
+            GoldenAlgorithm::RandomWalk,
+            GoldenAdversary::StaticRandom,
+            16,
+            10,
+            21,
+            2,
+        ),
+        case(
+            "blind_global_static_cycle_faults",
+            GoldenAlgorithm::BlindGlobal,
+            GoldenAdversary::StaticCycle,
+            14,
+            9,
+            23,
+            2,
+        ),
+        byz(
+            "alg4_byz_freeze_static_random",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::StaticRandom,
+            12,
+            8,
+            25,
+            2,
+            ByzantineStrategy::Freeze,
+        ),
+        byz(
+            "alg4_byz_chase_churn",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::Churn,
+            12,
+            8,
+            27,
+            2,
+            ByzantineStrategy::ChaseCrowds,
+        ),
+        byz(
+            "alg4_byz_scramble_broken_ring",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::BrokenRing,
+            12,
+            8,
+            29,
+            2,
+            ByzantineStrategy::Scramble,
+        ),
+        byz(
+            "local_dfs_byz_freeze_static_cycle",
+            GoldenAlgorithm::LocalDfs,
+            GoldenAdversary::StaticCycle,
+            12,
+            8,
+            31,
+            2,
+            ByzantineStrategy::Freeze,
+        ),
+        case(
+            "alg4_min_progress_large",
+            GoldenAlgorithm::Alg4,
+            GoldenAdversary::MinProgress,
+            48,
+            32,
+            33,
+            0,
+        ),
         // The blind algorithm never settles against the Theorem 2 trap;
         // a small cap bounds the fixture.
         GoldenCase {
             max_rounds: 60,
-            ..case("blind_global_clique_trap", GoldenAlgorithm::BlindGlobal, GoldenAdversary::CliqueTrap, 12, 8, 0, 0)
+            ..case(
+                "blind_global_clique_trap",
+                GoldenAlgorithm::BlindGlobal,
+                GoldenAdversary::CliqueTrap,
+                12,
+                8,
+                0,
+                0,
+            )
         },
     ]
 }
@@ -264,19 +430,13 @@ pub fn render_case(case: &GoldenCase) -> String {
 /// `golden_threads` test holds it to that.
 pub fn render_case_with_threads(case: &GoldenCase, threads: usize) -> String {
     let outcome = match case.algorithm {
-        GoldenAlgorithm::Alg4 => {
-            run_maybe_byzantine(DispersionDynamic::new(), case, threads)
-        }
+        GoldenAlgorithm::Alg4 => run_maybe_byzantine(DispersionDynamic::new(), case, threads),
         GoldenAlgorithm::LocalDfs => run_maybe_byzantine(LocalDfs::new(), case, threads),
         GoldenAlgorithm::RandomWalk => {
             run_maybe_byzantine(RandomWalk::new(case.seed), case, threads)
         }
-        GoldenAlgorithm::GreedyLocal => {
-            run_maybe_byzantine(GreedyLocal::new(), case, threads)
-        }
-        GoldenAlgorithm::BlindGlobal => {
-            run_maybe_byzantine(BlindGlobal::new(), case, threads)
-        }
+        GoldenAlgorithm::GreedyLocal => run_maybe_byzantine(GreedyLocal::new(), case, threads),
+        GoldenAlgorithm::BlindGlobal => run_maybe_byzantine(BlindGlobal::new(), case, threads),
     };
     let mut out = String::from("golden-trace v1\n");
     let _ = writeln!(
@@ -340,7 +500,13 @@ mod tests {
     #[test]
     fn every_algorithm_has_a_faulty_case() {
         let cases = golden_cases();
-        for alg in ["alg4", "local-dfs", "greedy-local", "random-walk", "blind-global"] {
+        for alg in [
+            "alg4",
+            "local-dfs",
+            "greedy-local",
+            "random-walk",
+            "blind-global",
+        ] {
             assert!(
                 cases
                     .iter()

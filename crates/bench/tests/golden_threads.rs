@@ -37,6 +37,10 @@ fn parallel_rendering_is_deterministic() {
     for case in golden_cases() {
         let a = render_case_with_threads(&case, 8);
         let b = render_case_with_threads(&case, 8);
-        assert_eq!(a, b, "case `{}` double-run at threads=8 diverged", case.name);
+        assert_eq!(
+            a, b,
+            "case `{}` double-run at threads=8 diverged",
+            case.name
+        );
     }
 }

@@ -177,7 +177,8 @@ fn take_value<'a, I: Iterator<Item = &'a str>>(
     flag: &str,
     iter: &mut I,
 ) -> Result<&'a str, ParseError> {
-    iter.next().ok_or_else(|| ParseError::MissingValue(flag.into()))
+    iter.next()
+        .ok_or_else(|| ParseError::MissingValue(flag.into()))
 }
 
 fn parse_num<T: std::str::FromStr>(
@@ -215,9 +216,9 @@ fn parse_list<T>(
 /// `panic-probe`, which exists to test a campaign's panic isolation.
 fn parse_network(value: &str) -> Result<AdversaryKind, ParseError> {
     match AdversaryKind::parse(value) {
-        Ok(AdversaryKind::PanicProbe) => {
-            Err(ParseError::Invalid("`panic-probe` runs only inside campaigns"))
-        }
+        Ok(AdversaryKind::PanicProbe) => Err(ParseError::Invalid(
+            "`panic-probe` runs only inside campaigns",
+        )),
         Ok(kind) => Ok(kind),
         Err(_) => Err(ParseError::BadValue {
             flag: "--network".into(),
@@ -245,8 +246,12 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             while let Some(flag) = iter.next() {
                 match flag {
                     "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
-                    "--n" => n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
-                    "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
+                    "--n" => {
+                        n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
+                    "--k" => {
+                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
                     "--seed" => {
                         seed = parse_num(flag, take_value(flag, &mut iter)?, "an integer seed")?
                     }
@@ -358,8 +363,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                         )?
                     }
                     "--seeds" => {
-                        spec.seeds =
-                            parse_num(flag, take_value(flag, &mut iter)?, "a seed count")?
+                        spec.seeds = parse_num(flag, take_value(flag, &mut iter)?, "a seed count")?
                     }
                     "--campaign-seed" => {
                         spec.campaign_seed =
@@ -379,8 +383,11 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                             parse_num(flag, take_value(flag, &mut iter)?, "a round cap")?
                     }
                     "--edge-prob" => {
-                        spec.edge_prob =
-                            parse_num(flag, take_value(flag, &mut iter)?, "a probability in [0, 1]")?
+                        spec.edge_prob = parse_num(
+                            flag,
+                            take_value(flag, &mut iter)?,
+                            "a probability in [0, 1]",
+                        )?
                     }
                     "--jobs" => {
                         jobs = parse_num(flag, take_value(flag, &mut iter)?, "a worker count")?
@@ -394,15 +401,11 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                         )?
                     }
                     "--retries" => {
-                        retries =
-                            parse_num(flag, take_value(flag, &mut iter)?, "a retry count")?
+                        retries = parse_num(flag, take_value(flag, &mut iter)?, "a retry count")?
                     }
                     "--threads" => {
-                        threads = parse_num(
-                            flag,
-                            take_value(flag, &mut iter)?,
-                            "an engine thread count",
-                        )?
+                        threads =
+                            parse_num(flag, take_value(flag, &mut iter)?, "an engine thread count")?
                     }
                     "--keep-traces" => keep_traces = true,
                     "--fresh" => fresh = true,
@@ -447,8 +450,12 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                 match flag {
                     "--artifact" => artifact = Some(take_value(flag, &mut iter)?.to_string()),
                     "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
-                    "--n" => n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
-                    "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
+                    "--n" => {
+                        n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
+                    "--k" => {
+                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
                     "--seed" => {
                         seed = parse_num(flag, take_value(flag, &mut iter)?, "an integer seed")?
                     }
@@ -457,11 +464,8 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                     }
                     "--structural" => structural = true,
                     "--threads" => {
-                        threads = parse_num(
-                            flag,
-                            take_value(flag, &mut iter)?,
-                            "an engine thread count",
-                        )?
+                        threads =
+                            parse_num(flag, take_value(flag, &mut iter)?, "an engine thread count")?
                     }
                     other => return Err(ParseError::UnknownFlag(other.into())),
                 }
@@ -494,7 +498,9 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                     "--theorem" => {
                         theorem = parse_num(flag, take_value(flag, &mut iter)?, "1 or 2")?
                     }
-                    "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
+                    "--k" => {
+                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
                     "--rounds" => {
                         rounds = parse_num(flag, take_value(flag, &mut iter)?, "a round count")?
                     }
@@ -524,8 +530,12 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             while let Some(flag) = iter.next() {
                 match flag {
                     "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
-                    "--n" => n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
-                    "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
+                    "--n" => {
+                        n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
+                    "--k" => {
+                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
                     "--seed" => {
                         seed = parse_num(flag, take_value(flag, &mut iter)?, "an integer seed")?
                     }
@@ -546,7 +556,9 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             let mut k = 16usize;
             while let Some(flag) = iter.next() {
                 match flag {
-                    "--k" => k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?,
+                    "--k" => {
+                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+                    }
                     other => return Err(ParseError::UnknownFlag(other.into())),
                 }
             }
@@ -689,7 +701,16 @@ mod tests {
     #[test]
     fn parses_sweep() {
         assert_eq!(
-            parse(["sweep", "--network", "ring", "--max-k", "16", "--seeds", "3"]).unwrap(),
+            parse([
+                "sweep",
+                "--network",
+                "ring",
+                "--max-k",
+                "16",
+                "--seeds",
+                "3"
+            ])
+            .unwrap(),
             Command::Sweep {
                 network: AdversaryKind::Ring,
                 max_k: 16,
@@ -750,7 +771,15 @@ mod tests {
     #[test]
     fn parses_campaign_defaults() {
         let Command::Campaign {
-            spec, jobs, keep_traces, fresh, out_dir, check, timeout_secs, retries, threads,
+            spec,
+            jobs,
+            keep_traces,
+            fresh,
+            out_dir,
+            check,
+            timeout_secs,
+            retries,
+            threads,
         } = parse(["campaign"]).unwrap()
         else {
             panic!("expected campaign");
@@ -767,7 +796,15 @@ mod tests {
     #[test]
     fn parses_campaign_full() {
         let Command::Campaign {
-            spec, jobs, keep_traces, fresh, out_dir, check, timeout_secs, retries, threads,
+            spec,
+            jobs,
+            keep_traces,
+            fresh,
+            out_dir,
+            check,
+            timeout_secs,
+            retries,
+            threads,
         } = parse([
             "campaign",
             "--name",
@@ -839,7 +876,9 @@ mod tests {
     fn parses_campaign_status() {
         assert_eq!(
             parse(["campaign-status", "--artifact", "results/nightly.jsonl"]).unwrap(),
-            Command::CampaignStatus { artifact: "results/nightly.jsonl".into() }
+            Command::CampaignStatus {
+                artifact: "results/nightly.jsonl".into()
+            }
         );
         assert!(matches!(
             parse(["campaign-status"]),
@@ -858,7 +897,18 @@ mod tests {
     #[test]
     fn parses_check() {
         assert_eq!(
-            parse(["check", "--network", "ring", "--n", "10", "--k", "6", "--seed", "3"]).unwrap(),
+            parse([
+                "check",
+                "--network",
+                "ring",
+                "--n",
+                "10",
+                "--k",
+                "6",
+                "--seed",
+                "3"
+            ])
+            .unwrap(),
             Command::Check {
                 artifact: None,
                 network: AdversaryKind::Ring,
@@ -870,14 +920,21 @@ mod tests {
                 threads: 1,
             }
         );
-        let Command::Check { threads, .. } =
-            parse(["check", "--threads", "4"]).unwrap()
-        else {
+        let Command::Check { threads, .. } = parse(["check", "--threads", "4"]).unwrap() else {
             panic!("expected check");
         };
         assert_eq!(threads, 4);
-        let Command::Check { artifact, structural, .. } =
-            parse(["check", "--artifact", "results/nightly.jsonl", "--structural"]).unwrap()
+        let Command::Check {
+            artifact,
+            structural,
+            ..
+        } = parse([
+            "check",
+            "--artifact",
+            "results/nightly.jsonl",
+            "--structural",
+        ])
+        .unwrap()
         else {
             panic!("expected check");
         };

@@ -4,7 +4,9 @@
 use dispersion_core::baselines::{BlindGlobal, GreedyLocal};
 use dispersion_core::{impossibility, lower_bound, DispersionDynamic, DispersionError};
 use dispersion_engine::adversary::{CliqueTrapAdversary, EdgeChurnNetwork, PathTrapAdversary};
-use dispersion_engine::{CheckPolicy, Configuration, ModelSpec, RobotId, SimError, Simulator, Step};
+use dispersion_engine::{
+    CheckPolicy, Configuration, ModelSpec, RobotId, SimError, Simulator, Step,
+};
 use dispersion_graph::NodeId;
 
 use dispersion_lab::job::{self, RunJob};
@@ -51,7 +53,15 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
             retries,
             threads,
         } => campaign(
-            spec, jobs, keep_traces, fresh, out_dir, check, timeout_secs, retries, threads,
+            spec,
+            jobs,
+            keep_traces,
+            fresh,
+            out_dir,
+            check,
+            timeout_secs,
+            retries,
+            threads,
         ),
         Command::CampaignStatus { artifact } => campaign_status(&artifact),
         Command::Check {
@@ -64,7 +74,12 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
             structural,
             threads,
         } => check(artifact, network, n, k, seed, faults, structural, threads),
-        Command::Dot { network, n, k, seed } => Ok(dot(network, n, k, seed)?),
+        Command::Dot {
+            network,
+            n,
+            k,
+            seed,
+        } => Ok(dot(network, n, k, seed)?),
         Command::Trap { theorem, k, rounds } => Ok(trap(theorem, k, rounds)?),
         Command::LowerBound { k } => Ok(lower(k)?),
         Command::Memory { max_k } => Ok(memory(max_k)?),
@@ -144,7 +159,9 @@ fn check(
 ) -> Result<String, DispersionError> {
     match artifact {
         Some(path) => check_artifact(&path, threads),
-        None => Ok(check_spec(network, n, k, seed, faults, structural, threads)?),
+        None => Ok(check_spec(
+            network, n, k, seed, faults, structural, threads,
+        )?),
     }
 }
 
@@ -169,7 +186,13 @@ fn single_run(
         seed_index: 0,
         derived_seed: seed,
     };
-    (job, CampaignSpec { placement, ..CampaignSpec::default() })
+    (
+        job,
+        CampaignSpec {
+            placement,
+            ..CampaignSpec::default()
+        },
+    )
 }
 
 /// Re-runs a spec under the invariant monitor: one monitored run, then a
@@ -185,10 +208,16 @@ fn check_spec(
     structural: bool,
     threads: usize,
 ) -> Result<String, SimError> {
-    let policy = if structural { CheckPolicy::Structural } else { CheckPolicy::Full };
+    let policy = if structural {
+        CheckPolicy::Structural
+    } else {
+        CheckPolicy::Full
+    };
     let (job, spec) = single_run(kind, n, k, seed, faults, Placement::Rooted);
     let build = || {
-        job::builder(DispersionDynamic::new(), &job, &spec).check(policy).threads(threads)
+        job::builder(DispersionDynamic::new(), &job, &spec)
+            .check(policy)
+            .threads(threads)
     };
     let mut sim = build().build()?;
     let mut out = format!(
@@ -201,7 +230,11 @@ fn check_spec(
                 "run: dispersed={} in {} rounds — every armed invariant held\n",
                 outcome.dispersed, outcome.rounds
             ));
-            let hashes = sim.monitor().expect("checking armed").graph_hashes().to_vec();
+            let hashes = sim
+                .monitor()
+                .expect("checking armed")
+                .graph_hashes()
+                .to_vec();
             let mut replay = build().check_expected_graphs(hashes.clone()).build()?;
             match replay.run() {
                 Ok(_) => out.push_str(&format!(
@@ -230,8 +263,14 @@ fn divergence(rec: &RunRecord, replay: &RunRecord) -> Option<String> {
         format!(
             "recorded dispersed={} rounds={} moves={} crashes={}, \
              replayed dispersed={} rounds={} moves={} crashes={}",
-            rec.dispersed, rec.rounds, rec.moves, rec.crashes,
-            replay.dispersed, replay.rounds, replay.moves, replay.crashes,
+            rec.dispersed,
+            rec.rounds,
+            rec.moves,
+            rec.crashes,
+            replay.dispersed,
+            replay.rounds,
+            replay.moves,
+            replay.crashes,
         )
     })
 }
@@ -255,9 +294,10 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
             read_header_knobs(line, &mut spec);
             continue; // header, reports, or foreign lines
         };
-        let (Ok(algorithm), Ok(adversary)) =
-            (AlgorithmKind::parse(&rec.algorithm), AdversaryKind::parse(&rec.adversary))
-        else {
+        let (Ok(algorithm), Ok(adversary)) = (
+            AlgorithmKind::parse(&rec.algorithm),
+            AdversaryKind::parse(&rec.adversary),
+        ) else {
             skipped += 1;
             continue;
         };
@@ -273,10 +313,9 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
         };
         // A panicking replay (the campaigns' `panic-probe`) is flagged,
         // not fatal to the rest of the replay.
-        let replay = std::panic::catch_unwind(|| {
-            job::execute(&job, &spec, false, true, None, threads)
-        })
-        .unwrap_or_else(|_| job::panic_record(&job, &spec, "replay panicked".into()));
+        let replay =
+            std::panic::catch_unwind(|| job::execute(&job, &spec, false, true, None, threads))
+                .unwrap_or_else(|_| job::panic_record(&job, &spec, "replay panicked".into()));
         let verdict = match replay.status {
             RunStatus::Ok => divergence(&rec, &replay).map(|d| format!("diverged — {d}")),
             status => Some(format!(
@@ -315,7 +354,11 @@ fn run(
     watch: bool,
     json: bool,
 ) -> Result<String, SimError> {
-    let placement = if scattered { Placement::Scattered } else { Placement::Rooted };
+    let placement = if scattered {
+        Placement::Scattered
+    } else {
+        Placement::Rooted
+    };
     let (job, spec) = single_run(kind, n, k, seed, faults, placement);
     let mut sim = job::builder(DispersionDynamic::new(), &job, &spec).build()?;
     let net_name = sim.network().name().to_string();
@@ -431,7 +474,11 @@ fn sweep(kind: AdversaryKind, max_k: usize, seeds: u64) -> Result<String, SimErr
         let mut outcomes = Vec::new();
         for seed in 0..seeds {
             let (job, spec) = single_run(kind, n, k, seed, 0, Placement::Scattered);
-            outcomes.push(job::builder(DispersionDynamic::new(), &job, &spec).build()?.run()?);
+            outcomes.push(
+                job::builder(DispersionDynamic::new(), &job, &spec)
+                    .build()?
+                    .run()?,
+            );
         }
         let summary = RunSummary::collect(&outcomes);
         out.push_str(&format!(
@@ -480,12 +527,7 @@ fn trap(theorem: u8, k: usize, rounds: u64) -> Result<String, SimError> {
             .max_rounds(rounds)
             .build()?;
             let outcome = sim.run()?;
-            let new_nodes: usize = outcome
-                .trace
-                .records
-                .iter()
-                .map(|r| r.newly_occupied)
-                .sum();
+            let new_nodes: usize = outcome.trace.records.iter().map(|r| r.newly_occupied).sum();
             out.push_str(&format!(
                 "Theorem 2 trap (global comm, no 1-NK), k={k}, {rounds} rounds:\n\
                  dispersed: {} | new nodes ever: {new_nodes} | adversary misses: {}\n",
@@ -673,7 +715,10 @@ mod tests {
                 })
                 .collect()
         };
-        let spec = CampaignSpec { placement: Placement::Rooted, ..CampaignSpec::default() };
+        let spec = CampaignSpec {
+            placement: Placement::Rooted,
+            ..CampaignSpec::default()
+        };
         for kind in single_run_networks() {
             let (n, k, seed, faults) = (12, 8, 3, 2);
             let doc = execute(Command::Run {
@@ -701,7 +746,11 @@ mod tests {
             assert_eq!(rec.status, RunStatus::Ok, "{kind:?}");
             assert_eq!(number(&doc, "rounds"), vec![rec.rounds], "{kind:?}");
             // The per-round trace entries carry the moves.
-            assert_eq!(number(&doc, "moves").iter().sum::<u64>(), rec.moves, "{kind:?}");
+            assert_eq!(
+                number(&doc, "moves").iter().sum::<u64>(),
+                rec.moves,
+                "{kind:?}"
+            );
             assert!(
                 doc.contains(&format!("\"dispersed\":{}", rec.dispersed)),
                 "{kind:?}: {doc}"
@@ -834,8 +883,22 @@ mod tests {
         let dir = out_dir.display().to_string();
         let _ = std::fs::remove_dir_all(&out_dir);
         let campaign = crate::args::parse([
-            "campaign", "--name", "capped", "--networks", "churn", "--ks", "8,16", "--seeds",
-            "2", "--placement", "rooted", "--max-rounds", "3", "--out", &dir, "--fresh",
+            "campaign",
+            "--name",
+            "capped",
+            "--networks",
+            "churn",
+            "--ks",
+            "8,16",
+            "--seeds",
+            "2",
+            "--placement",
+            "rooted",
+            "--max-rounds",
+            "3",
+            "--out",
+            &dir,
+            "--fresh",
         ])
         .unwrap();
         let out = execute(campaign).unwrap();
@@ -848,15 +911,32 @@ mod tests {
         // A record whose outcome the replay does not reproduce is flagged.
         let text = std::fs::read_to_string(&artifact).unwrap();
         assert_eq!(text.matches("\"rounds\":3,").count(), 4, "{text}");
-        std::fs::write(&artifact, text.replacen("\"rounds\":3,", "\"rounds\":2,", 1)).unwrap();
+        std::fs::write(
+            &artifact,
+            text.replacen("\"rounds\":3,", "\"rounds\":2,", 1),
+        )
+        .unwrap();
         let replay = check().unwrap();
         assert!(replay.contains("3 clean, 1 flagged"), "{replay}");
-        assert!(replay.contains("diverged — recorded dispersed=false rounds=2"), "{replay}");
+        assert!(
+            replay.contains("diverged — recorded dispersed=false rounds=2"),
+            "{replay}"
+        );
 
         // A record whose replay panics is flagged; the replay goes on.
         let campaign = crate::args::parse([
-            "campaign", "--name", "probe", "--networks", "panic-probe,star-pair", "--ks", "4",
-            "--seeds", "1", "--out", &dir, "--fresh",
+            "campaign",
+            "--name",
+            "probe",
+            "--networks",
+            "panic-probe,star-pair",
+            "--ks",
+            "4",
+            "--seeds",
+            "1",
+            "--out",
+            &dir,
+            "--fresh",
         ])
         .unwrap();
         execute(campaign).unwrap();

@@ -109,10 +109,8 @@ mod tests {
 
     #[test]
     fn strip_saturates_at_ten() {
-        let c = Configuration::from_pairs(
-            2,
-            (1..=11u32).map(|i| (RobotId::new(i), NodeId::new(0))),
-        );
+        let c =
+            Configuration::from_pairs(2, (1..=11u32).map(|i| (RobotId::new(i), NodeId::new(0))));
         assert_eq!(occupancy_strip(&c), "+.");
     }
 
@@ -143,7 +141,10 @@ mod tests {
             crashes: 0,
             final_config: Configuration::from_pairs(
                 3,
-                [(RobotId::new(1), NodeId::new(0)), (RobotId::new(2), NodeId::new(2))],
+                [
+                    (RobotId::new(1), NodeId::new(0)),
+                    (RobotId::new(2), NodeId::new(2)),
+                ],
             ),
             trace: ExecutionTrace {
                 records: vec![RoundRecord {
@@ -173,7 +174,10 @@ mod tests {
     fn placements_lists_all() {
         let c = Configuration::from_pairs(
             4,
-            [(RobotId::new(2), NodeId::new(3)), (RobotId::new(1), NodeId::new(0))],
+            [
+                (RobotId::new(2), NodeId::new(3)),
+                (RobotId::new(1), NodeId::new(0)),
+            ],
         );
         let p = placements(&c);
         assert!(p.contains("r1 -> n0"));

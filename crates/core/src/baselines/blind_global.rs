@@ -1,9 +1,7 @@
 //! A deterministic algorithm for the global-communication model *without*
 //! 1-neighborhood knowledge — the victim for the Theorem 2 demonstration.
 
-use dispersion_engine::{
-    Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView,
-};
+use dispersion_engine::{Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView};
 use dispersion_graph::Port;
 
 /// Persistent memory: the identifier width (the port rotation is derived
@@ -110,7 +108,10 @@ mod tests {
         let g = generators::cycle(5).unwrap();
         let cfg = Configuration::from_pairs(
             5,
-            [(RobotId::new(1), NodeId::new(0)), (RobotId::new(2), NodeId::new(2))],
+            [
+                (RobotId::new(1), NodeId::new(0)),
+                (RobotId::new(2), NodeId::new(2)),
+            ],
         );
         let out = run_blind(g, cfg, 10);
         assert!(out.dispersed);

@@ -1,9 +1,7 @@
 //! A deterministic greedy algorithm for the local model with
 //! 1-neighborhood knowledge.
 
-use dispersion_engine::{
-    Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView,
-};
+use dispersion_engine::{Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView};
 use dispersion_graph::Port;
 
 /// Persistent memory: just the identifier width (the strategy is

@@ -15,9 +15,7 @@
 //! invented to avoid — so this baseline exists to contrast with
 //! [`crate::DispersionDynamic`].
 
-use dispersion_engine::{
-    Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView,
-};
+use dispersion_engine::{Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView};
 use dispersion_graph::Port;
 
 /// One DFS descent: the port taken at the parent and the entry port
@@ -132,9 +130,7 @@ impl DispersionAlgorithm for LocalDfs {
                 }
             }
             Phase::WentDown { out } => {
-                let entry = view
-                    .arrival_port
-                    .expect("WentDown follows a move");
+                let entry = view.arrival_port.expect("WentDown follows a move");
                 let marked = view.colocated.len() == mem.group_size + 1;
                 if marked {
                     // Already settled here: bounce straight back.

@@ -1,8 +1,6 @@
 //! Randomized dispersion baseline: anchored random walks.
 
-use dispersion_engine::{
-    Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView,
-};
+use dispersion_engine::{Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView};
 use dispersion_graph::Port;
 
 /// Persistent memory of a walker: its PRNG state (the randomness of the
@@ -21,13 +19,7 @@ impl WalkMemory {
         let state = z;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (
-            z ^ (z >> 31),
-            WalkMemory {
-                state,
-                k: self.k,
-            },
-        )
+        (z ^ (z >> 31), WalkMemory { state, k: self.k })
     }
 }
 
@@ -130,7 +122,12 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = generators::cycle(8).unwrap();
-        let a = walk(g.clone(), Configuration::rooted(8, 5, NodeId::new(0)), 9, 50_000);
+        let a = walk(
+            g.clone(),
+            Configuration::rooted(8, 5, NodeId::new(0)),
+            9,
+            50_000,
+        );
         let b = walk(g, Configuration::rooted(8, 5, NodeId::new(0)), 9, 50_000);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.final_config, b.final_config);

@@ -134,10 +134,7 @@ impl<A: DispersionAlgorithm> DispersionAlgorithm for WithByzantine<A> {
 /// Whether the *honest* robots occupy pairwise distinct nodes — the
 /// natural dispersion target once deviants exist (a deviant squatting on
 /// an honest robot's node is not the honest robot's failure).
-pub fn honest_dispersed(
-    config: &Configuration,
-    byzantine: &BTreeSet<RobotId>,
-) -> bool {
+pub fn honest_dispersed(config: &Configuration, byzantine: &BTreeSet<RobotId>) -> bool {
     let mut seen = BTreeSet::new();
     config
         .iter()
@@ -159,11 +156,7 @@ mod tests {
         max_rounds: u64,
     ) -> (dispersion_engine::SimOutcome, BTreeSet<RobotId>) {
         let set: BTreeSet<RobotId> = deviants.iter().map(|&i| RobotId::new(i)).collect();
-        let alg = WithByzantine::new(
-            DispersionDynamic::new(),
-            set.iter().copied(),
-            strategy,
-        );
+        let alg = WithByzantine::new(DispersionDynamic::new(), set.iter().copied(), strategy);
         let mut sim = Simulator::builder(
             alg,
             EdgeChurnNetwork::new(14, 0.15, 5),
@@ -220,10 +213,7 @@ mod tests {
         // Either it dispersed (deviant happened to be off all paths) or
         // the run stalled with the deviant on a multiplicity node forever.
         if !out.dispersed {
-            assert!(
-                !honest_dispersed(&out.final_config, &set)
-                    || !out.final_config.is_dispersed()
-            );
+            assert!(!honest_dispersed(&out.final_config, &set) || !out.final_config.is_dispersed());
         }
     }
 

@@ -243,7 +243,13 @@ mod tests {
         let g = generators::path(6).unwrap();
         let c = Configuration::from_pairs(
             6,
-            [(r(1), v(0)), (r(4), v(0)), (r(2), v(1)), (r(3), v(3)), (r(5), v(4))],
+            [
+                (r(1), v(0)),
+                (r(4), v(0)),
+                (r(2), v(1)),
+                (r(3), v(3)),
+                (r(5), v(4)),
+            ],
         );
         build_packets(&g, &c, true)
     }
@@ -327,10 +333,7 @@ mod tests {
     #[test]
     fn whole_graph_single_component() {
         let g = generators::cycle(5).unwrap();
-        let c = Configuration::from_pairs(
-            5,
-            (1..=5).map(|i| (r(i), v(i - 1))),
-        );
+        let c = Configuration::from_pairs(5, (1..=5).map(|i| (r(i), v(i - 1))));
         let packets = build_packets(&g, &c, true);
         let comp = ConnectedComponent::build(&packets, r(3));
         assert_eq!(comp.len(), 5);

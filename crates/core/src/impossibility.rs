@@ -43,12 +43,7 @@ pub fn near_dispersed_config(n: usize, k: usize) -> Configuration {
     assert!(k >= 2 && k <= n, "need 2 ≤ k ≤ n");
     Configuration::from_pairs(
         n,
-        (1..=k as u32).map(|i| {
-            (
-                RobotId::new(i),
-                NodeId::new(i.saturating_sub(2)),
-            )
-        }),
+        (1..=k as u32).map(|i| (RobotId::new(i), NodeId::new(i.saturating_sub(2)))),
     )
 }
 
@@ -69,12 +64,7 @@ pub fn run_path_trap(n: usize, k: usize, rounds: u64) -> Result<TrapReport, SimE
     .max_rounds(rounds)
     .build()?;
     let outcome = sim.run()?;
-    let total_new_nodes = outcome
-        .trace
-        .records
-        .iter()
-        .map(|r| r.newly_occupied)
-        .sum();
+    let total_new_nodes = outcome.trace.records.iter().map(|r| r.newly_occupied).sum();
     Ok(TrapReport {
         k,
         rounds: outcome.rounds,
@@ -101,12 +91,7 @@ pub fn run_clique_trap(n: usize, k: usize, rounds: u64) -> Result<TrapReport, Si
     .max_rounds(rounds)
     .build()?;
     let outcome = sim.run()?;
-    let total_new_nodes = outcome
-        .trace
-        .records
-        .iter()
-        .map(|r| r.newly_occupied)
-        .sum();
+    let total_new_nodes = outcome.trace.records.iter().map(|r| r.newly_occupied).sum();
     Ok(TrapReport {
         k,
         rounds: outcome.rounds,

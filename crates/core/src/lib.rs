@@ -73,8 +73,8 @@ pub mod spanning_tree;
 pub mod worked_example;
 
 pub use algorithm::{DispersionDynamic, DynamicMemory};
-pub use error::DispersionError;
 pub use component::ConnectedComponent;
+pub use error::DispersionError;
 pub use paths::{DisjointPathSet, RootPath};
 pub use round::{ComponentStructures, RoundComputation};
 pub use sliding::{LeafPortRule, MoverRule, SlidingPolicy};

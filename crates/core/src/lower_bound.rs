@@ -7,9 +7,7 @@
 //! this exactly, which is how Theorems 3 + 4 give the tight `Θ(k)`.
 
 use dispersion_engine::adversary::StarPairAdversary;
-use dispersion_engine::{
-    Configuration, ModelSpec, SimError, SimOutcome, Simulator, TracePolicy,
-};
+use dispersion_engine::{Configuration, ModelSpec, SimError, SimOutcome, Simulator, TracePolicy};
 use dispersion_graph::NodeId;
 
 use crate::DispersionDynamic;

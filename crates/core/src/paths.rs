@@ -97,8 +97,8 @@ impl DisjointPathSet {
         for v in leaf_nodes {
             let mut nodes = tree.path_to_root(v);
             nodes.reverse(); // store root-first
-            // Disjointness check: no non-root node may repeat across paths
-            // (all paths legitimately share the root).
+                             // Disjointness check: no non-root node may repeat across paths
+                             // (all paths legitimately share the root).
             if nodes.iter().skip(1).any(|x| used.contains(x)) {
                 continue;
             }
@@ -110,10 +110,7 @@ impl DisjointPathSet {
         // Truncation (Algorithm 4, lines 5–6): keep count(root) − 1 paths
         // in increasing leaf-ID order, so at least one robot stays on the
         // root. Generation order is already increasing leaf-ID order.
-        let count_root = component
-            .node(root)
-            .map(|n| n.count)
-            .unwrap_or(1);
+        let count_root = component.node(root).map(|n| n.count).unwrap_or(1);
         if paths.len() >= count_root {
             paths.truncate(count_root.saturating_sub(1));
         }
@@ -139,10 +136,9 @@ impl DisjointPathSet {
     /// is the root of a *trivial* path. The root of non-trivial paths lies
     /// on all of them, so it is never resolved through this lookup.
     pub fn path_through(&self, id: RobotId) -> Option<&RootPath> {
-        self.paths.iter().find(|p| {
-            p.position(id)
-                .is_some_and(|pos| pos > 0 || p.is_trivial())
-        })
+        self.paths
+            .iter()
+            .find(|p| p.position(id).is_some_and(|pos| pos > 0 || p.is_trivial()))
     }
 
     /// The index (0-based, in leaf-ID order) of each path departing from

@@ -29,9 +29,7 @@ pub struct ComponentStructures {
 impl ComponentStructures {
     fn build(component: ConnectedComponent) -> Self {
         let tree = SpanningTree::build(&component);
-        let paths = tree
-            .as_ref()
-            .map(|t| DisjointPathSet::build(&component, t));
+        let paths = tree.as_ref().map(|t| DisjointPathSet::build(&component, t));
         ComponentStructures {
             component,
             tree,
@@ -142,10 +140,8 @@ mod tests {
         // Path 0-1-2-3-4-5: component A = {0,1} with multiplicity,
         // component B = {3} dispersed; nodes 2, 4, 5 empty.
         let g = generators::path(6).unwrap();
-        let cfg = Configuration::from_pairs(
-            6,
-            [(r(1), v(0)), (r(4), v(0)), (r(2), v(1)), (r(3), v(3))],
-        );
+        let cfg =
+            Configuration::from_pairs(6, [(r(1), v(0)), (r(4), v(0)), (r(2), v(1)), (r(3), v(3))]);
         RoundComputation::compute(&g, &cfg)
     }
 

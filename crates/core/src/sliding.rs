@@ -207,9 +207,7 @@ fn decide_off_root(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dispersion_engine::{
-        build_packets, build_view, Configuration, ModelSpec, RobotId,
-    };
+    use dispersion_engine::{build_packets, build_view, Configuration, ModelSpec, RobotId};
     use dispersion_graph::{generators, NodeId, PortLabeledGraph};
 
     fn r(i: u32) -> RobotId {
@@ -220,10 +218,7 @@ mod tests {
     }
 
     /// Builds the full per-robot action map on one graph/configuration.
-    fn actions_on(
-        g: &PortLabeledGraph,
-        cfg: &Configuration,
-    ) -> Vec<(RobotId, Action)> {
+    fn actions_on(g: &PortLabeledGraph, cfg: &Configuration) -> Vec<(RobotId, Action)> {
         let packets = build_packets(g, cfg, true);
         cfg.iter()
             .map(|(robot, _)| {
@@ -271,7 +266,13 @@ mod tests {
         let g = generators::star(5).unwrap();
         let cfg = Configuration::from_pairs(
             5,
-            [(r(1), v(0)), (r(5), v(0)), (r(2), v(1)), (r(3), v(2)), (r(4), v(3))],
+            [
+                (r(1), v(0)),
+                (r(5), v(0)),
+                (r(2), v(1)),
+                (r(3), v(2)),
+                (r(4), v(3)),
+            ],
         );
         let acts = actions_on(&g, &cfg);
         let get = |id: u32| acts.iter().find(|(x, _)| *x == r(id)).unwrap().1;
@@ -327,7 +328,13 @@ mod tests {
         let g = generators::path(6).unwrap();
         let cfg = Configuration::from_pairs(
             6,
-            [(r(1), v(0)), (r(9), v(0)), (r(2), v(1)), (r(3), v(2)), (r(4), v(4))],
+            [
+                (r(1), v(0)),
+                (r(9), v(0)),
+                (r(2), v(1)),
+                (r(3), v(2)),
+                (r(4), v(4)),
+            ],
         );
         let packets = build_packets(&g, &cfg, true);
         let comp4 = ConnectedComponent::build(&packets, r(4));
@@ -342,7 +349,13 @@ mod tests {
         let g = generators::path(4).unwrap();
         let cfg = Configuration::from_pairs(
             4,
-            [(r(1), v(0)), (r(8), v(0)), (r(2), v(1)), (r(9), v(1)), (r(3), v(2))],
+            [
+                (r(1), v(0)),
+                (r(8), v(0)),
+                (r(2), v(1)),
+                (r(9), v(1)),
+                (r(3), v(2)),
+            ],
         );
         let acts = actions_on(&g, &cfg);
         let get = |id: u32| acts.iter().find(|(x, _)| *x == r(id)).unwrap().1;

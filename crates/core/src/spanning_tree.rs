@@ -259,10 +259,8 @@ mod tests {
         // Two multiplicity nodes: {2,9} on node 0 and {1,8} on node 1;
         // root must be node id 1 (the smaller identity).
         let g = generators::path(2).unwrap();
-        let c = Configuration::from_pairs(
-            2,
-            [(r(2), v(0)), (r(9), v(0)), (r(1), v(1)), (r(8), v(1))],
-        );
+        let c =
+            Configuration::from_pairs(2, [(r(2), v(0)), (r(9), v(0)), (r(1), v(1)), (r(8), v(1))]);
         let packets = build_packets(&g, &c, true);
         let comp = ConnectedComponent::build(&packets, r(1));
         let tree = SpanningTree::build(&comp).unwrap();

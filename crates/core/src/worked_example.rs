@@ -103,11 +103,7 @@ impl WorkedExample {
     }
 
     /// Disjoint paths of a component.
-    pub fn paths_of(
-        &self,
-        component: &ConnectedComponent,
-        tree: &SpanningTree,
-    ) -> DisjointPathSet {
+    pub fn paths_of(&self, component: &ConnectedComponent, tree: &SpanningTree) -> DisjointPathSet {
         DisjointPathSet::build(component, tree)
     }
 }

@@ -177,8 +177,7 @@ impl CliqueTrapAdversary {
             let used_w = Self::used_ports(&moves, w);
             if let Some(pw) = (1..=deg_w).find(|p| !used_w.contains(p)) {
                 let mut orders = BTreeMap::new();
-                let mut nw: Vec<NodeId> =
-                    occ.iter().copied().filter(|&z| z != w).collect();
+                let mut nw: Vec<NodeId> = occ.iter().copied().filter(|&z| z != w).collect();
                 nw.push(x);
                 orders.insert(w, Self::order_with_special_at(&mut nw, x, pw));
                 let g = build_with_orders(self.n, &edges, &orders);
@@ -238,19 +237,14 @@ impl DynamicNetwork for CliqueTrapAdversary {
 mod tests {
     use super::*;
     use crate::oracle::tests_support::NullOracle;
-    use dispersion_graph::connectivity::is_connected;
     use crate::RobotId;
+    use dispersion_graph::connectivity::is_connected;
 
     fn near_dispersed(n: usize, k: usize) -> Configuration {
         // k robots on k−1 nodes: robots 1 and 2 share node 0.
         Configuration::from_pairs(
             n,
-            (1..=k as u32).map(|i| {
-                (
-                    RobotId::new(i),
-                    NodeId::new(i.saturating_sub(2)),
-                )
-            }),
+            (1..=k as u32).map(|i| (RobotId::new(i), NodeId::new(i.saturating_sub(2)))),
         )
     }
 

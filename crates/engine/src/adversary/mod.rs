@@ -153,7 +153,10 @@ impl PeriodicNetwork {
     ///
     /// Panics if the list is empty or node counts differ.
     pub fn new(graphs: Vec<PortLabeledGraph>) -> Self {
-        assert!(!graphs.is_empty(), "periodic network needs at least one graph");
+        assert!(
+            !graphs.is_empty(),
+            "periodic network needs at least one graph"
+        );
         let n = graphs[0].node_count();
         assert!(
             graphs.iter().all(|g| g.node_count() == n),

@@ -78,12 +78,7 @@ impl PathTrapAdversary {
     /// `order` lists the occupied nodes from the multiplicity end to the
     /// empty-adjacent end; `empty` is the empty path hanging off the last
     /// node. Bit `i` of `mask` flips the neighbor order of `order[i]`.
-    fn build_candidate(
-        &self,
-        order: &[NodeId],
-        empty: &[NodeId],
-        mask: u64,
-    ) -> PortLabeledGraph {
+    fn build_candidate(&self, order: &[NodeId], empty: &[NodeId], mask: u64) -> PortLabeledGraph {
         let mut edges: Vec<(NodeId, NodeId)> = order.windows(2).map(|w| (w[0], w[1])).collect();
         if let Some(&e0) = empty.first() {
             edges.push((*order.last().expect("occupied nonempty"), e0));
@@ -190,12 +185,7 @@ mod tests {
         // node — the Fig. 1 shape before the adversary orders the path.
         Configuration::from_pairs(
             n,
-            (1..=k as u32).map(|i| {
-                (
-                    RobotId::new(i),
-                    NodeId::new(i.saturating_sub(2)),
-                )
-            }),
+            (1..=k as u32).map(|i| (RobotId::new(i), NodeId::new(i.saturating_sub(2)))),
         )
     }
 

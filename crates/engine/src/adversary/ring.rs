@@ -84,9 +84,7 @@ impl DynamicNetwork for DynamicRingNetwork {
         order.clear();
         order.extend(0..self.n as u32);
         order.shuffle(&mut rng);
-        let dropped = self
-            .drop_one_edge
-            .then(|| rng.random_range(0..self.n));
+        let dropped = self.drop_one_edge.then(|| rng.random_range(0..self.n));
         let b = &mut self.builder;
         b.reset(self.n);
         for i in 0..self.n {

@@ -149,7 +149,12 @@ mod tests {
     #[test]
     fn diameter_is_at_most_three_for_any_occupancy() {
         let adv = StarPairAdversary::new(12);
-        for mask in [0b1010_1010_1010usize, 0b1, 0b111111_000000, 0b1000_0000_0001] {
+        for mask in [
+            0b1010_1010_1010usize,
+            0b1,
+            0b111111_000000,
+            0b1000_0000_0001,
+        ] {
             let occ: Vec<bool> = (0..12).map(|i| mask >> i & 1 == 1).collect();
             if occ.iter().all(|&o| !o) {
                 continue;

@@ -56,8 +56,11 @@ impl TIntervalNetwork {
     /// The stable spanning tree of the window containing `round`.
     pub fn stable_tree(&self, round: u64) -> PortLabeledGraph {
         let window = round / self.t;
-        generators::random_tree(self.n, self.seed.wrapping_add(window.wrapping_mul(0x517c_c1b7)))
-            .expect("n > 0")
+        generators::random_tree(
+            self.n,
+            self.seed.wrapping_add(window.wrapping_mul(0x517c_c1b7)),
+        )
+        .expect("n > 0")
     }
 
     fn graph_at(&self, round: u64) -> PortLabeledGraph {

@@ -190,7 +190,9 @@ mod tests {
 
     #[test]
     fn reasons_render() {
-        assert!(BudgetReason::MaxRounds { limit: 7 }.to_string().contains('7'));
+        assert!(BudgetReason::MaxRounds { limit: 7 }
+            .to_string()
+            .contains('7'));
         assert!(BudgetReason::Deadline.to_string().contains("deadline"));
         assert!(BudgetReason::Cancelled.to_string().contains("cancel"));
     }

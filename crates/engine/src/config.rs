@@ -293,10 +293,8 @@ mod tests {
 
     #[test]
     fn occupancy_sorted_with_counts() {
-        let c = Configuration::from_pairs(
-            6,
-            [(r(1), v(5)), (r(2), v(2)), (r(3), v(5)), (r(4), v(0))],
-        );
+        let c =
+            Configuration::from_pairs(6, [(r(1), v(5)), (r(2), v(2)), (r(3), v(5)), (r(4), v(0))]);
         assert_eq!(c.occupancy(), vec![(v(0), 1), (v(2), 1), (v(5), 2)]);
         assert_eq!(c.occupied_nodes(), vec![v(0), v(2), v(5)]);
         assert_eq!(

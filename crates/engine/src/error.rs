@@ -67,7 +67,10 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::BadAdversaryGraph { round, source } => {
-                write!(f, "adversary produced an invalid graph in round {round}: {source}")
+                write!(
+                    f,
+                    "adversary produced an invalid graph in round {round}: {source}"
+                )
             }
             SimError::InvalidMove {
                 round,

@@ -144,8 +144,7 @@ const PARK_AFTER: Duration = Duration::from_millis(1);
 /// One filled Compute slot: the robot, its action, and its next memory.
 /// `None` marks a not-yet-filled slot (every slot is `Some` after a
 /// successful dispatch).
-pub(crate) type Decision<A> =
-    Option<(RobotId, Action, <A as DispersionAlgorithm>::Memory)>;
+pub(crate) type Decision<A> = Option<(RobotId, Action, <A as DispersionAlgorithm>::Memory)>;
 
 /// The monomorphized [`par_compute`] entry point, captured by
 /// `SimulatorBuilder::threads` — the one place with the `A: Clone + Send`
@@ -340,9 +339,7 @@ where
 fn worker_loop(shared: &Shared, local: Local, w: usize) {
     let mut seen = 0u64;
     loop {
-        shared.wait_until(&shared.work, || {
-            shared.epoch.load(Ordering::SeqCst) != seen
-        });
+        shared.wait_until(&shared.work, || shared.epoch.load(Ordering::SeqCst) != seen);
         seen = shared.epoch.load(Ordering::SeqCst);
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -386,7 +383,9 @@ impl WorkerPool {
         // was 0 when the last dispatch returned), so none reads the cell.
         unsafe { *shared.job.get() = Job { ctx, run } };
         shared.panicked.store(false, Ordering::Relaxed);
-        shared.remaining.store(self.handles.len(), Ordering::Relaxed);
+        shared
+            .remaining
+            .store(self.handles.len(), Ordering::Relaxed);
         shared.epoch.fetch_add(1, Ordering::SeqCst);
         shared.wake(&shared.work);
         // SAFETY: forwarded from this function's contract.
@@ -481,13 +480,19 @@ where
             slot.set(i);
             ctx.live[i]
         });
-    compute_pass(algorithm, ctx.inputs, robots, scratch, |robot, _, action, next| {
-        // SAFETY: index `slot` is reserved for or was claimed by this
-        // participant alone; `slots` has `live.len()` initialized slots.
-        unsafe {
-            *ctx.slots.add(slot.get()) = Some((robot, action, next));
-        }
-    });
+    compute_pass(
+        algorithm,
+        ctx.inputs,
+        robots,
+        scratch,
+        |robot, _, action, next| {
+            // SAFETY: index `slot` is reserved for or was claimed by this
+            // participant alone; `slots` has `live.len()` initialized slots.
+            unsafe {
+                *ctx.slots.add(slot.get()) = Some((robot, action, next));
+            }
+        },
+    );
     if global {
         // Hand the share back, so the caller holds the only one again.
         scratch.view.packets = PacketList::new();
@@ -525,9 +530,15 @@ pub(crate) fn par_compute<A>(
     let Some(&first) = live.first() else {
         return;
     };
-    compute_pass(algorithm, inputs, [first], scratch, |robot, _, action, next| {
-        slots[0] = Some((robot, action, next));
-    });
+    compute_pass(
+        algorithm,
+        inputs,
+        [first],
+        scratch,
+        |robot, _, action, next| {
+            slots[0] = Some((robot, action, next));
+        },
+    );
     if live.len() == 1 {
         return;
     }
@@ -633,7 +644,13 @@ mod tests {
             out: counts.as_mut_ptr(),
             rounds,
         };
-        unsafe { pool.dispatch((&ctx) as *const CountCtx as *const (), count_share, no_local()) };
+        unsafe {
+            pool.dispatch(
+                (&ctx) as *const CountCtx as *const (),
+                count_share,
+                no_local(),
+            )
+        };
     }
 
     #[test]
@@ -656,7 +673,10 @@ mod tests {
                         }
                     }
                 }
-                assert!(covered.iter().all(|&c| c), "len {len} claimants {claimants}");
+                assert!(
+                    covered.iter().all(|&c| c),
+                    "len {len} claimants {claimants}"
+                );
             }
         }
     }
@@ -702,10 +722,18 @@ mod tests {
         }
         let mut pool = spawn_pool(3, &Echo);
         let ctx = SlowCtx {
-            finished: [AtomicBool::new(false), AtomicBool::new(false), AtomicBool::new(false)],
+            finished: [
+                AtomicBool::new(false),
+                AtomicBool::new(false),
+                AtomicBool::new(false),
+            ],
         };
         let caught = catch_unwind(AssertUnwindSafe(|| unsafe {
-            pool.dispatch((&ctx) as *const SlowCtx as *const (), slow_workers, no_local());
+            pool.dispatch(
+                (&ctx) as *const SlowCtx as *const (),
+                slow_workers,
+                no_local(),
+            );
         }));
         let payload = caught.expect_err("the caller's panic is re-raised");
         assert_eq!(
@@ -790,16 +818,24 @@ mod tests {
 
         let mut sequential = Vec::new();
         let mut scratch = fresh_scratch();
-        compute_pass(&Echo, &inputs, live.iter().copied(), &mut scratch, |r, _, a, m| {
-            sequential.push((r, a, m))
-        });
+        compute_pass(
+            &Echo,
+            &inputs,
+            live.iter().copied(),
+            &mut scratch,
+            |r, _, a, m| sequential.push((r, a, m)),
+        );
 
         let mut pool = spawn_pool(participants, &Echo);
         let mut scratch = fresh_scratch();
         let mut slots = Vec::new();
         par_compute(&mut pool, &Echo, &inputs, &live, &mut scratch, &mut slots);
         if model.comm == CommModel::Global {
-            assert_eq!(scratch.view.packets.len(), occupied.len(), "packets handed back");
+            assert_eq!(
+                scratch.view.packets.len(),
+                occupied.len(),
+                "packets handed back"
+            );
         }
         let parallel = slots.into_iter().map(|s| s.expect("filled")).collect();
         (sequential, parallel)

@@ -89,13 +89,7 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if `f > k`.
-    pub fn random(
-        k: usize,
-        f: usize,
-        max_round: u64,
-        phase: CrashPhase,
-        seed: u64,
-    ) -> Self {
+    pub fn random(k: usize, f: usize, max_round: u64, phase: CrashPhase, seed: u64) -> Self {
         assert!(f <= k, "cannot crash more robots than exist");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ids: Vec<RobotId> = all_robots(k).collect();

@@ -438,9 +438,7 @@ impl Invariant for PortLabelSanity {
                     .with_node(v));
                 }
                 if self.seen[label - 1] {
-                    return Err(
-                        Breach::new(format!("duplicate port {p} at node")).with_node(v)
-                    );
+                    return Err(Breach::new(format!("duplicate port {p} at node")).with_node(v));
                 }
                 self.seen[label - 1] = true;
                 match g.neighbor_via(u, entry) {
@@ -521,20 +519,16 @@ impl DispersionSafety {
 
     /// Recounts occupancy; returns (occupied nodes, multiplicity nodes) or
     /// the first out-of-bounds robot.
-    fn recount(
-        &mut self,
-        config: &Configuration,
-        n: usize,
-    ) -> Result<(usize, usize), Breach> {
+    fn recount(&mut self, config: &Configuration, n: usize) -> Result<(usize, usize), Breach> {
         self.counts.clear();
         self.counts.resize(n, 0);
         for (r, v) in config.iter() {
             if v.index() >= n {
-                return Err(Breach::new(format!(
-                    "robot placed on {v} outside the {n}-node graph"
-                ))
-                .with_robot(r)
-                .with_node(v));
+                return Err(
+                    Breach::new(format!("robot placed on {v} outside the {n}-node graph"))
+                        .with_robot(r)
+                        .with_node(v),
+                );
             }
             self.counts[v.index()] += 1;
         }

@@ -456,7 +456,9 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
     /// [`SimulatorBuilder::threads`] (the calling thread and its
     /// workers), or 1 for the sequential path.
     pub fn threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |(pool, _)| pool.participants())
+        self.pool
+            .as_ref()
+            .map_or(1, |(pool, _)| pool.participants())
     }
 
     fn crash(&mut self, r: RobotId) -> bool {
@@ -625,7 +627,8 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                 self.scratch.last_record.crashed.push(r);
                 self.total_crashes += 1;
             }
-            self.decisions.retain(|(r, _, _)| !after_crashes.contains(r));
+            self.decisions
+                .retain(|(r, _, _)| !after_crashes.contains(r));
         }
 
         // Move: apply all surviving actions simultaneously. New-node
@@ -639,13 +642,12 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                 }
                 Action::Move(p) => {
                     let from = self.config.node_of(robot).expect("robot is live");
-                    let (to, entry) =
-                        g.neighbor_via(from, p).ok_or(SimError::InvalidMove {
-                            round,
-                            robot,
-                            port: p,
-                            degree: g.degree(from),
-                        })?;
+                    let (to, entry) = g.neighbor_via(from, p).ok_or(SimError::InvalidMove {
+                        round,
+                        robot,
+                        port: p,
+                        degree: g.degree(from),
+                    })?;
                     self.config.set_position(robot, to);
                     self.arrival_ports[robot.index()] = Some(entry);
                     moves += 1;
@@ -866,7 +868,10 @@ mod tests {
         let g = generators::path(4).unwrap();
         let cfg = Configuration::from_pairs(
             4,
-            [(RobotId::new(1), NodeId::new(0)), (RobotId::new(2), NodeId::new(2))],
+            [
+                (RobotId::new(1), NodeId::new(0)),
+                (RobotId::new(2), NodeId::new(2)),
+            ],
         );
         let out = Simulator::builder(
             GreedySpill,
@@ -1045,10 +1050,7 @@ mod tests {
         )
         .build()
         .unwrap();
-        assert!(matches!(
-            sim.run(),
-            Err(SimError::BadAdversaryGraph { .. })
-        ));
+        assert!(matches!(sim.run(), Err(SimError::BadAdversaryGraph { .. })));
     }
 
     #[test]
@@ -1217,7 +1219,10 @@ mod tests {
             ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
             Configuration::from_pairs(
                 4,
-                [(RobotId::new(1), NodeId::new(0)), (RobotId::new(2), NodeId::new(2))],
+                [
+                    (RobotId::new(1), NodeId::new(0)),
+                    (RobotId::new(2), NodeId::new(2)),
+                ],
             ),
         )
         .build()

@@ -160,10 +160,7 @@ mod tests {
             rounds,
             k: 4,
             crashes: 1,
-            final_config: Configuration::from_pairs(
-                4,
-                [(RobotId::new(1), NodeId::new(0))],
-            ),
+            final_config: Configuration::from_pairs(4, [(RobotId::new(1), NodeId::new(0))]),
             trace: ExecutionTrace::default(),
         }
     }

@@ -12,8 +12,8 @@ use std::cell::Cell;
 
 use dispersion_engine::adversary::{DynamicRingNetwork, StaticNetwork};
 use dispersion_engine::{
-    Action, Budget, CheckPolicy, Configuration, DispersionAlgorithm, MemoryFootprint,
-    ModelSpec, RobotId, RobotView, Simulator, Step, TracePolicy,
+    Action, Budget, CheckPolicy, Configuration, DispersionAlgorithm, MemoryFootprint, ModelSpec,
+    RobotId, RobotView, Simulator, Step, TracePolicy,
 };
 use dispersion_graph::{generators, NodeId, Port};
 

@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dispersion_engine::adversary::DynamicRingNetwork;
 use dispersion_engine::{
-    Action, CheckPolicy, Configuration, DispersionAlgorithm, MemoryFootprint, ModelSpec,
-    RobotId, RobotView, Simulator, Step, TracePolicy,
+    Action, CheckPolicy, Configuration, DispersionAlgorithm, MemoryFootprint, ModelSpec, RobotId,
+    RobotView, Simulator, Step, TracePolicy,
 };
 use dispersion_graph::{NodeId, Port};
 

@@ -5,8 +5,8 @@
 
 use dispersion_engine::adversary::{EdgeChurnNetwork, StaticNetwork};
 use dispersion_engine::{
-    Action, CheckPolicy, Configuration, DispersionAlgorithm, MemoryFootprint, ModelSpec,
-    RobotId, RobotView, SimError, Simulator, TracePolicy,
+    Action, CheckPolicy, Configuration, DispersionAlgorithm, MemoryFootprint, ModelSpec, RobotId,
+    RobotView, SimError, Simulator, TracePolicy,
 };
 use dispersion_graph::{generators, NodeId};
 
@@ -183,7 +183,11 @@ fn adversary_determinism_holds_for_seeded_churn() {
         }
         let mut sim = builder.build().unwrap();
         let result = sim.run();
-        let hashes = sim.monitor().expect("checking is on").graph_hashes().to_vec();
+        let hashes = sim
+            .monitor()
+            .expect("checking is on")
+            .graph_hashes()
+            .to_vec();
         (result, hashes)
     };
     let (first, hashes) = run(None);

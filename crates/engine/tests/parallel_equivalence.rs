@@ -194,8 +194,14 @@ fn assert_same(a: &SimOutcome, b: &SimOutcome, what: &str) {
     assert_eq!(a.dispersed, b.dispersed, "{what}: dispersed");
     assert_eq!(a.rounds, b.rounds, "{what}: rounds");
     assert_eq!(a.crashes, b.crashes, "{what}: crashes");
-    assert_eq!(a.final_config, b.final_config, "{what}: final configuration");
-    assert_eq!(a.trace.records, b.trace.records, "{what}: per-round records");
+    assert_eq!(
+        a.final_config, b.final_config,
+        "{what}: final configuration"
+    );
+    assert_eq!(
+        a.trace.records, b.trace.records,
+        "{what}: per-round records"
+    );
 }
 
 #[test]
@@ -227,12 +233,18 @@ fn same_seed_parallel_runs_agree() {
 /// (the two-robot run disperses before most of its plan is due).
 #[test]
 fn the_cases_cover_idle_rounds_and_after_compute_crashes() {
-    let sparse = CASES.iter().find(|c| c.what == "global+sparse-semisync").unwrap();
+    let sparse = CASES
+        .iter()
+        .find(|c| c.what == "global+sparse-semisync")
+        .unwrap();
     let stepped = Arc::new(Mutex::new(BTreeSet::new()));
     let spill = Spill {
         stepped: Some(Arc::clone(&stepped)),
     };
-    let two = net_makers().find(|(name, _)| *name == "static-cycle-k2").unwrap().1;
+    let two = net_makers()
+        .find(|(name, _)| *name == "static-cycle-k2")
+        .unwrap()
+        .1;
     let out = two().run(2, sparse, spill);
     let stepped = stepped.lock().unwrap();
     assert!(
@@ -240,7 +252,10 @@ fn the_cases_cover_idle_rounds_and_after_compute_crashes() {
         "no idle round in {} rounds",
         out.rounds
     );
-    for case in CASES.iter().filter(|c| c.what.ends_with("after-compute-crashes")) {
+    for case in CASES
+        .iter()
+        .filter(|c| c.what.ends_with("after-compute-crashes"))
+    {
         for (name, mk) in net_makers().filter(|(name, _)| *name != "static-cycle-k2") {
             let out = run_at(2, case, mk);
             assert!(out.crashes > 0, "{}/{name}: no robot crashed", case.what);

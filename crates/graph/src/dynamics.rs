@@ -172,9 +172,7 @@ mod tests {
 
     #[test]
     fn from_iterator_collects() {
-        let s: GraphSequence = (0..3)
-            .map(|_| generators::cycle(4).unwrap())
-            .collect();
+        let s: GraphSequence = (0..3).map(|_| generators::cycle(4).unwrap()).collect();
         assert_eq!(s.len(), 3);
     }
 }

@@ -72,10 +72,9 @@ impl fmt::Display for GraphError {
             GraphError::DuplicatePort { node, port } => {
                 write!(f, "port {port} used twice at node {node}")
             }
-            GraphError::NonContiguousPorts { node, degree } => write!(
-                f,
-                "ports at node {node} are not exactly 1..={degree}"
-            ),
+            GraphError::NonContiguousPorts { node, degree } => {
+                write!(f, "ports at node {node} are not exactly 1..={degree}")
+            }
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::NodeCountMismatch { expected, actual } => write!(
                 f,

@@ -104,11 +104,9 @@ pub(crate) fn check_csr(
             seen[w.index()] = stamp;
             // Cross-reference: following q from w must come back to v
             // through p.
-            let wrow =
-                &adj[offsets[w.index()] as usize..offsets[w.index() + 1] as usize];
+            let wrow = &adj[offsets[w.index()] as usize..offsets[w.index() + 1] as usize];
             match wrow.get(q.index()).copied() {
-                Some((back_node, back_port))
-                    if back_node == v && back_port.index() == pi => {}
+                Some((back_node, back_port)) if back_node == v && back_port.index() == pi => {}
                 _ => {
                     return Err(GraphError::NonContiguousPorts {
                         node: w,
@@ -295,11 +293,7 @@ impl fmt::Debug for PortLabeledGraph {
         )?;
         if f.alternate() {
             for e in self.edges() {
-                write!(
-                    f,
-                    "\n  {} --{}/{}-- {}",
-                    e.u, e.port_u, e.port_v, e.v
-                )?;
+                write!(f, "\n  {} --{}/{}-- {}", e.u, e.port_u, e.port_v, e.v)?;
             }
         }
         Ok(())

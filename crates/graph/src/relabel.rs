@@ -26,10 +26,7 @@ pub fn apply_port_permutations(
 ) -> PortLabeledGraph {
     let n = g.node_count();
     // new_index[v][old] = new
-    let mut new_index: Vec<Vec<usize>> = g
-        .nodes()
-        .map(|v| (0..g.degree(v)).collect())
-        .collect();
+    let mut new_index: Vec<Vec<usize>> = g.nodes().map(|v| (0..g.degree(v)).collect()).collect();
     for (v, perm) in perms {
         let deg = g.degree(*v);
         assert_eq!(perm.len(), deg, "permutation length must equal degree");
@@ -167,8 +164,14 @@ mod tests {
         let before_1 = g.neighbor_via(NodeId::new(0), Port::new(1)).unwrap().0;
         let before_3 = g.neighbor_via(NodeId::new(0), Port::new(3)).unwrap().0;
         let h = swap_ports(&g, NodeId::new(0), Port::new(1), Port::new(3));
-        assert_eq!(h.neighbor_via(NodeId::new(0), Port::new(1)).unwrap().0, before_3);
-        assert_eq!(h.neighbor_via(NodeId::new(0), Port::new(3)).unwrap().0, before_1);
+        assert_eq!(
+            h.neighbor_via(NodeId::new(0), Port::new(1)).unwrap().0,
+            before_3
+        );
+        assert_eq!(
+            h.neighbor_via(NodeId::new(0), Port::new(3)).unwrap().0,
+            before_1
+        );
         h.validate().unwrap();
     }
 

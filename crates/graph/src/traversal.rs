@@ -73,11 +73,7 @@ pub fn dfs_order(g: &PortLabeledGraph, start: NodeId) -> Vec<NodeId> {
 
 /// Shortest path between two nodes (by hop count), following lowest ports on
 /// ties; `None` if disconnected.
-pub fn shortest_path(
-    g: &PortLabeledGraph,
-    from: NodeId,
-    to: NodeId,
-) -> Option<Vec<NodeId>> {
+pub fn shortest_path(g: &PortLabeledGraph, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
     let mut prev: Vec<Option<NodeId>> = vec![None; g.node_count()];
     let mut seen = vec![false; g.node_count()];
     let mut queue = VecDeque::new();

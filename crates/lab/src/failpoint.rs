@@ -66,8 +66,12 @@ impl FailAction {
                 "crash" => Some(FailAction::Crash),
                 _ => None,
             },
-            Some(("hang", ms)) => Some(FailAction::Hang { ms: ms.parse().ok()? }),
-            Some(("torn", keep)) => Some(FailAction::TornWrite { keep: keep.parse().ok()? }),
+            Some(("hang", ms)) => Some(FailAction::Hang {
+                ms: ms.parse().ok()?,
+            }),
+            Some(("torn", keep)) => Some(FailAction::TornWrite {
+                keep: keep.parse().ok()?,
+            }),
             Some(_) => None,
         }
     }
@@ -113,7 +117,9 @@ impl FailpointRegistry {
             action,
             fire_on: AtomicU64::new(fire_on),
         });
-        FailpointRegistry { sites: Some(Arc::new(sites)) }
+        FailpointRegistry {
+            sites: Some(Arc::new(sites)),
+        }
     }
 
     /// Builds a registry from [`FAILPOINTS_ENV`]
@@ -212,7 +218,10 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(reg.fire("writer:append"), None);
         }
-        assert_eq!(reg.fire("writer:append"), Some(FailAction::TornWrite { keep: 17 }));
+        assert_eq!(
+            reg.fire("writer:append"),
+            Some(FailAction::TornWrite { keep: 17 })
+        );
         assert_eq!(reg.fire("job:start"), Some(FailAction::Panic));
         assert_eq!(
             FailpointRegistry::parse("a=hang:250").unwrap().fire("a"),
@@ -222,7 +231,13 @@ mod tests {
 
     #[test]
     fn rejects_malformed_specs() {
-        for bad in ["just-a-site", "s=explode", "s=hang:soon", "s=torn:x", "s=panic@soon"] {
+        for bad in [
+            "just-a-site",
+            "s=explode",
+            "s=hang:soon",
+            "s=torn:x",
+            "s=panic@soon",
+        ] {
             assert!(FailpointRegistry::parse(bad).is_err(), "{bad}");
         }
         assert!(!FailpointRegistry::parse("").unwrap().is_armed());

@@ -6,8 +6,8 @@ use std::time::Instant;
 use dispersion_core::baselines::{BlindGlobal, GreedyLocal, LocalDfs, RandomWalk};
 use dispersion_core::{impossibility, DispersionDynamic};
 use dispersion_engine::adversary::{
-    CliqueTrapAdversary, DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork,
-    MinProgressSampler, PathTrapAdversary, StarPairAdversary, StaticNetwork, TIntervalNetwork,
+    CliqueTrapAdversary, DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork, MinProgressSampler,
+    PathTrapAdversary, StarPairAdversary, StaticNetwork, TIntervalNetwork,
 };
 use dispersion_engine::{
     Budget, CheckPolicy, Configuration, CrashPhase, DispersionAlgorithm, FaultPlan, MoveOracle,
@@ -193,7 +193,11 @@ impl RunRecord {
     /// The record with the wall-time field normalized to 0 — the form
     /// compared by determinism tests (`--jobs 1` vs `--jobs N`).
     pub fn canonical_line(&self) -> String {
-        RunRecord { wall_time_us: 0, ..self.clone() }.to_json_line()
+        RunRecord {
+            wall_time_us: 0,
+            ..self.clone()
+        }
+        .to_json_line()
     }
 
     /// Parses a line previously produced by [`RunRecord::to_json_line`].
@@ -323,10 +327,15 @@ pub fn builder<A: DispersionAlgorithm>(
     } else {
         FaultPlan::none()
     };
-    Simulator::builder(alg, network(job, spec), job.algorithm.model(), initial_config(job, spec))
-        .max_rounds(spec.max_rounds)
-        .faults(plan)
-        .check_seed(job.derived_seed)
+    Simulator::builder(
+        alg,
+        network(job, spec),
+        job.algorithm.model(),
+        initial_config(job, spec),
+    )
+    .max_rounds(spec.max_rounds)
+    .faults(plan)
+    .check_seed(job.derived_seed)
 }
 
 fn run_with<A>(
@@ -419,9 +428,14 @@ pub fn execute(
     let result = match job.algorithm {
         AlgorithmKind::Alg4 => run_with(DispersionDynamic::new(), job, spec, check, deadline, t),
         AlgorithmKind::LocalDfs => run_with(LocalDfs::new(), job, spec, check, deadline, t),
-        AlgorithmKind::RandomWalk => {
-            run_with(RandomWalk::new(job.derived_seed), job, spec, check, deadline, t)
-        }
+        AlgorithmKind::RandomWalk => run_with(
+            RandomWalk::new(job.derived_seed),
+            job,
+            spec,
+            check,
+            deadline,
+            t,
+        ),
         AlgorithmKind::GreedyLocal => run_with(GreedyLocal::new(), job, spec, check, deadline, t),
         AlgorithmKind::BlindGlobal => run_with(BlindGlobal::new(), job, spec, check, deadline, t),
     };
@@ -521,10 +535,19 @@ mod tests {
         ] {
             let job = one_job(algorithm, adversary, 12, 8);
             let rec = execute(&job, &spec, false, true, None, 1);
-            assert_eq!(rec.status, RunStatus::Ok, "{:?}: {:?}", algorithm, rec.message);
+            assert_eq!(
+                rec.status,
+                RunStatus::Ok,
+                "{:?}: {:?}",
+                algorithm,
+                rec.message
+            );
         }
         assert_eq!(check_policy(AlgorithmKind::Alg4, true), CheckPolicy::Full);
-        assert_eq!(check_policy(AlgorithmKind::RandomWalk, true), CheckPolicy::Structural);
+        assert_eq!(
+            check_policy(AlgorithmKind::RandomWalk, true),
+            CheckPolicy::Structural
+        );
         assert_eq!(check_policy(AlgorithmKind::Alg4, false), CheckPolicy::Off);
     }
 
@@ -594,7 +617,10 @@ mod tests {
         // The trace does not break field extraction on the same line.
         let line = rec.to_json_line();
         assert_eq!(crate::json::u64_value(&line, "job_id"), Some(0));
-        assert_eq!(crate::json::str_value(&line, "status").as_deref(), Some("ok"));
+        assert_eq!(
+            crate::json::str_value(&line, "status").as_deref(),
+            Some("ok")
+        );
     }
 
     #[test]
@@ -616,6 +642,12 @@ mod tests {
         let canon = a.canonical_line();
         assert!(canon.contains("\"wall_time_us\":0"));
         let reparsed = RunRecord::parse_line(&canon).unwrap();
-        assert_eq!(RunRecord { wall_time_us: 0, ..a }, reparsed);
+        assert_eq!(
+            RunRecord {
+                wall_time_us: 0,
+                ..a
+            },
+            reparsed
+        );
     }
 }

@@ -84,7 +84,11 @@ impl std::fmt::Display for LabError {
         match self {
             LabError::Spec(msg) => write!(f, "invalid campaign spec: {msg}"),
             LabError::Io(path, e) => write!(f, "{path}: {e}"),
-            LabError::SpecMismatch { artifact, stored, expected } => write!(
+            LabError::SpecMismatch {
+                artifact,
+                stored,
+                expected,
+            } => write!(
                 f,
                 "{artifact} was produced by a different spec \
                  (artifact {stored}, current {expected}); \

@@ -180,7 +180,11 @@ impl CampaignReport {
                     key.k.to_string(),
                     key.faults.to_string(),
                     s.samples.to_string(),
-                    if s.all_dispersed { "all".into() } else { "NOT all".to_string() },
+                    if s.all_dispersed {
+                        "all".into()
+                    } else {
+                        "NOT all".to_string()
+                    },
                     format!("{}/{:.1}/{}", s.min_rounds, s.mean_rounds, s.max_rounds),
                     format!("{:.1}", s.mean_moves),
                     s.max_memory_bits.to_string(),
@@ -325,7 +329,13 @@ mod tests {
         let cell = report.cells.values().next().unwrap();
         assert!(cell.run_summary().is_none());
         assert_eq!(cell.ok_runs(), 0);
-        assert!(report.render().lines().last().unwrap().trim().ends_with('1'));
+        assert!(report
+            .render()
+            .lines()
+            .last()
+            .unwrap()
+            .trim()
+            .ends_with('1'));
     }
 
     #[test]

@@ -286,7 +286,9 @@ fn sync_dir(dir: &Path) {
 fn has_header(path: &Path) -> Result<bool, LabError> {
     let file = File::open(path).map_err(io_err(path))?;
     let mut first = String::new();
-    BufReader::new(file).read_line(&mut first).map_err(io_err(path))?;
+    BufReader::new(file)
+        .read_line(&mut first)
+        .map_err(io_err(path))?;
     let first = first.trim_end();
     Ok(json::is_complete_object(first)
         && json::str_value(first, "type").as_deref() == Some("campaign"))
@@ -340,7 +342,11 @@ fn open_artifact(path: &Path, spec: &CampaignSpec) -> Result<File, LabError> {
         writeln!(file, "{}", header_line(spec)).map_err(io_err(path))?;
         file.sync_data().map_err(io_err(path))?;
         if let Some(dir) = path.parent() {
-            sync_dir(if dir.as_os_str().is_empty() { Path::new(".") } else { dir });
+            sync_dir(if dir.as_os_str().is_empty() {
+                Path::new(".")
+            } else {
+                dir
+            });
         }
     }
     Ok(file)
@@ -364,7 +370,9 @@ fn install_panic_capture() {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
             if CAPTURING.with(Cell::get) {
-                let loc = info.location().map(|l| format!("{}:{}", l.file(), l.line()));
+                let loc = info
+                    .location()
+                    .map(|l| format!("{}:{}", l.file(), l.line()));
                 PANIC_LOCATION.with(|slot| *slot.borrow_mut() = loc);
             } else {
                 prev(info);
@@ -421,7 +429,10 @@ fn execute_caught(
 }
 
 fn failpoint_error(site: &str, action: FailAction) -> LabError {
-    LabError::Failpoint { site: site.to_string(), action: action.name() }
+    LabError::Failpoint {
+        site: site.to_string(),
+        action: action.name(),
+    }
 }
 
 /// Appends one record under the configured durability policy, honoring
@@ -441,7 +452,10 @@ fn append_record(
             file.write_all(&bytes[..keep.min(bytes.len())])
                 .and_then(|()| file.sync_data())
                 .map_err(io_err(path))?;
-            return Err(failpoint_error("writer:append", FailAction::TornWrite { keep }));
+            return Err(failpoint_error(
+                "writer:append",
+                FailAction::TornWrite { keep },
+            ));
         }
         Some(a @ (FailAction::Crash | FailAction::Panic)) => {
             return Err(failpoint_error("writer:append", a));
@@ -514,7 +528,9 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunnerOptions) -> Result<Campaig
                     break;
                 }
                 let next = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((job, start_attempt)) = pending.get(next) else { break };
+                let Some((job, start_attempt)) = pending.get(next) else {
+                    break;
+                };
                 let mut attempt = *start_attempt;
                 loop {
                     if attempt > *start_attempt {
@@ -585,7 +601,11 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunnerOptions) -> Result<Campaig
     // The report is a pure function of (artifact, retry budget): fold
     // every durable record in one scan, so a resumed campaign reports
     // exactly what an uninterrupted one would.
-    let mut report = CampaignReport { executed, resumed, ..CampaignReport::default() };
+    let mut report = CampaignReport {
+        executed,
+        resumed,
+        ..CampaignReport::default()
+    };
     let folded = File::open(&path).map_err(io_err(&path))?;
     for line in BufReader::new(folded).lines() {
         let line = line.map_err(io_err(&path))?;
@@ -608,10 +628,7 @@ mod tests {
             json::str_value(&line, "spec_hash"),
             Some(format!("{:016x}", spec.spec_hash()))
         );
-        assert_eq!(
-            json::u64_value(&line, "jobs"),
-            Some(spec.job_count())
-        );
+        assert_eq!(json::u64_value(&line, "jobs"), Some(spec.job_count()));
     }
 
     #[test]
@@ -626,7 +643,11 @@ mod tests {
         read_header_knobs(&header_line(&spec), &mut read);
         assert_eq!(read.placement, Placement::Rooted);
         assert_eq!(read.max_rounds, 3);
-        assert_eq!(read.edge_prob.to_bits(), spec.edge_prob.to_bits(), "exact, not rounded");
+        assert_eq!(
+            read.edge_prob.to_bits(),
+            spec.edge_prob.to_bits(),
+            "exact, not rounded"
+        );
         // A run record is not a header, whatever fields it carries.
         let mut read = CampaignSpec::default();
         read_header_knobs(&header_line(&spec).replace("campaign", "run"), &mut read);
@@ -645,7 +666,11 @@ mod tests {
         assert_eq!(backoff_delay(100, 1), Duration::from_millis(100));
         assert_eq!(backoff_delay(100, 2), Duration::from_millis(200));
         assert_eq!(backoff_delay(100, 3), Duration::from_millis(400));
-        assert_eq!(backoff_delay(100, 9), Duration::from_millis(5_000), "capped");
+        assert_eq!(
+            backoff_delay(100, 9),
+            Duration::from_millis(5_000),
+            "capped"
+        );
         assert_eq!(backoff_delay(100, u64::MAX), Duration::from_millis(5_000));
         assert_eq!(backoff_delay(0, 5), Duration::ZERO);
     }
@@ -656,7 +681,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("a.jsonl");
-        fs::write(&path, b"{\"type\":\"campaign\"}\n{\"type\":\"run\",\"job_id\":9,\"tru").unwrap();
+        fs::write(
+            &path,
+            b"{\"type\":\"campaign\"}\n{\"type\":\"run\",\"job_id\":9,\"tru",
+        )
+        .unwrap();
         assert_eq!(repair_torn_tail(&path).unwrap(), 20);
         assert_eq!(fs::read(&path).unwrap(), b"{\"type\":\"campaign\"}\n");
         // Idempotent on a clean file.

@@ -37,7 +37,10 @@ impl AlgorithmKind {
             "random-walk" => Ok(AlgorithmKind::RandomWalk),
             "greedy-local" => Ok(AlgorithmKind::GreedyLocal),
             "blind-global" => Ok(AlgorithmKind::BlindGlobal),
-            other => Err(format!("unknown algorithm `{other}` (expected {})", Self::NAMES)),
+            other => Err(format!(
+                "unknown algorithm `{other}` (expected {})",
+                Self::NAMES
+            )),
         }
     }
 
@@ -55,9 +58,7 @@ impl AlgorithmKind {
     /// The communication model each algorithm is specified for.
     pub fn model(self) -> ModelSpec {
         match self {
-            AlgorithmKind::Alg4 | AlgorithmKind::RandomWalk => {
-                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD
-            }
+            AlgorithmKind::Alg4 | AlgorithmKind::RandomWalk => ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
             AlgorithmKind::LocalDfs | AlgorithmKind::GreedyLocal => {
                 ModelSpec::LOCAL_WITH_NEIGHBORHOOD
             }
@@ -123,7 +124,10 @@ impl AdversaryKind {
             "path-trap" => Ok(AdversaryKind::PathTrap),
             "clique-trap" => Ok(AdversaryKind::CliqueTrap),
             "panic-probe" => Ok(AdversaryKind::PanicProbe),
-            other => Err(format!("unknown network `{other}` (expected {})", Self::NAMES)),
+            other => Err(format!(
+                "unknown network `{other}` (expected {})",
+                Self::NAMES
+            )),
         }
     }
 
@@ -202,15 +206,27 @@ pub struct NRule {
 
 impl NRule {
     /// `n = k`.
-    pub const K: NRule = NRule { num: 1, den: 1, add: 0 };
+    pub const K: NRule = NRule {
+        num: 1,
+        den: 1,
+        add: 0,
+    };
 
     /// `n = k + add`.
     pub const fn k_plus(add: usize) -> Self {
-        NRule { num: 1, den: 1, add }
+        NRule {
+            num: 1,
+            den: 1,
+            add,
+        }
     }
 
     /// `n = 3k/2` — the sweep-standard headroom.
-    pub const THREE_HALVES: NRule = NRule { num: 3, den: 2, add: 0 };
+    pub const THREE_HALVES: NRule = NRule {
+        num: 3,
+        den: 2,
+        add: 0,
+    };
 
     /// Applies the rule.
     pub fn n_for(&self, k: usize) -> usize {
@@ -222,7 +238,11 @@ impl NRule {
     pub fn parse(s: &str) -> Result<Self, String> {
         let err = || format!("bad n-rule `{s}` (expected e.g. `k+5`, `3k/2`, or `24`)");
         if let Ok(fixed) = s.parse::<usize>() {
-            return Ok(NRule { num: 0, den: 1, add: fixed });
+            return Ok(NRule {
+                num: 0,
+                den: 1,
+                add: fixed,
+            });
         }
         let k_at = s.find('k').ok_or_else(err)?;
         let num = if k_at == 0 {
@@ -389,8 +409,7 @@ impl CampaignSpec {
 
     /// Total number of jobs in the grid.
     pub fn job_count(&self) -> u64 {
-        (self.algorithms.len() * self.adversaries.len() * self.ks.len() * self.faults.len())
-            as u64
+        (self.algorithms.len() * self.adversaries.len() * self.ks.len() * self.faults.len()) as u64
             * self.seeds
     }
 
@@ -475,7 +494,10 @@ mod tests {
         assert_eq!(jobs.len(), 2 * 2 * 2 * 2 * 3);
         for (i, job) in jobs.iter().enumerate() {
             assert_eq!(job.job_id, i as u64);
-            assert_eq!(job.derived_seed, derive_seed(spec.campaign_seed, job.job_id));
+            assert_eq!(
+                job.derived_seed,
+                derive_seed(spec.campaign_seed, job.job_id)
+            );
         }
         assert_eq!(jobs, spec.jobs(), "expansion must be reproducible");
     }
@@ -493,7 +515,10 @@ mod tests {
     #[test]
     fn hash_ignores_name_but_not_grid() {
         let a = CampaignSpec::default();
-        let mut b = CampaignSpec { name: "other".into(), ..a.clone() };
+        let mut b = CampaignSpec {
+            name: "other".into(),
+            ..a.clone()
+        };
         assert_eq!(a.spec_hash(), b.spec_hash());
         b.ks.push(32);
         assert_ne!(a.spec_hash(), b.spec_hash());
@@ -502,16 +527,29 @@ mod tests {
     #[test]
     fn validation_catches_bad_grids() {
         assert!(CampaignSpec::default().validate().is_ok());
-        let empty = CampaignSpec { ks: vec![], ..CampaignSpec::default() };
+        let empty = CampaignSpec {
+            ks: vec![],
+            ..CampaignSpec::default()
+        };
         assert!(empty.validate().is_err());
         let tight = CampaignSpec {
-            n_rule: NRule { num: 1, den: 2, add: 0 },
+            n_rule: NRule {
+                num: 1,
+                den: 2,
+                add: 0,
+            },
             ..CampaignSpec::default()
         };
         assert!(tight.validate().is_err(), "n = k/2 < k must be rejected");
-        let faulty = CampaignSpec { faults: vec![99], ..CampaignSpec::default() };
+        let faulty = CampaignSpec {
+            faults: vec![99],
+            ..CampaignSpec::default()
+        };
         assert!(faulty.validate().is_err());
-        let bad_name = CampaignSpec { name: "a/b".into(), ..CampaignSpec::default() };
+        let bad_name = CampaignSpec {
+            name: "a/b".into(),
+            ..CampaignSpec::default()
+        };
         assert!(bad_name.validate().is_err());
     }
 

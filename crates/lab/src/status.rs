@@ -44,7 +44,10 @@ impl ArtifactStatus {
     /// Jobs sitting on a `panic`/`timeout` attempt may still be retried
     /// by a resume, depending on the budget it runs with.
     pub fn settled(&self) -> usize {
-        self.latest.values().filter(|r| !r.status.is_retryable()).count()
+        self.latest
+            .values()
+            .filter(|r| !r.status.is_retryable())
+            .count()
     }
 
     /// Attempts that were superseded by a later attempt of the same job.
@@ -54,7 +57,9 @@ impl ArtifactStatus {
 
     /// The quarantined jobs, in job-id order.
     pub fn quarantined(&self) -> impl Iterator<Item = &RunRecord> {
-        self.latest.values().filter(|r| r.status == RunStatus::Quarantined)
+        self.latest
+            .values()
+            .filter(|r| r.status == RunStatus::Quarantined)
     }
 
     /// Renders the human-readable status block.

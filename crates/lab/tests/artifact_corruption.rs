@@ -65,8 +65,10 @@ fn baseline() -> &'static (String, Vec<String>) {
 /// A fresh directory per generated case.
 fn case_dir() -> PathBuf {
     static CASE: AtomicUsize = AtomicUsize::new(0);
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("corruption-case-{}", CASE.fetch_add(1, Ordering::Relaxed)));
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "corruption-case-{}",
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create case dir");
     dir
@@ -144,15 +146,17 @@ fn tail_torn_inside_an_escape_is_repaired_on_resume() {
     let spec = corruption_spec();
     // Cut the artifact's last record in the middle of the `\"` escape of
     // a crafted message field appended to it.
-    let crafted = format!(
-        "{pristine}{{\"type\":\"run\",\"job_id\":1,\"message\":\"say \\\"hi\\"
-    );
+    let crafted = format!("{pristine}{{\"type\":\"run\",\"job_id\":1,\"message\":\"say \\\"hi\\");
     let dir = case_dir();
     let path = dir.join("corrupt.jsonl");
     fs::write(&path, crafted).expect("write torn artifact");
 
     let scan = scan_artifact(&path, &spec, 0).expect("scan tolerates the torn escape");
-    assert_eq!(scan.done.len() as u64, spec.job_count(), "complete records all count");
+    assert_eq!(
+        scan.done.len() as u64,
+        spec.job_count(),
+        "complete records all count"
+    );
 
     run_campaign(&spec, &opts(&dir)).expect("resume completes");
     let text = fs::read_to_string(&path).expect("artifact readable");

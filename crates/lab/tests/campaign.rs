@@ -53,7 +53,10 @@ fn records(path: &std::path::Path) -> Vec<RunRecord> {
 fn parallel_execution_is_deterministic() {
     let dir = scratch("determinism");
     let serial = small_spec("serial");
-    let parallel = CampaignSpec { name: "parallel".into(), ..serial.clone() };
+    let parallel = CampaignSpec {
+        name: "parallel".into(),
+        ..serial.clone()
+    };
 
     let r1 = run_campaign(&serial, &opts(&dir, 1)).expect("serial run");
     let r4 = run_campaign(&parallel, &opts(&dir, 4)).expect("parallel run");
@@ -64,9 +67,8 @@ fn parallel_execution_is_deterministic() {
     let b = records(&dir.join("parallel.jsonl"));
     assert_eq!(a.len() as u64, serial.job_count());
     // Ignoring wall-time and record order, the artifacts are identical.
-    let canon = |rs: &[RunRecord]| -> Vec<String> {
-        rs.iter().map(RunRecord::canonical_line).collect()
-    };
+    let canon =
+        |rs: &[RunRecord]| -> Vec<String> { rs.iter().map(RunRecord::canonical_line).collect() };
     assert_eq!(canon(&a), canon(&b));
     // And the grid genuinely exercised distinct seeds per job.
     let mut seeds: Vec<u64> = a.iter().map(|r| r.seed).collect();
@@ -101,13 +103,20 @@ fn campaigns_resume_from_truncated_artifacts() {
 
     let after = records(&path);
     assert_eq!(after.len() as u64, spec.job_count());
-    let canon = |rs: &[RunRecord]| -> Vec<String> {
-        rs.iter().map(RunRecord::canonical_line).collect()
-    };
-    assert_eq!(canon(&before), canon(&after), "resume must fill in identical records");
+    let canon =
+        |rs: &[RunRecord]| -> Vec<String> { rs.iter().map(RunRecord::canonical_line).collect() };
+    assert_eq!(
+        canon(&before),
+        canon(&after),
+        "resume must fill in identical records"
+    );
     // The report still aggregates the whole grid, resumed cells included.
     assert_eq!(
-        resumed.cells.values().map(|c| c.ok_runs() + c.panics + c.errors).sum::<usize>() as u64,
+        resumed
+            .cells
+            .values()
+            .map(|c| c.ok_runs() + c.panics + c.errors)
+            .sum::<usize>() as u64,
         spec.job_count()
     );
 }
@@ -118,12 +127,18 @@ fn artifact_from_different_spec_is_rejected() {
     let spec = small_spec("clash");
     run_campaign(&spec, &opts(&dir, 1)).expect("first run");
 
-    let changed = CampaignSpec { seeds: 3, ..spec.clone() };
+    let changed = CampaignSpec {
+        seeds: 3,
+        ..spec.clone()
+    };
     let err = run_campaign(&changed, &opts(&dir, 1)).expect_err("hash mismatch");
     assert!(err.to_string().contains("different spec"), "{err}");
 
     // --fresh overwrites instead.
-    let fresh = RunnerOptions { fresh: true, ..opts(&dir, 1) };
+    let fresh = RunnerOptions {
+        fresh: true,
+        ..opts(&dir, 1)
+    };
     let report = run_campaign(&changed, &fresh).expect("fresh rerun");
     assert_eq!(report.resumed, 0);
     assert_eq!(report.executed as u64, changed.job_count());
@@ -196,7 +211,11 @@ fn byzantine_jobs_time_out_and_the_campaign_drains() {
     assert_eq!(divergent.status, RunStatus::Timeout);
     assert!(!divergent.dispersed);
     assert!(
-        divergent.message.as_deref().unwrap_or("").contains("budget exceeded"),
+        divergent
+            .message
+            .as_deref()
+            .unwrap_or("")
+            .contains("budget exceeded"),
         "{:?}",
         divergent.message
     );
@@ -218,26 +237,43 @@ fn retryable_failures_are_retried_then_quarantined() {
         seeds: 1,
         ..CampaignSpec::default()
     };
-    let retrying = RunnerOptions { retries: 2, backoff_ms: 0, ..opts(&dir, 1) };
+    let retrying = RunnerOptions {
+        retries: 2,
+        backoff_ms: 0,
+        ..opts(&dir, 1)
+    };
     let report = run_campaign(&spec, &retrying).expect("campaign drains");
     assert_eq!(report.total_quarantined(), 1);
     assert_eq!(report.total_retries(), 2);
-    assert_eq!(report.total_panics(), 0, "retried attempts are not terminal panics");
+    assert_eq!(
+        report.total_panics(),
+        0,
+        "retried attempts are not terminal panics"
+    );
 
     let recs = records(&dir.join("quarantine.jsonl"));
     assert_eq!(recs.len(), 3, "one record per attempt");
-    assert_eq!(recs.iter().map(|r| r.attempt).collect::<Vec<_>>(), vec![0, 1, 2]);
+    assert_eq!(
+        recs.iter().map(|r| r.attempt).collect::<Vec<_>>(),
+        vec![0, 1, 2]
+    );
     assert_eq!(recs[0].status, RunStatus::Panic);
     assert_eq!(recs[1].status, RunStatus::Panic);
     assert_eq!(recs[2].status, RunStatus::Quarantined);
-    assert_eq!(recs[1].seed, recs[0].seed, "retries preserve the derived seed");
+    assert_eq!(
+        recs[1].seed, recs[0].seed,
+        "retries preserve the derived seed"
+    );
     assert!(
         recs[0].message.as_deref().unwrap_or("").contains("job.rs:"),
         "panic records carry the panic's file:line: {:?}",
         recs[0].message
     );
     let verdict = recs[2].message.as_deref().unwrap_or("");
-    assert!(verdict.contains("quarantined after 3 attempts"), "{verdict}");
+    assert!(
+        verdict.contains("quarantined after 3 attempts"),
+        "{verdict}"
+    );
     assert!(verdict.contains("panic-probe"), "{verdict}");
 
     // Quarantine is terminal: the resumed campaign runs nothing.

@@ -160,7 +160,11 @@ fn injected_hang_burns_real_budget_and_times_out() {
     assert_eq!(recs[0].status, RunStatus::Timeout);
     assert_eq!(recs[0].rounds, 0, "the hang consumed the whole budget");
     assert!(
-        recs[0].message.as_deref().unwrap_or("").contains("budget exceeded"),
+        recs[0]
+            .message
+            .as_deref()
+            .unwrap_or("")
+            .contains("budget exceeded"),
         "{:?}",
         recs[0].message
     );
@@ -183,7 +187,11 @@ fn one_shot_failpoint_panic_is_retried_to_success() {
         ..opts(&dir)
     };
     let report = run_campaign(&spec, &armed).expect("campaign recovers");
-    assert_eq!(report.total_panics(), 0, "the retried panic is not terminal");
+    assert_eq!(
+        report.total_panics(),
+        0,
+        "the retried panic is not terminal"
+    );
     assert_eq!(report.total_retries(), 1);
     assert_eq!(report.total_quarantined(), 0);
 

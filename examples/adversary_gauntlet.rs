@@ -51,8 +51,18 @@ fn main() {
         n,
         k,
     );
-    challenge("oblivious edge churn", EdgeChurnNetwork::new(n, 0.12, 9), n, k);
-    challenge("T-interval (T = 4)", TIntervalNetwork::new(n, 4, 0.1, 5), n, k);
+    challenge(
+        "oblivious edge churn",
+        EdgeChurnNetwork::new(n, 0.12, 9),
+        n,
+        k,
+    );
+    challenge(
+        "T-interval (T = 4)",
+        TIntervalNetwork::new(n, 4, 0.1, 5),
+        n,
+        k,
+    );
     challenge(
         "star-pair (Thm 3, adaptive)",
         StarPairAdversary::new(n),

@@ -35,7 +35,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     println!("fault plan:");
     for e in plan.events() {
-        println!("  round {:>2}: {} crashes ({:?})", e.round, e.robot, e.phase);
+        println!(
+            "  round {:>2}: {} crashes ({:?})",
+            e.round, e.robot, e.phase
+        );
     }
     println!();
 

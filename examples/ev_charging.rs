@@ -23,12 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 30usize;
     let fleet = 22usize;
     let depots = [NodeId::new(0), NodeId::new(11), NodeId::new(23)];
-    let placements = (1..=fleet as u32).map(|i| {
-        (
-            RobotId::new(i),
-            depots[(i as usize - 1) % depots.len()],
-        )
-    });
+    let placements =
+        (1..=fleet as u32).map(|i| (RobotId::new(i), depots[(i as usize - 1) % depots.len()]));
     let initial = Configuration::from_pairs(n, placements);
     println!("EV fleet rebalancing");
     println!("  stations : {n}");
@@ -60,9 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "all {fleet} cars reached distinct stations in {} rounds (bound: {fleet})",
         outcome.rounds
     );
-    println!(
-        "onboard state per car: {} bits",
-        outcome.max_memory_bits()
-    );
+    println!("onboard state per car: {} bits", outcome.max_memory_bits());
     Ok(())
 }

@@ -3,8 +3,8 @@
 //! structural promises, verified over recorded graph sequences.
 
 use dispersion_engine::adversary::{
-    DynamicRingNetwork, EdgeChurnNetwork, MinProgressSampler, PeriodicNetwork,
-    StarPairAdversary, StaticNetwork, TIntervalNetwork,
+    DynamicRingNetwork, EdgeChurnNetwork, MinProgressSampler, PeriodicNetwork, StarPairAdversary,
+    StaticNetwork, TIntervalNetwork,
 };
 use dispersion_engine::{ModelSpec, TracePolicy};
 use dispersion_graph::{generators, metrics};

@@ -4,9 +4,7 @@
 use dispersion_core::baselines::{BlindGlobal, GreedyLocal, LocalDfs, RandomWalk};
 use dispersion_core::DispersionDynamic;
 use dispersion_engine::adversary::{DynamicNetwork, StaticNetwork};
-use dispersion_engine::{
-    Configuration, DispersionAlgorithm, ModelSpec, SimOutcome, Simulator,
-};
+use dispersion_engine::{Configuration, DispersionAlgorithm, ModelSpec, SimOutcome, Simulator};
 use dispersion_graph::{generators, NodeId, PortLabeledGraph};
 
 fn run_alg<A: DispersionAlgorithm, N: DynamicNetwork>(
@@ -20,8 +18,8 @@ fn run_alg<A: DispersionAlgorithm, N: DynamicNetwork>(
         .max_rounds(max_rounds)
         .build()
         .unwrap()
-    .run()
-    .unwrap()
+        .run()
+        .unwrap()
 }
 
 fn shapes() -> Vec<(&'static str, PortLabeledGraph)> {

@@ -179,7 +179,10 @@ fn termination_is_stable() {
         Configuration::rooted(15, 11, NodeId::new(3)),
     );
     assert!(out.dispersed);
-    let again = run(EdgeChurnNetwork::new(15, 0.2, 1234), out.final_config.clone());
+    let again = run(
+        EdgeChurnNetwork::new(15, 0.2, 1234),
+        out.final_config.clone(),
+    );
     assert_eq!(again.rounds, 0);
     assert_eq!(again.final_config, out.final_config);
 }
@@ -233,11 +236,7 @@ fn min_progress_sampler_cannot_break_the_bound() {
     assert!(out.rounds <= k as u64);
     // Every committed graph still allowed ≥ 1 new node: the adversary's
     // own bookkeeping agrees with the trace.
-    assert!(sim
-        .network()
-        .progress_history()
-        .iter()
-        .all(|&p| p >= 1));
+    assert!(sim.network().progress_history().iter().all(|&p| p >= 1));
     assert!(out.trace.every_round_made_progress());
 }
 

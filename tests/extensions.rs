@@ -124,7 +124,10 @@ fn min_progress_sampler_is_harder_than_plain_churn() {
         .unwrap();
         let out = sampler_sim.run().unwrap();
         assert!(out.dispersed);
-        assert!(out.rounds <= k as u64, "the Θ(k) bound survives the sampler");
+        assert!(
+            out.rounds <= k as u64,
+            "the Θ(k) bound survives the sampler"
+        );
         sampler_total += out.rounds;
     }
     assert!(
@@ -181,7 +184,10 @@ fn stepwise_driving_with_mid_run_inspection() {
         match sim.step().unwrap() {
             Step::Dispersed => break,
             Step::Advanced(out) => {
-                assert!(out.record.newly_occupied >= 1, "Lemma 7 live at round {rounds}");
+                assert!(
+                    out.record.newly_occupied >= 1,
+                    "Lemma 7 live at round {rounds}"
+                );
                 rounds += 1;
             }
         }

@@ -118,12 +118,7 @@ fn crash_splits_component() {
         round: 0,
         phase: CrashPhase::BeforeCommunicate,
     }];
-    let out = run_with_faults(
-        StaticNetwork::new(g),
-        cfg,
-        FaultPlan::from_events(events),
-    )
-    .unwrap();
+    let out = run_with_faults(StaticNetwork::new(g), cfg, FaultPlan::from_events(events)).unwrap();
     assert!(out.dispersed);
     assert_eq!(out.final_config.robot_count(), 6);
 }
@@ -150,12 +145,7 @@ fn crash_vacates_a_node_that_gets_reused() {
         round: 1,
         phase: CrashPhase::BeforeCommunicate,
     }];
-    let out = run_with_faults(
-        StaticNetwork::new(g),
-        cfg,
-        FaultPlan::from_events(events),
-    )
-    .unwrap();
+    let out = run_with_faults(StaticNetwork::new(g), cfg, FaultPlan::from_events(events)).unwrap();
     assert!(out.dispersed);
     // 4 survivors on a 5-node path: all on distinct nodes.
     assert_eq!(out.final_config.occupied_count(), 4);

@@ -15,12 +15,10 @@
 
 use std::collections::BTreeSet;
 
-use dispersion_core::{component::ConnectedComponent, DisjointPathSet, SpanningTree};
 use dispersion_core::DispersionDynamic;
+use dispersion_core::{component::ConnectedComponent, DisjointPathSet, SpanningTree};
 use dispersion_engine::adversary::{EdgeChurnNetwork, StaticNetwork};
-use dispersion_engine::{
-    build_packets, Configuration, InfoPacket, ModelSpec, RobotId, Simulator,
-};
+use dispersion_engine::{build_packets, Configuration, InfoPacket, ModelSpec, RobotId, Simulator};
 use dispersion_graph::{connectivity, generators, traversal, NodeId, PortLabeledGraph};
 
 /// A random occupied round: graph + configuration + packets.
@@ -99,10 +97,8 @@ fn lemma1_and_2_agreement() {
     for seed in 0..30u64 {
         let (_, _, packets) = random_round(seed);
         for comp in ConnectedComponent::build_all(&packets) {
-            let members: Vec<RobotId> = comp
-                .iter()
-                .flat_map(|n| n.robots.iter().copied())
-                .collect();
+            let members: Vec<RobotId> =
+                comp.iter().flat_map(|n| n.robots.iter().copied()).collect();
             let reference_tree = SpanningTree::build(&comp);
             for m in members {
                 // Lemma 1: every member robot reconstructs this component.

@@ -255,8 +255,14 @@ const GENERATOR_NAMES: [&str; 5] = ["path", "cycle", "star", "complete", "random
 
 /// Adversary families the fuzzer draws from. Index 0 is the simplest
 /// (shrinking target).
-const ADVERSARY_NAMES: [&str; 6] =
-    ["static", "churn", "star-pair", "ring", "t-interval", "min-progress"];
+const ADVERSARY_NAMES: [&str; 6] = [
+    "static",
+    "churn",
+    "star-pair",
+    "ring",
+    "t-interval",
+    "min-progress",
+];
 
 /// One fuzzed conformance configuration: a (generator × adversary × n ×
 /// k × seed) point. Running it means Algorithm 4 rooted at node 0 under
@@ -346,23 +352,46 @@ impl ConformanceSpec {
     fn reductions(&self) -> Vec<ConformanceSpec> {
         let mut out = Vec::new();
         if self.adversary != 0 {
-            out.push(ConformanceSpec { adversary: 0, ..*self });
+            out.push(ConformanceSpec {
+                adversary: 0,
+                ..*self
+            });
         }
         if self.generator != 0 {
-            out.push(ConformanceSpec { generator: 0, ..*self });
+            out.push(ConformanceSpec {
+                generator: 0,
+                ..*self
+            });
         }
         if self.n > 4 {
             let halved = (self.n / 2).max(4);
-            out.push(ConformanceSpec { n: halved, k: self.k.min(halved), ..*self });
-            out.push(ConformanceSpec { n: self.n - 1, k: self.k.min(self.n - 1), ..*self });
+            out.push(ConformanceSpec {
+                n: halved,
+                k: self.k.min(halved),
+                ..*self
+            });
+            out.push(ConformanceSpec {
+                n: self.n - 1,
+                k: self.k.min(self.n - 1),
+                ..*self
+            });
         }
         if self.k > 2 {
-            out.push(ConformanceSpec { k: (self.k / 2).max(2), ..*self });
-            out.push(ConformanceSpec { k: self.k - 1, ..*self });
+            out.push(ConformanceSpec {
+                k: (self.k / 2).max(2),
+                ..*self
+            });
+            out.push(ConformanceSpec {
+                k: self.k - 1,
+                ..*self
+            });
         }
         if self.seed != 0 {
             out.push(ConformanceSpec { seed: 0, ..*self });
-            out.push(ConformanceSpec { seed: self.seed / 2, ..*self });
+            out.push(ConformanceSpec {
+                seed: self.seed / 2,
+                ..*self
+            });
         }
         out
     }
@@ -381,14 +410,20 @@ fn conformance_reductions_stay_valid() {
         seed: 0x5eed_cafe,
     }];
     for _ in 0..6 {
-        frontier = frontier.iter().flat_map(ConformanceSpec::reductions).collect();
+        frontier = frontier
+            .iter()
+            .flat_map(ConformanceSpec::reductions)
+            .collect();
         for s in &frontier {
             assert!(s.generator < GENERATOR_NAMES.len() && s.adversary < ADVERSARY_NAMES.len());
             assert!(s.n >= 4, "{s}");
             assert!((2..=s.n).contains(&s.k), "{s}");
         }
     }
-    assert!(!frontier.is_empty(), "reduction space must not dead-end early");
+    assert!(
+        !frontier.is_empty(),
+        "reduction space must not dead-end early"
+    );
 }
 
 /// Greedy shrink: repeatedly adopt the first one-step reduction that

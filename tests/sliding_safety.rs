@@ -50,7 +50,13 @@ fn two_paths_may_share_the_empty_target() {
     let g = b.build().unwrap();
     let cfg = Configuration::from_pairs(
         5,
-        [(r(1), v(0)), (r(4), v(0)), (r(5), v(0)), (r(2), v(1)), (r(3), v(2))],
+        [
+            (r(1), v(0)),
+            (r(4), v(0)),
+            (r(5), v(0)),
+            (r(2), v(1)),
+            (r(3), v(2)),
+        ],
     );
     // Sanity: both leaves (ids r2, r3) border only the empty node 3.
     let rc = RoundComputation::compute(&g, &cfg);
@@ -87,10 +93,8 @@ fn trivial_and_nontrivial_paths_coexist() {
     b.add_edge(v(1), v(2)).unwrap();
     b.add_edge(v(0), v(3)).unwrap();
     let g = b.build().unwrap();
-    let cfg = Configuration::from_pairs(
-        4,
-        [(r(1), v(0)), (r(3), v(0)), (r(4), v(0)), (r(2), v(1))],
-    );
+    let cfg =
+        Configuration::from_pairs(4, [(r(1), v(0)), (r(3), v(0)), (r(4), v(0)), (r(2), v(1))]);
     let rc = RoundComputation::compute(&g, &cfg);
     let paths = rc.components()[0].paths.as_ref().unwrap();
     assert_eq!(paths.len(), 2);

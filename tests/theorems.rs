@@ -5,9 +5,7 @@ use dispersion_core::{impossibility, lower_bound, DispersionDynamic};
 use dispersion_engine::adversary::{
     CliqueTrapAdversary, EdgeChurnNetwork, PathTrapAdversary, StarPairAdversary,
 };
-use dispersion_engine::{
-    Configuration, CrashPhase, FaultPlan, ModelSpec, Simulator,
-};
+use dispersion_engine::{Configuration, CrashPhase, FaultPlan, ModelSpec, Simulator};
 use dispersion_graph::NodeId;
 
 // ---------------------------------------------------------------- Thm 1

@@ -121,9 +121,10 @@ impl DispersionAlgorithm for LocalVictim {
             return (Action::Move(empties[rank % empties.len()]), UnitMemory);
         }
         match self.rule {
-            LocalRule::Pushy => {
-                (Action::Move(Port::from_index(rank % view.degree)), UnitMemory)
-            }
+            LocalRule::Pushy => (
+                Action::Move(Port::from_index(rank % view.degree)),
+                UnitMemory,
+            ),
             LocalRule::Balancer => {
                 let target = neighbors
                     .iter()
