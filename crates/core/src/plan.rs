@@ -9,8 +9,9 @@
 //! whether any multiplicity node exists, and for each occupied node its
 //! role on the agreed paths (root, interior, leaf or off-path), the port
 //! towards its successor, and — at a root — one entry per path slot.
-//! [`RoundPlan::decide`] then answers a robot in `O(1)` plus a binary
-//! search in its colocated list.
+//! [`RoundPlan::decide`] then answers a robot in `O(1)`, plus a binary
+//! search in its colocated list for the few root robots that may hold a
+//! path slot.
 //!
 //! The build works on dense arrays indexed by packet position (and by
 //! [`RobotId::index`] for the identity lookup), not on the `BTreeMap`
@@ -22,7 +23,7 @@
 use dispersion_engine::{Action, InfoPacket, NeighborReport, RobotId, RobotView};
 use dispersion_graph::Port;
 
-use crate::sliding::{self, SlidingPolicy};
+use crate::sliding::{self, MoverRule, SlidingPolicy};
 
 const NONE: u32 = u32::MAX;
 
@@ -120,6 +121,30 @@ fn port_to(from: &InfoPacket, to: RobotId) -> Option<Port> {
         .iter()
         .find(|rep| rep.min_robot == to)
         .map(|rep| rep.port)
+}
+
+/// Whether the robot observing `view` at a root with `len` path slots can
+/// hold one, decided in `O(1)` so that most root robots stay without
+/// the binary search of [`sliding::root_path_slot`].
+///
+/// Under [`MoverRule::LargestId`] the robot at position `pos` of the
+/// ascending `colocated` list takes slot `colocated.len() − 1 − pos`,
+/// which is a kept slot iff `pos ≥ colocated.len() − len`, and the
+/// anchor (`pos = 0`) never moves: so only IDs at or above
+/// `colocated[max(colocated.len() − len, 1)]` can move. A robot missing
+/// from `colocated` (a hand-built view) passes or fails this test alike;
+/// the binary search then rejects it. Under
+/// [`MoverRule::SmallestNonAnchor`] every robot goes to the search.
+fn root_mover_candidate(view: &RobotView, len: u32, policy: SlidingPolicy) -> bool {
+    match policy.mover {
+        MoverRule::LargestId => {
+            let first_mover = view.colocated.len().saturating_sub(len as usize).max(1);
+            view.colocated
+                .get(first_mover)
+                .is_some_and(|&lowest| view.me >= lowest)
+        }
+        MoverRule::SmallestNonAnchor => true,
+    }
 }
 
 impl RoundPlan {
@@ -353,7 +378,9 @@ impl RoundPlan {
             .unwrap_or(Role::OffPath);
         let port = match role {
             Role::OffPath => None,
-            Role::Root { first, len } => sliding::root_path_slot(view, policy)
+            Role::Root { first, len } => root_mover_candidate(view, len, policy)
+                .then(|| sliding::root_path_slot(view, policy))
+                .flatten()
                 .filter(|&j| j < len as usize)
                 .and_then(|j| match self.root_slots[first as usize + j] {
                     SlotMove::Exit => sliding::leaf_exit_port(view, policy),

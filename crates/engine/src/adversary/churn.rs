@@ -1,7 +1,6 @@
 //! Oblivious random churn: a fresh random connected topology every round.
 
 use dispersion_graph::generators::{self, RandomGraphScratch};
-use dispersion_graph::relabel::{self, RelabelScratch};
 use dispersion_graph::PortLabeledGraph;
 
 use crate::adversary::DynamicNetwork;
@@ -13,22 +12,18 @@ use crate::{Configuration, MoveOracle};
 /// "benign dynamism" used in the Table I row 3 upper-bound sweeps, in
 /// contrast to the adaptive trap adversaries.
 ///
-/// The per-round rebuild is double-buffered: the unlabeled topology and
-/// the committed graph each live in a retained buffer, so once warm the
-/// adversary performs no heap allocation per round (the edge set's
-/// round-to-round variance can still grow a buffer's capacity, but it
-/// plateaus at the maximum working-set size).
+/// The per-round rebuild writes the relabeled graph straight into a
+/// retained buffer ([`generators::random_connected_relabeled_into`]), so
+/// once warm the adversary performs no heap allocation per round (the
+/// edge set's round-to-round variance can still grow a buffer's
+/// capacity, but it plateaus at the maximum working-set size).
 #[derive(Clone, Debug)]
 pub struct EdgeChurnNetwork {
     n: usize,
     extra_edge_prob: f64,
     seed: u64,
-    /// Generator scratch (edge builder + spanning-tree permutation).
+    /// Buffers of the graph generator.
     scratch: RandomGraphScratch,
-    /// Relabeling scratch (flat per-row permutations).
-    relabel_scratch: RelabelScratch,
-    /// The canonically labeled topology of the current round.
-    staging: Option<PortLabeledGraph>,
     /// The graph of the last round, lent out to the simulator.
     current: Option<PortLabeledGraph>,
 }
@@ -51,8 +46,6 @@ impl EdgeChurnNetwork {
             extra_edge_prob,
             seed,
             scratch: RandomGraphScratch::default(),
-            relabel_scratch: RelabelScratch::default(),
-            staging: None,
             current: None,
         }
     }
@@ -73,29 +66,24 @@ impl DynamicNetwork for EdgeChurnNetwork {
             .seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(round);
-        match &mut self.staging {
-            Some(g) => generators::random_connected_into(
-                self.n,
-                self.extra_edge_prob,
+        let relabel_seed = round_seed ^ 0xabcd_ef01;
+        let (n, p) = (self.n, self.extra_edge_prob);
+        match &mut self.current {
+            Some(out) => generators::random_connected_relabeled_into(
+                n,
+                p,
                 round_seed,
+                relabel_seed,
                 &mut self.scratch,
-                g,
+                out,
             )
             .expect("n > 0"),
             None => {
-                self.staging = Some(
-                    generators::random_connected(self.n, self.extra_edge_prob, round_seed)
+                self.current = Some(
+                    generators::random_connected_relabeled(n, p, round_seed, relabel_seed)
                         .expect("n > 0"),
                 )
             }
-        }
-        let staged = self.staging.as_ref().expect("staging just filled");
-        let relabel_seed = round_seed ^ 0xabcd_ef01;
-        match &mut self.current {
-            Some(out) => {
-                relabel::random_relabel_into(staged, relabel_seed, &mut self.relabel_scratch, out)
-            }
-            None => self.current = Some(relabel::random_relabel(staged, relabel_seed)),
         }
         self.current.as_ref().expect("current just filled")
     }

@@ -10,7 +10,6 @@
 //! adversary that actively optimizes against the algorithm.
 
 use dispersion_graph::generators::{self, RandomGraphScratch};
-use dispersion_graph::relabel::{self, RelabelScratch};
 use dispersion_graph::PortLabeledGraph;
 
 use crate::adversary::DynamicNetwork;
@@ -18,10 +17,11 @@ use crate::{Configuration, MoveOracle};
 
 /// Oracle-guided candidate sampler minimizing per-round progress.
 ///
-/// Candidates are generated into retained buffers (generator and
-/// relabeling scratch, the canonically labeled graph, the candidate and
-/// the best graph so far, swapped when a candidate improves), so once
-/// warm a round allocates no graph storage.
+/// Candidates are generated into retained buffers (the generator's
+/// scratch, the candidate and the best graph so far, swapped when a
+/// candidate improves), so once warm a round allocates no graph storage.
+/// Each candidate comes out of the generator's fused kernel
+/// ([`generators::random_connected_relabeled_into`]) already relabeled.
 #[derive(Clone, Debug)]
 pub struct MinProgressSampler {
     n: usize,
@@ -30,12 +30,8 @@ pub struct MinProgressSampler {
     seed: u64,
     /// Progress the committed graph allowed, per round (for reporting).
     progress_history: Vec<usize>,
-    /// Spanning-tree, builder and pair-bitset buffers of the generator.
+    /// Buffers of the candidate generator.
     generator: RandomGraphScratch,
-    /// Per-row port permutations of the relabeling.
-    relabel_scratch: RelabelScratch,
-    /// The current candidate before relabeling.
-    staging: Option<PortLabeledGraph>,
     /// The candidate being scored.
     candidate: Option<PortLabeledGraph>,
     /// The best candidate of the round so far; after the round, the
@@ -65,8 +61,6 @@ impl MinProgressSampler {
             seed,
             progress_history: Vec::new(),
             generator: RandomGraphScratch::default(),
-            relabel_scratch: RelabelScratch::default(),
-            staging: None,
             candidate: None,
             best: None,
         }
@@ -91,19 +85,22 @@ impl MinProgressSampler {
     fn generate(&mut self, round: u64, index: usize) -> &PortLabeledGraph {
         let s = self.candidate_seed(round, index);
         let (n, p) = (self.n, self.extra_edge_prob);
-        match &mut self.staging {
-            Some(g) => {
-                generators::random_connected_into(n, p, s, &mut self.generator, g).expect("n > 0")
-            }
-            None => self.staging = Some(generators::random_connected(n, p, s).expect("n > 0")),
-        }
-        let staged = self.staging.as_ref().expect("staging just filled");
         let relabel_seed = s ^ 0x00ff_00ff;
         match &mut self.candidate {
-            Some(out) => {
-                relabel::random_relabel_into(staged, relabel_seed, &mut self.relabel_scratch, out)
+            Some(out) => generators::random_connected_relabeled_into(
+                n,
+                p,
+                s,
+                relabel_seed,
+                &mut self.generator,
+                out,
+            )
+            .expect("n > 0"),
+            None => {
+                self.candidate = Some(
+                    generators::random_connected_relabeled(n, p, s, relabel_seed).expect("n > 0"),
+                )
             }
-            None => self.candidate = Some(relabel::random_relabel(staged, relabel_seed)),
         }
         self.candidate.as_ref().expect("candidate just filled")
     }
@@ -148,7 +145,7 @@ mod tests {
     use super::*;
     use crate::oracle::tests_support::NullOracle;
     use dispersion_graph::connectivity::is_connected;
-    use dispersion_graph::NodeId;
+    use dispersion_graph::{relabel, NodeId};
 
     #[test]
     fn commits_valid_connected_graphs() {

@@ -15,7 +15,7 @@ use crate::packet::{build_own_packet_with, build_packets_with};
 use crate::view::{next_packets_id, write_node_view_with};
 use crate::{
     Action, Activation, CommModel, Configuration, DispersionAlgorithm, ModelSpec,
-    NeighborObservation, NeighborReport, PacketList, RobotId, RobotView,
+    NeighborObservation, PacketList, RobotId, RobotView,
 };
 
 /// Whether `robot` computes in `round` under the activation schedule.
@@ -65,14 +65,13 @@ pub(crate) struct RoundInputs<'a, M> {
 }
 
 /// The one view a Compute pass hands every robot, plus the neighbor
-/// observations and reports a smaller node or packet left over, parked
-/// for the next larger one: once warm, a pass allocates nothing however
-/// the degrees and occupancies of successive nodes and graphs vary.
+/// observations a smaller node left over, parked for the next larger
+/// one: once warm, a pass allocates nothing however the degrees and
+/// occupancies of successive nodes and graphs vary.
 #[derive(Debug)]
 pub(crate) struct ViewScratch {
     pub view: RobotView,
     spare_observations: Vec<NeighborObservation>,
-    spare_reports: Vec<NeighborReport>,
 }
 
 impl ViewScratch {
@@ -91,7 +90,6 @@ impl ViewScratch {
                 packets_id: 0,
             },
             spare_observations: Vec::new(),
-            spare_reports: Vec::new(),
         }
     }
 
@@ -110,7 +108,6 @@ impl ViewScratch {
             occupied,
             neighborhood,
             self.view.packets.make_mut(),
-            &mut self.spare_reports,
         );
         self.view.packets_id = next_packets_id();
     }
@@ -155,7 +152,6 @@ pub(crate) fn compute_pass<A: DispersionAlgorithm>(
                     v,
                     neighborhood,
                     view.packets.make_mut(),
-                    &mut scratch.spare_reports,
                 );
                 view.packets_id = next_packets_id();
             }

@@ -1,14 +1,16 @@
 //! Shape constructors for port-labeled graphs.
 //!
 //! All generators return connected graphs with canonical port labelings
-//! (ports assigned in edge-insertion order). Adversaries may permute labels
-//! afterwards via [`crate::relabel`].
+//! (ports assigned in edge-insertion order), except
+//! [`random_connected_relabeled`], which draws uniformly random labels as
+//! it writes the graph. Adversaries may permute labels afterwards via
+//! [`crate::relabel`].
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
-use crate::{GraphBuilder, GraphError, NodeId, PortLabeledGraph};
+use crate::{GraphBuilder, GraphError, NodeId, Port, PortLabeledGraph};
 
 /// A path `0 − 1 − … − (n−1)`.
 ///
@@ -215,39 +217,205 @@ pub fn random_connected(
     extra_edge_prob: f64,
     seed: u64,
 ) -> Result<PortLabeledGraph, GraphError> {
-    let mut scratch = RandomGraphScratch::default();
-    let mut out = crate::PortLabeledGraph::from_adjacency(vec![Vec::new()])
-        .expect("single isolated node is valid");
-    random_connected_into(n, extra_edge_prob, seed, &mut scratch, &mut out)?;
+    let mut out = PortLabeledGraph::placeholder();
+    random_connected_into(
+        n,
+        extra_edge_prob,
+        seed,
+        &mut RandomGraphScratch::default(),
+        &mut out,
+    )?;
     Ok(out)
 }
 
-/// Reusable buffers for [`random_connected_into`]: the edge-insertion
-/// builder, the spanning-tree permutation and the pair-membership bitset.
-#[derive(Clone, Debug)]
-pub struct RandomGraphScratch {
-    order: Vec<usize>,
-    builder: GraphBuilder,
-    /// `n × n` bits, bit `u · n + v` set for each spanning-tree edge
-    /// `u < v`, so the pair loop tests membership in O(1) instead of
-    /// scanning a builder row.
-    adjacent: Vec<u64>,
+/// [`random_connected`] under uniformly random port labels: the graph
+/// `relabel::random_relabel(&random_connected(n, p, seed)?, relabel_seed)`,
+/// drawn without building the canonically labeled graph first.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Empty`] for `n = 0`.
+///
+/// # Panics
+///
+/// Panics if `extra_edge_prob` is not within `[0, 1]`.
+pub fn random_connected_relabeled(
+    n: usize,
+    extra_edge_prob: f64,
+    seed: u64,
+    relabel_seed: u64,
+) -> Result<PortLabeledGraph, GraphError> {
+    let mut out = PortLabeledGraph::placeholder();
+    random_connected_relabeled_into(
+        n,
+        extra_edge_prob,
+        seed,
+        relabel_seed,
+        &mut RandomGraphScratch::default(),
+        &mut out,
+    )?;
+    Ok(out)
 }
 
-impl Default for RandomGraphScratch {
-    fn default() -> Self {
-        RandomGraphScratch {
-            order: Vec::new(),
-            builder: GraphBuilder::new(0),
-            adjacent: Vec::new(),
+/// Reusable buffers of the random-connected-graph kernel behind
+/// [`random_connected_into`] and [`random_connected_relabeled_into`].
+///
+/// The kernel draws an edge list `(u, v, port at u, port at v)` and then
+/// writes the CSR directly, with no builder rows and no intermediate
+/// graph.
+#[derive(Clone, Debug, Default)]
+pub struct RandomGraphScratch {
+    /// Spanning-tree insertion order: a seeded shuffle of `0..n`.
+    order: Vec<u32>,
+    /// `n` rows of `⌈n / 64⌉` words: bit `v` of row `u` is set for each
+    /// spanning-tree edge `u < v`.
+    tree: Vec<u64>,
+    /// The tree columns of the row being drawn, ascending.
+    tree_cols: Vec<u32>,
+    /// The row's extra-edge hits, as indices among its non-tree columns.
+    hits: Vec<u32>,
+    /// Running degree of every node: the next free zero-based port.
+    degree: Vec<u32>,
+    /// Every edge in insertion order: the tree's, then the extra edges
+    /// row by row.
+    edges: Vec<DrawnEdge>,
+    /// Per-row port permutations of the relabeled emitter, aligned with
+    /// the CSR rows: `perm[offsets[v] + old] = new`.
+    perm: Vec<u32>,
+}
+
+/// One drawn edge with the zero-based port each endpoint gave it.
+#[derive(Clone, Copy, Debug)]
+struct DrawnEdge {
+    u: u32,
+    v: u32,
+    port_u: u32,
+    port_v: u32,
+}
+
+/// The integer form of [`rand::Rng::random_bool`]: a draw `x` succeeds
+/// with probability `p` iff `(x >> 11) < bool_threshold(p)`.
+///
+/// `random_bool` tests `((x >> 11) as f64 / 2⁵³) < p`. Both sides are
+/// exact in `f64` (`x >> 11 < 2⁵³`, and scaling by a power of two is
+/// exact), so the test equals `(x >> 11) < p · 2⁵³` over the reals, and
+/// for an integer left side that is `(x >> 11) < ⌈p · 2⁵³⌉`.
+fn bool_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Appends edge `(u, v)` with the next free port at each endpoint: the
+/// ports `GraphBuilder::add_edge` would assign in the same order.
+fn push_edge(degree: &mut [u32], edges: &mut Vec<DrawnEdge>, u: u32, v: u32) {
+    let port_u = degree[u as usize];
+    let port_v = degree[v as usize];
+    degree[u as usize] += 1;
+    degree[v as usize] += 1;
+    edges.push(DrawnEdge {
+        u,
+        v,
+        port_u,
+        port_v,
+    });
+}
+
+/// The kernel's draw: fills `s.edges` and `s.degree` with the graph
+/// [`random_connected`] defines, consuming the same RNG draws in the
+/// same order — the shuffle and the tree's `random_range` draws, then
+/// one draw per non-tree pair `u < v` in row-major order.
+fn draw_edges(
+    n: usize,
+    extra_edge_prob: f64,
+    seed: u64,
+    s: &mut RandomGraphScratch,
+) -> Result<(), GraphError> {
+    assert!(
+        (0.0..=1.0).contains(&extra_edge_prob),
+        "probability must be in [0, 1]"
+    );
+    if n == 0 {
+        return Err(GraphError::Empty);
+    }
+    assert!(n <= u32::MAX as usize, "node indices fit in u32");
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Random spanning tree: random permutation, attach each node to a
+    // random earlier node.
+    s.order.clear();
+    s.order.extend(0..n as u32);
+    s.order.shuffle(&mut rng);
+    s.degree.clear();
+    s.degree.resize(n, 0);
+    s.edges.clear();
+    let extra = extra_edge_prob > 0.0;
+    let stride = n.div_ceil(64);
+    if extra {
+        s.tree.clear();
+        s.tree.resize(n * stride, 0);
+    }
+    for i in 1..n {
+        let j = rng.random_range(0..i);
+        let (u, v) = (s.order[i], s.order[j]);
+        push_edge(&mut s.degree, &mut s.edges, u, v);
+        if extra {
+            let (lo, hi) = (u.min(v) as usize, u.max(v) as usize);
+            s.tree[lo * stride + hi / 64] |= 1 << (hi % 64);
         }
     }
+    if !extra {
+        return Ok(());
+    }
+    let threshold = bool_threshold(extra_edge_prob);
+    s.hits.clear();
+    s.hits.resize(n, 0);
+    // A row holds fewer than `n` tree columns; reserving them up front
+    // keeps a warm call allocation-free whatever the tree's degrees.
+    s.tree_cols.clear();
+    s.tree_cols.reserve(n);
+    for u in 0..n {
+        s.tree_cols.clear();
+        for (w, &word) in s.tree[u * stride..(u + 1) * stride].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                s.tree_cols.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        // One draw per non-tree column above the diagonal, in column
+        // order; hits are compacted without a branch.
+        let draws = n - 1 - u - s.tree_cols.len();
+        let hits = &mut s.hits[..draws];
+        let mut count = 0;
+        for j in 0..draws {
+            hits[count] = j as u32;
+            count += usize::from((rng.next_u64() >> 11) < threshold);
+        }
+        // Hit `h` is the `h`-th non-tree column: skip the tree columns
+        // at or below it.
+        let mut skipped = 0;
+        for &h in &hits[..count] {
+            let mut col = u + 1 + h as usize + skipped;
+            while s.tree_cols.get(skipped).is_some_and(|&t| t as usize <= col) {
+                skipped += 1;
+                col += 1;
+            }
+            push_edge(&mut s.degree, &mut s.edges, u as u32, col as u32);
+        }
+    }
+    Ok(())
 }
 
-/// Bit `u · n + v` of an `n × n` bitset.
-fn bit(n: usize, u: usize, v: usize) -> (usize, u64) {
-    let i = u * n + v;
-    (i / 64, 1 << (i % 64))
+/// Writes the CSR offsets of the drawn degrees into `offsets` and sizes
+/// `adj` to the half-edge count.
+fn size_csr(degree: &[u32], offsets: &mut Vec<u32>, adj: &mut Vec<(NodeId, Port)>) {
+    offsets.clear();
+    offsets.push(0);
+    let mut total = 0u32;
+    for &d in degree {
+        total += d;
+        offsets.push(total);
+    }
+    adj.clear();
+    adj.resize(total as usize, (NodeId::new(0), Port::new(1)));
 }
 
 /// [`random_connected`] into an existing graph, overwriting its storage
@@ -271,51 +439,66 @@ pub fn random_connected_into(
     scratch: &mut RandomGraphScratch,
     out: &mut PortLabeledGraph,
 ) -> Result<(), GraphError> {
-    assert!(
-        (0.0..=1.0).contains(&extra_edge_prob),
-        "probability must be in [0, 1]"
-    );
-    if n == 0 {
-        return Err(GraphError::Empty);
+    draw_edges(n, extra_edge_prob, seed, scratch)?;
+    let (offsets, adj, m) = out.csr_parts_mut();
+    size_csr(&scratch.degree, offsets, adj);
+    for e in &scratch.edges {
+        let (bu, bv) = (offsets[e.u as usize], offsets[e.v as usize]);
+        adj[(bu + e.port_u) as usize] = (NodeId::new(e.v), Port::from_index(e.port_v as usize));
+        adj[(bv + e.port_v) as usize] = (NodeId::new(e.u), Port::from_index(e.port_u as usize));
     }
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Random spanning tree: random permutation, attach each node to a random
-    // earlier node.
-    let order = &mut scratch.order;
-    order.clear();
-    order.extend(0..n);
-    order.shuffle(&mut rng);
-    let b = &mut scratch.builder;
-    b.reset(n);
-    let extra = extra_edge_prob > 0.0;
-    let adjacent = &mut scratch.adjacent;
-    if extra {
-        adjacent.clear();
-        adjacent.resize((n * n).div_ceil(64), 0);
-    }
-    for i in 1..n {
-        let j = rng.random_range(0..i);
-        let (u, v) = (order[i], order[j]);
-        // `order[i]` is not attached yet, so the edge is new.
-        b.push_auto_edge(NodeId::new(u as u32), NodeId::new(v as u32));
-        if extra {
-            let (word, mask) = bit(n, u.min(v), u.max(v));
-            adjacent[word] |= mask;
+    *m = scratch.edges.len();
+    Ok(())
+}
+
+/// [`random_connected_relabeled`] into an existing graph, overwriting its
+/// storage in place with the same allocation behaviour as
+/// [`random_connected_into`].
+///
+/// After the draw, each node's port permutation is drawn in node order
+/// from `relabel_seed`, exactly as [`crate::relabel::random_relabel_into`]
+/// draws them over the canonically labeled graph, and both half-edges of
+/// every edge are written straight to their relabeled slots.
+///
+/// # Errors
+///
+/// Returns [`GraphError::Empty`] for `n = 0`. On error the destination's
+/// contents are unspecified.
+///
+/// # Panics
+///
+/// Panics if `extra_edge_prob` is not within `[0, 1]`.
+pub fn random_connected_relabeled_into(
+    n: usize,
+    extra_edge_prob: f64,
+    seed: u64,
+    relabel_seed: u64,
+    scratch: &mut RandomGraphScratch,
+    out: &mut PortLabeledGraph,
+) -> Result<(), GraphError> {
+    draw_edges(n, extra_edge_prob, seed, scratch)?;
+    let (offsets, adj, m) = out.csr_parts_mut();
+    size_csr(&scratch.degree, offsets, adj);
+    let mut rng = StdRng::seed_from_u64(relabel_seed);
+    let perm = &mut scratch.perm;
+    perm.clear();
+    perm.resize(adj.len(), 0);
+    for row in offsets.windows(2) {
+        let row = &mut perm[row[0] as usize..row[1] as usize];
+        for (i, slot) in row.iter_mut().enumerate() {
+            *slot = i as u32;
         }
+        row.shuffle(&mut rng);
     }
-    if extra {
-        // Each pair is visited once, so only the tree edges can already
-        // be present.
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let (word, mask) = bit(n, u, v);
-                if adjacent[word] & mask == 0 && rng.random_bool(extra_edge_prob) {
-                    b.push_auto_edge(NodeId::new(u as u32), NodeId::new(v as u32));
-                }
-            }
-        }
+    for e in &scratch.edges {
+        let (bu, bv) = (offsets[e.u as usize], offsets[e.v as usize]);
+        let port_u = perm[(bu + e.port_u) as usize];
+        let port_v = perm[(bv + e.port_v) as usize];
+        adj[(bu + port_u) as usize] = (NodeId::new(e.v), Port::from_index(port_v as usize));
+        adj[(bv + port_v) as usize] = (NodeId::new(e.u), Port::from_index(port_u as usize));
     }
-    b.build_into(out)
+    *m = scratch.edges.len();
+    Ok(())
 }
 
 /// A caterpillar: a spine path of `spine` nodes, each spine node carrying
@@ -575,6 +758,120 @@ mod tests {
         // Reuse across differing n keeps working.
         random_connected_into(8, 0.3, 1, &mut scratch, &mut out).unwrap();
         assert_eq!(out, random_connected(8, 0.3, 1).unwrap());
+    }
+
+    /// The generator as it was before the fused kernel: `add_edge` rows in
+    /// the kernel's draw order, a `random_bool` per non-tree pair, then
+    /// `GraphBuilder::build`. The differential reference for both
+    /// emitters.
+    fn reference_connected(n: usize, p: f64, seed: u64) -> PortLabeledGraph {
+        let node = |i: usize| NodeId::new(i as u32);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut rng);
+        let mut b = GraphBuilder::new(n);
+        let mut tree = vec![false; n * n];
+        for i in 1..n {
+            let j = rng.random_range(0..i);
+            let (u, v) = (order[i], order[j]);
+            b.add_edge(node(u), node(v)).unwrap();
+            tree[u.min(v) * n + u.max(v)] = true;
+        }
+        if p > 0.0 {
+            for u in 0..n {
+                for v in (u + 1)..n {
+                    if !tree[u * n + v] && rng.random_bool(p) {
+                        b.add_edge(node(u), node(v)).unwrap();
+                    }
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// Probabilities at and next to both ends, and in between.
+    const KERNEL_PROBS: [f64; 7] = [0.0, 1e-9, 0.05, 0.1, 0.5, 1.0 - 1e-12, 1.0];
+
+    #[test]
+    fn kernel_emitters_match_builder_and_relabel_reference() {
+        // Sizes on both sides of the 64-bit word boundaries of the tree
+        // bitset's rows; one scratch and one output graph throughout, so
+        // every call also overwrites a differently sized predecessor.
+        let mut scratch = RandomGraphScratch::default();
+        let mut out = path(1).unwrap();
+        let mut cases = Vec::new();
+        for n in [1usize, 2, 3, 63, 64, 65, 129, 144, 300] {
+            for p in KERNEL_PROBS {
+                for seed in [0u64, 1, 0xdead_beef] {
+                    cases.push((n, p, seed));
+                }
+            }
+        }
+        // Seed 3469 gives node 9 of a 300-node tree 16 tree columns above
+        // the diagonal, spread over all five words of its row.
+        cases.extend([(300, 0.05, 3469), (300, 0.5, 3469)]);
+        let tree_cols = |g: &PortLabeledGraph, v: u32| {
+            g.neighbors(NodeId::new(v))
+                .filter(|&(_, w, _)| w.index() > v as usize)
+                .count()
+        };
+        assert_eq!(tree_cols(&reference_connected(300, 0.0, 3469), 9), 16);
+        for (n, p, seed) in cases {
+            let expected = reference_connected(n, p, seed);
+            random_connected_into(n, p, seed, &mut scratch, &mut out).unwrap();
+            assert_eq!(out, expected, "plain n={n} p={p} seed={seed}");
+            assert_eq!(out.edge_count(), expected.edge_count());
+            out.validate().unwrap();
+            let relabel_seed = seed ^ 0x00ff_00ff;
+            let expected = crate::relabel::random_relabel(&expected, relabel_seed);
+            random_connected_relabeled_into(n, p, seed, relabel_seed, &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out, expected, "relabeled n={n} p={p} seed={seed}");
+            assert_eq!(out.edge_count(), expected.edge_count());
+            out.validate().unwrap();
+        }
+        assert_eq!(
+            random_connected_relabeled(65, 0.1, 5, 6).unwrap(),
+            crate::relabel::random_relabel(&random_connected(65, 0.1, 5).unwrap(), 6)
+        );
+        assert_eq!(
+            random_connected_relabeled_into(0, 0.1, 5, 6, &mut scratch, &mut out),
+            Err(GraphError::Empty)
+        );
+    }
+
+    /// An RNG that returns one fixed word, to probe `random_bool` at
+    /// chosen draws.
+    struct Fixed(u64);
+
+    impl RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn bool_threshold_agrees_with_random_bool() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for p in KERNEL_PROBS {
+            let t = bool_threshold(p);
+            assert!(t <= 1 << 53, "p={p}");
+            // The draws at and next to the threshold, the extremes, and a
+            // spread of random ones; the 11 low bits must not matter.
+            let mut units = vec![0u64, 1, (1 << 53) - 1];
+            units.extend(
+                [t.saturating_sub(1), t, t + 1]
+                    .into_iter()
+                    .filter(|&k| k < 1 << 53),
+            );
+            units.extend((0..2000).map(|_| rng.next_u64() >> 11));
+            for k in units {
+                for low in [0u64, 0x7ff] {
+                    let x = k << 11 | low;
+                    assert_eq!(Fixed(x).random_bool(p), (x >> 11) < t, "p={p} x={x:#x}");
+                }
+            }
+        }
     }
 
     #[test]
