@@ -48,7 +48,7 @@ impl DispersionAlgorithm for BlindGlobal {
         let mem = memory.clone();
         // Global termination detection still works without sensing: the
         // packets reveal every node's multiplicity.
-        if !view.packets.iter().any(|p| p.count >= 2) {
+        if !view.packets.iter().any(|p| p.count() >= 2) {
             return (Action::Stay, mem);
         }
         if view.colocated.first() == Some(&view.me) {

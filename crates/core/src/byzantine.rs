@@ -72,11 +72,9 @@ impl<A> WithByzantine<A> {
             ByzantineStrategy::Freeze => Action::Stay,
             ByzantineStrategy::ChaseCrowds => {
                 let neighbors = view
-                    .neighbors
-                    .as_ref()
+                    .neighbors()
                     .expect("demonstrations run with 1-neighborhood knowledge");
                 neighbors
-                    .iter()
                     .filter(|o| o.occupied())
                     .max_by_key(|o| o.robots.len())
                     .map(|o| Action::Move(o.port))

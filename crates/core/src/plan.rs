@@ -13,14 +13,18 @@
 //! search in its colocated list for the few root robots that may hold a
 //! path slot.
 //!
-//! The build works on dense arrays indexed by packet position (and by
-//! [`RobotId::index`] for the identity lookup), not on the `BTreeMap`
-//! structures of [`crate::component`], [`crate::spanning_tree`] and
-//! [`crate::paths`]. Those remain the paper-shaped reference, and
-//! `DispersionDynamic::unmemoized` decides through them; the differential
-//! tests compare the two paths round by round.
+//! The build reads the round's packet table in place and works on dense
+//! arrays indexed by packet position: packets ascend by sender, so
+//! position order is the increasing-ID order Algorithms 1–3 process nodes
+//! in, and the table gives each neighbor report its neighbor's position
+//! ([`dispersion_engine::PacketRef::neighbor_slots`]), so no identity is
+//! ever looked up. The `BTreeMap` structures of
+//! [`crate::component`], [`crate::spanning_tree`] and [`crate::paths`]
+//! remain the paper-shaped reference, and `DispersionDynamic::unmemoized`
+//! decides through them; the differential tests compare the two paths
+//! round by round.
 
-use dispersion_engine::{Action, InfoPacket, NeighborReport, RobotId, RobotView};
+use dispersion_engine::{Action, Packets, RobotView};
 use dispersion_graph::Port;
 
 use crate::sliding::{self, MoverRule, SlidingPolicy};
@@ -54,47 +58,56 @@ enum SlotMove {
 }
 
 /// One packet list's agreed structures, reduced to per-node decisions.
-/// Immutable once built; shared by every robot (and every executor
-/// worker) that sees the same packet list.
-#[derive(Debug)]
+/// Shared by every robot (and every executor worker) that sees the same
+/// packet list; rebuilt in place once no one holds it any more.
+#[derive(Debug, Default)]
 pub(crate) struct RoundPlan {
-    /// The packet-list identity this plan was built for (0 for a plan
-    /// built for a single call).
+    /// The packet-list identity this plan was built for.
     id: u64,
     /// Whether any node holds two or more robots; without one every
     /// robot stays (termination detection under global communication).
     multiplicity: bool,
-    /// Role of each occupied node, indexed by the node's identity (its
-    /// smallest robot) via [`RobotId::index`].
-    roles: Box<[Role]>,
+    /// Role of each occupied node, indexed by its packet's position.
+    roles: Vec<Role>,
     /// Root path-slot tables, sliced by [`Role::Root`].
-    root_slots: Box<[SlotMove]>,
+    root_slots: Vec<SlotMove>,
 }
 
-/// Working buffers of [`RoundPlan::build`], kept between builds so a warm
-/// build allocates only the plan itself.
+/// Per packet position: where the tree search put the node.
+#[derive(Clone, Copy, Debug)]
+struct TreeNode {
+    /// Label of the node's component (`NONE` when the search never
+    /// reached it: its component has no multiplicity node).
+    comp: u32,
+    /// Tree parent (`NONE` for a root).
+    parent: u32,
+    /// The port at the parent leading to this node (`None` for a root).
+    port: Option<Port>,
+    /// No further kept path may pass through the node, because it lies
+    /// on a kept path or its root path crosses one.
+    blocked: bool,
+}
+
+const UNREACHED: TreeNode = TreeNode {
+    comp: NONE,
+    parent: NONE,
+    port: None,
+    blocked: false,
+};
+
+/// Working buffers of [`RoundPlan::rebuild`], kept between builds so a
+/// warm build allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
-    /// Packet position of each node identity (`NONE` if absent).
-    slot_of: Vec<u32>,
-    /// Packet positions ascending by sender.
-    order: Vec<u32>,
-    /// Component label per packet position (`NONE` until labeled).
-    comp: Vec<u32>,
-    /// Root (packet position) of each component; `NONE` when the
-    /// component has no multiplicity node.
+    /// The tree search's record per packet position.
+    nodes: Vec<TreeNode>,
+    /// Root (packet position) of each component label.
     comp_root: Vec<u32>,
-    /// Paths still to keep per component.
+    /// Paths still to keep per component label.
     comp_quota: Vec<u32>,
-    /// Tree parent per packet position (`NONE` for roots).
-    parent: Vec<u32>,
-    /// Whether the tree search reached a packet position.
-    explored: Vec<bool>,
-    /// Per packet position: no further kept path may pass through it,
-    /// because it lies on a kept path or its root path crosses one.
-    blocked: Vec<bool>,
-    /// DFS stack of `(node, discovered-from)`, or the BFS queue.
-    frontier: Vec<(u32, u32)>,
+    /// DFS stack of `(node, discovered-from, port there)`, or the BFS
+    /// queue.
+    frontier: Vec<(u32, u32, Option<Port>)>,
     /// The candidate path being walked, leaf first.
     walk: Vec<u32>,
     /// Kept paths as `(root, rank, slot)`, `rank` counting kept paths in
@@ -102,25 +115,25 @@ pub(crate) struct PlanScratch {
     slots: Vec<(u32, u32, SlotMove)>,
 }
 
-fn neighbors(p: &InfoPacket) -> &[NeighborReport] {
-    p.occupied_neighbors
-        .as_deref()
-        .expect("Algorithm 1 requires 1-neighborhood knowledge")
-}
-
-fn has_empty_neighbor(p: &InfoPacket) -> bool {
-    p.has_empty_neighbor()
-        .expect("Algorithm 1 requires 1-neighborhood knowledge")
-}
-
-/// The port at `from` leading to the node named `to`: the first occupied
-/// neighbor report naming it (ports ascending), as
-/// [`crate::component::ComponentNode::port_to`] resolves it.
-fn port_to(from: &InfoPacket, to: RobotId) -> Option<Port> {
-    neighbors(from)
+/// The occupied neighbors of the packet at position `v`, in port order:
+/// the port towards each and the position of its packet.
+fn neighbors<'a>(
+    packets: &Packets<'a>,
+    v: u32,
+) -> impl DoubleEndedIterator<Item = (Port, u32)> + 'a {
+    let packet = packets.row(v as usize);
+    let (Some(reports), Some(slots)) = (packet.occupied_neighbors(), packet.neighbor_slots())
+    else {
+        panic!("Algorithm 1 requires 1-neighborhood knowledge")
+    };
+    let packets = *packets;
+    reports
         .iter()
-        .find(|rep| rep.min_robot == to)
-        .map(|rep| rep.port)
+        .zip(slots)
+        .map(move |(rep, &slot)| match packets.position(slot as usize) {
+            Some(w) => (rep.port, w as u32),
+            None => panic!("no packet for component node {}", rep.min_robot),
+        })
 }
 
 /// Whether the robot observing `view` at a root with `len` path slots can
@@ -131,10 +144,9 @@ fn port_to(from: &InfoPacket, to: RobotId) -> Option<Port> {
 /// ascending `colocated` list takes slot `colocated.len() − 1 − pos`,
 /// which is a kept slot iff `pos ≥ colocated.len() − len`, and the
 /// anchor (`pos = 0`) never moves: so only IDs at or above
-/// `colocated[max(colocated.len() − len, 1)]` can move. A robot missing
-/// from `colocated` (a hand-built view) passes or fails this test alike;
-/// the binary search then rejects it. Under
+/// `colocated[max(colocated.len() − len, 1)]` can move. Under
 /// [`MoverRule::SmallestNonAnchor`] every robot goes to the search.
+#[inline]
 fn root_mover_candidate(view: &RobotView, len: u32, policy: SlidingPolicy) -> bool {
     match policy.mover {
         MoverRule::LargestId => {
@@ -149,126 +161,97 @@ fn root_mover_candidate(view: &RobotView, len: u32, policy: SlidingPolicy) -> bo
 
 impl RoundPlan {
     /// Runs Algorithms 1–3 over the whole packet list and folds the kept
-    /// paths into per-node roles: per component, the root is the
-    /// smallest-ID multiplicity node, the tree is the policy's DFS or BFS
-    /// ([`crate::SpanningTree::build`] / `build_bfs`), and leaf candidates
-    /// are taken in increasing ID order while their root paths stay
-    /// disjoint, up to `count(root) − 1` paths (one under
-    /// [`SlidingPolicy::single_path`]).
+    /// paths into per-node roles, overwriting this plan in place: per
+    /// component, the root is the smallest-ID multiplicity node, the tree
+    /// is the policy's DFS or BFS ([`crate::SpanningTree::build`] /
+    /// `build_bfs`), and leaf candidates are taken in increasing ID order
+    /// while their root paths stay disjoint, up to `count(root) − 1`
+    /// paths (one under [`SlidingPolicy::single_path`]).
+    ///
+    /// `packets` must ascend by sender, as every engine-built list does.
     ///
     /// # Panics
     ///
     /// Panics if a multiplicity exists and the packets lack the
     /// 1-neighborhood fields, or name a neighbor without a packet.
-    pub(crate) fn build(
+    pub(crate) fn rebuild(
+        &mut self,
         id: u64,
-        packets: &[InfoPacket],
+        packets: &Packets<'_>,
         policy: SlidingPolicy,
         s: &mut PlanScratch,
-    ) -> RoundPlan {
-        let multiplicity = packets.iter().any(|p| p.count >= 2);
-        if !multiplicity {
-            return RoundPlan {
-                id,
-                multiplicity,
-                roles: Box::default(),
-                root_slots: Box::default(),
-            };
+    ) {
+        self.id = id;
+        self.roles.clear();
+        self.root_slots.clear();
+        self.multiplicity = packets.iter().any(|p| p.count() >= 2);
+        if !self.multiplicity {
+            return;
         }
         let n = packets.len();
         assert!(n < NONE as usize, "packet positions fit in u32");
-        let ids = packets
-            .iter()
-            .map(|p| p.sender.index() + 1)
-            .max()
-            .unwrap_or(0);
-        s.slot_of.clear();
-        s.slot_of.resize(ids, NONE);
-        for (i, p) in packets.iter().enumerate() {
-            s.slot_of[p.sender.index()] = i as u32;
-        }
-        s.order.clear();
-        s.order.extend(0..n as u32);
-        if !packets.windows(2).all(|w| w[0].sender < w[1].sender) {
-            s.order
-                .sort_unstable_by_key(|&i| packets[i as usize].sender);
-        }
-        let slot_of = &s.slot_of;
-        let position = |id: RobotId| -> u32 {
-            match slot_of.get(id.index()) {
-                Some(&i) if i != NONE => i,
-                _ => panic!("no packet for component node {id}"),
-            }
-        };
+        debug_assert!(
+            packets
+                .iter()
+                .zip(packets.iter().skip(1))
+                .all(|(a, b)| a.sender() < b.sender()),
+            "packets ascend by sender"
+        );
 
-        // Algorithm 1: label every component; its root is the first
-        // multiplicity node in increasing ID order.
-        s.comp.clear();
-        s.comp.resize(n, NONE);
+        // Algorithms 1 and 2 in one search per component: the root of a
+        // component is its smallest-ID multiplicity node, and positions
+        // ascend by ID, so the first multiplicity node not yet reached
+        // roots a new component, whose tree search then labels all of
+        // it. Components without a multiplicity node are never searched:
+        // their robots all stay.
+        s.nodes.clear();
+        s.nodes.resize(n, UNREACHED);
         s.comp_root.clear();
-        for &start in &s.order {
-            if s.comp[start as usize] != NONE {
+        for root in 0..n as u32 {
+            if s.nodes[root as usize].comp != NONE || packets.row(root as usize).count() < 2 {
                 continue;
             }
             let label = s.comp_root.len() as u32;
-            s.comp_root.push(NONE);
-            s.comp[start as usize] = label;
-            s.walk.clear();
-            s.walk.push(start);
-            while let Some(v) = s.walk.pop() {
-                for rep in neighbors(&packets[v as usize]) {
-                    let w = position(rep.min_robot);
-                    if s.comp[w as usize] == NONE {
-                        s.comp[w as usize] = label;
-                        s.walk.push(w);
-                    }
-                }
-            }
-        }
-        for &v in &s.order {
-            let root = &mut s.comp_root[s.comp[v as usize] as usize];
-            if *root == NONE && packets[v as usize].count >= 2 {
-                *root = v;
-            }
-        }
-
-        // Algorithm 2: one spanning tree per component with a root.
-        s.parent.clear();
-        s.parent.resize(n, NONE);
-        s.explored.clear();
-        s.explored.resize(n, false);
-        for &root in s.comp_root.iter().filter(|&&r| r != NONE) {
+            s.comp_root.push(root);
             s.frontier.clear();
             if policy.bfs_tree {
                 // Neighbors enqueued in increasing port order.
-                s.explored[root as usize] = true;
-                s.frontier.push((root, NONE));
+                s.nodes[root as usize].comp = label;
+                s.frontier.push((root, NONE, None));
                 let mut head = 0;
-                while let Some(&(v, _)) = s.frontier.get(head) {
+                while let Some(&(v, _, _)) = s.frontier.get(head) {
                     head += 1;
-                    for rep in neighbors(&packets[v as usize]) {
-                        let w = position(rep.min_robot);
-                        if !s.explored[w as usize] {
-                            s.explored[w as usize] = true;
-                            s.parent[w as usize] = v;
-                            s.frontier.push((w, v));
+                    for (port, w) in neighbors(packets, v) {
+                        let node = &mut s.nodes[w as usize];
+                        if node.comp == NONE {
+                            *node = TreeNode {
+                                comp: label,
+                                parent: v,
+                                port: Some(port),
+                                blocked: false,
+                            };
+                            s.frontier.push((w, v, None));
                         }
                     }
                 }
             } else {
                 // Neighbors pushed in decreasing port order, so the
                 // smallest port is expanded first.
-                s.frontier.push((root, NONE));
-                while let Some((v, from)) = s.frontier.pop() {
-                    if s.explored[v as usize] {
+                s.frontier.push((root, NONE, None));
+                while let Some((v, parent, port)) = s.frontier.pop() {
+                    let node = &mut s.nodes[v as usize];
+                    if node.comp != NONE {
                         continue;
                     }
-                    s.explored[v as usize] = true;
-                    s.parent[v as usize] = from;
-                    for rep in neighbors(&packets[v as usize]).iter().rev() {
-                        let w = position(rep.min_robot);
-                        if !s.explored[w as usize] {
-                            s.frontier.push((w, v));
+                    *node = TreeNode {
+                        comp: label,
+                        parent,
+                        port,
+                        blocked: false,
+                    };
+                    for (port, w) in neighbors(packets, v).rev() {
+                        if s.nodes[w as usize].comp == NONE {
+                            s.frontier.push((w, v, Some(port)));
                         }
                     }
                 }
@@ -280,62 +263,64 @@ impl RoundPlan {
         // non-root node with a kept one.
         s.comp_quota.clear();
         s.comp_quota.extend(s.comp_root.iter().map(|&root| {
-            if root == NONE {
-                0
-            } else if policy.single_path {
+            if policy.single_path {
                 1
             } else {
-                packets[root as usize].count as u32 - 1
+                packets.row(root as usize).count() as u32 - 1
             }
         }));
-        s.blocked.clear();
-        s.blocked.resize(n, false);
         s.slots.clear();
-        let mut roles = vec![Role::OffPath; ids].into_boxed_slice();
-        for &v in &s.order {
-            let label = s.comp[v as usize] as usize;
-            if s.comp_quota[label] == 0 || !has_empty_neighbor(&packets[v as usize]) {
+        self.roles.resize(n, Role::OffPath);
+        for v in 0..n as u32 {
+            let label = s.nodes[v as usize].comp;
+            if label == NONE
+                || s.comp_quota[label as usize] == 0
+                || !packets
+                    .row(v as usize)
+                    .has_empty_neighbor()
+                    .expect("Algorithm 1 requires 1-neighborhood knowledge")
+            {
                 continue;
             }
-            let root = s.comp_root[label];
+            let root = s.comp_root[label as usize];
             if v == root {
                 // The trivial path [root] shares nothing.
                 s.slots.push((root, s.slots.len() as u32, SlotMove::Exit));
-                s.comp_quota[label] -= 1;
+                s.comp_quota[label as usize] -= 1;
                 continue;
             }
             s.walk.clear();
             let mut cur = v;
             let mut disjoint = true;
             while cur != root {
-                if s.blocked[cur as usize] {
+                let node = &s.nodes[cur as usize];
+                if node.blocked {
                     disjoint = false;
                     break;
                 }
                 s.walk.push(cur);
-                cur = s.parent[cur as usize];
+                cur = node.parent;
+            }
+            for &x in &s.walk {
+                s.nodes[x as usize].blocked = true;
             }
             if !disjoint {
                 // Every node walked leads to the kept path just met, and
                 // kept paths never go away: later walks may stop here.
-                for &x in &s.walk {
-                    s.blocked[x as usize] = true;
-                }
                 continue;
             }
-            s.comp_quota[label] -= 1;
+            s.comp_quota[label as usize] -= 1;
             let first = *s.walk.last().expect("a non-root leaf has a path");
-            let toward = port_to(&packets[root as usize], packets[first as usize].sender);
-            s.slots
-                .push((root, s.slots.len() as u32, SlotMove::Toward(toward)));
-            for (i, &x) in s.walk.iter().enumerate() {
-                s.blocked[x as usize] = true;
-                let node = &packets[x as usize];
-                roles[node.sender.index()] = if i == 0 {
-                    Role::Leaf
-                } else {
-                    Role::Interior(port_to(node, packets[s.walk[i - 1] as usize].sender))
-                };
+            s.slots.push((
+                root,
+                s.slots.len() as u32,
+                SlotMove::Toward(s.nodes[first as usize].port),
+            ));
+            // Each path node exits through the port to its child on the
+            // path, the one walked before it.
+            self.roles[v as usize] = Role::Leaf;
+            for pair in s.walk.windows(2) {
+                self.roles[pair[1] as usize] = Role::Interior(s.nodes[pair[0] as usize].port);
             }
         }
 
@@ -345,18 +330,14 @@ impl RoundPlan {
             .sort_unstable_by_key(|&(root, rank, _)| (root, rank));
         let mut first = 0;
         for group in s.slots.chunk_by(|a, b| a.0 == b.0) {
-            roles[packets[group[0].0 as usize].sender.index()] = Role::Root {
+            self.roles[group[0].0 as usize] = Role::Root {
                 first: first as u32,
                 len: group.len() as u32,
             };
             first += group.len();
         }
-        RoundPlan {
-            id,
-            multiplicity,
-            roles,
-            root_slots: s.slots.iter().map(|&(_, _, slot)| slot).collect(),
-        }
+        self.root_slots
+            .extend(s.slots.iter().map(|&(_, _, slot)| slot));
     }
 
     /// The packet-list identity this plan was built for.
@@ -370,12 +351,7 @@ impl RoundPlan {
         if !self.multiplicity {
             return Action::Stay;
         }
-        let my_node = view.colocated[0];
-        let role = self
-            .roles
-            .get(my_node.index())
-            .copied()
-            .unwrap_or(Role::OffPath);
+        let role = self.roles[view.own_slot()];
         let port = match role {
             Role::OffPath => None,
             Role::Root { first, len } => root_mover_candidate(view, len, policy)

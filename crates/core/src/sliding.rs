@@ -105,10 +105,8 @@ pub fn decide_with_policy(
 /// view's neighbor observations in place.
 pub(crate) fn leaf_exit_port(view: &RobotView, policy: SlidingPolicy) -> Option<Port> {
     let empties = view
-        .neighbors
-        .as_ref()
+        .neighbors()
         .expect("Algorithm 4 requires 1-neighborhood knowledge")
-        .iter()
         .filter(|o| !o.occupied())
         .map(|o| o.port);
     match policy.leaf_port {
@@ -207,7 +205,7 @@ fn decide_off_root(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dispersion_engine::{build_packets, build_view, Configuration, ModelSpec, RobotId};
+    use dispersion_engine::{build_packets, build_views, Configuration, ModelSpec, RobotId};
     use dispersion_graph::{generators, NodeId, PortLabeledGraph};
 
     fn r(i: u32) -> RobotId {
@@ -220,18 +218,17 @@ mod tests {
     /// Builds the full per-robot action map on one graph/configuration.
     fn actions_on(g: &PortLabeledGraph, cfg: &Configuration) -> Vec<(RobotId, Action)> {
         let packets = build_packets(g, cfg, true);
-        cfg.iter()
-            .map(|(robot, _)| {
-                let view = build_view(
-                    g,
-                    cfg,
-                    ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-                    0,
-                    cfg.robot_count(),
-                    robot,
-                    None,
-                    &packets,
-                );
+        let views = build_views(
+            g,
+            cfg,
+            ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+            0,
+            cfg.robot_count(),
+            &|_| None,
+        );
+        views
+            .iter()
+            .map(|(robot, view)| {
                 let comp = ConnectedComponent::build(&packets, view.colocated[0]);
                 let tree = SpanningTree::build(&comp).expect("multiplicity exists");
                 let paths = DisjointPathSet::build(&comp, &tree);

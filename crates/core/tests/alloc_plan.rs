@@ -1,6 +1,7 @@
-//! Algorithm 4's steady-state allocations per round do not grow with the
-//! population: one round plan per round, built from warm scratch, and an
-//! allocation-free per-robot decision.
+//! Algorithm 4's steady-state rounds allocate next to nothing, at any
+//! population: the round plan is rebuilt in place from warm scratch, the
+//! engine's robot index and packet table are flat buffers that only grow,
+//! and a per-robot decision allocates nothing.
 //!
 //! A counting global allocator wraps the system allocator. The counter is
 //! process-wide, so the executor workers' allocations (whichever worker
@@ -50,8 +51,9 @@ const WARM_UP: u64 = 4;
 /// Mean allocations per round of a rooted run of `k` robots on a static
 /// `2k`-ring, from round [`WARM_UP`] until dispersion. The run lasts about
 /// `k / 2` rounds and ends with `k` occupied nodes, so anything allocated
-/// per occupied node (or per robot) shows up as a mean that grows with
-/// `k`.
+/// per round, per occupied node or per robot shows up as a mean of one
+/// or more. What remains is the flat buffers doubling as the occupied
+/// nodes grow: a few growth steps over the whole run.
 fn allocations_per_round(k: usize, threads: usize) -> f64 {
     let n = 2 * k;
     let mut sim = Simulator::builder(
@@ -80,19 +82,15 @@ fn allocations_per_round_do_not_grow_with_k() {
     for threads in [1usize, 2] {
         let small = allocations_per_round(64, threads);
         let large = allocations_per_round(1024, threads);
-        // The plan itself is three allocations (the shared handle, the
-        // role table and the root slots). The engine adds a few for each
-        // newly occupied node — packet and index buffers, and with a pool
-        // each worker's packet copy — two of which appear per round on a
-        // ring. Per robot or per occupied node, the mean would grow
-        // sixteenfold from k = 64 to k = 1024.
-        assert!(
-            small <= 48.0,
-            "threads {threads}: {small:.1} allocations per round at k = 64"
-        );
-        assert!(
-            large <= small + 1.0,
-            "threads {threads}: {large:.1} allocations per round at k = 1024 vs {small:.1} at k = 64"
-        );
+        println!("threads {threads}: {small:.2} at k = 64, {large:.2} at k = 1024");
+        // A plan built afresh instead of recycled would be three
+        // allocations per round (the shared handle, the role table and
+        // the root slots); a per-node buffer would be hundreds.
+        for (k, mean) in [(64, small), (1024, large)] {
+            assert!(
+                mean <= 1.0,
+                "threads {threads}: {mean:.2} allocations per round at k = {k}"
+            );
+        }
     }
 }

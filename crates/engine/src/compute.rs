@@ -1,5 +1,5 @@
-//! The Compute pass: one algorithm step per activated robot over a single
-//! reusable view.
+//! The Compute pass: one algorithm step per activated robot, each over a
+//! view borrowed from the round's robot index and packet table.
 //!
 //! Three callers run the same pass: the simulator's sequential round
 //! loop, each executor participant over the blocks of robots it claims,
@@ -7,16 +7,12 @@
 //! is what keeps the oracle's predictions equal to what the round loop
 //! would decide on the same graph.
 
-use dispersion_graph::{NodeId, Port, PortLabeledGraph};
+use dispersion_graph::{Port, PortLabeledGraph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::packet::{build_own_packet_with, build_packets_with};
-use crate::view::{next_packets_id, write_node_view_with};
-use crate::{
-    Action, Activation, CommModel, Configuration, DispersionAlgorithm, ModelSpec,
-    NeighborObservation, PacketList, RobotId, RobotView,
-};
+use crate::packet::{PacketTable, RobotIndex};
+use crate::{Action, Activation, DispersionAlgorithm, ModelSpec, RobotId, RobotView};
 
 /// Whether `robot` computes in `round` under the activation schedule.
 fn activated(activation: Activation, round: u64, robot: RobotId) -> bool {
@@ -33,28 +29,34 @@ fn activated(activation: Activation, round: u64, robot: RobotId) -> bool {
     }
 }
 
-/// Writes the robots that compute in `round` into `out`, in
-/// configuration (robot-ID) order. Robots left out stay put and keep
+/// Writes the robots that compute in `round` into `out`, each with its
+/// slot in `index`, in robot-ID order. Robots left out stay put and keep
 /// their memory.
 pub(crate) fn activated_robots_into(
-    config: &Configuration,
+    index: &RobotIndex,
     activation: Activation,
     round: u64,
-    out: &mut Vec<(RobotId, NodeId)>,
+    out: &mut Vec<(RobotId, u32)>,
 ) {
     out.clear();
-    out.extend(
-        config
-            .iter()
-            .filter(|&(robot, _)| activated(activation, round, robot)),
-    );
+    match activation {
+        Activation::FullSync => out.extend_from_slice(index.members()),
+        Activation::SemiSync { .. } => out.extend(
+            index
+                .members()
+                .iter()
+                .filter(|&&(robot, _)| activated(activation, round, robot)),
+        ),
+    }
 }
 
 /// The round-wide inputs of a Compute pass.
 pub(crate) struct RoundInputs<'a, M> {
     pub g: &'a PortLabeledGraph,
-    /// Live robots at each node, ascending; rows of empty nodes are empty.
-    pub node_robots: &'a [Vec<RobotId>],
+    /// The round's robot index.
+    pub index: &'a RobotIndex,
+    /// The round's packets on `g`, built from `index`.
+    pub table: &'a PacketTable,
     /// Per-robot memories, indexed by [`RobotId::index`].
     pub memories: &'a [Option<M>],
     /// Per-robot arrival ports, indexed by [`RobotId::index`].
@@ -64,105 +66,50 @@ pub(crate) struct RoundInputs<'a, M> {
     pub k: usize,
 }
 
-/// The one view a Compute pass hands every robot, plus the neighbor
-/// observations a smaller node left over, parked for the next larger
-/// one: once warm, a pass allocates nothing however the degrees and
-/// occupancies of successive nodes and graphs vary.
-#[derive(Debug)]
-pub(crate) struct ViewScratch {
-    pub view: RobotView,
-    spare_observations: Vec<NeighborObservation>,
-}
-
-impl ViewScratch {
-    /// Empty buffers; nothing is allocated until the first pass.
-    pub(crate) fn new() -> Self {
-        ViewScratch {
-            view: RobotView {
-                round: 0,
-                me: RobotId::new(1),
-                k: 0,
-                degree: 0,
-                arrival_port: None,
-                colocated: Vec::new(),
-                neighbors: None,
-                packets: PacketList::new(),
-                packets_id: 0,
-            },
-            spare_observations: Vec::new(),
-        }
-    }
-
-    /// Communicate under global communication: writes the packet list of
-    /// the occupied nodes into the view under one fresh identity.
-    pub(crate) fn build_packets(
-        &mut self,
-        g: &PortLabeledGraph,
-        node_robots: &[Vec<RobotId>],
-        occupied: &[NodeId],
-        neighborhood: bool,
-    ) {
-        build_packets_with(
-            g,
-            node_robots,
-            occupied,
-            neighborhood,
-            self.view.packets.make_mut(),
-        );
-        self.view.packets_id = next_packets_id();
-    }
-}
-
-/// Runs `algorithm.step` for each `(robot, node)` of `robots` and hands
-/// `decide` the robot, its node, its action and its next memory, in
+/// Runs `algorithm.step` for each `(robot, slot)` of `robots` and hands
+/// `decide` the robot, its slot, its action and its next memory, in
 /// order.
 ///
-/// Under global communication the view must already hold the round's
-/// packet list under its identity ([`ViewScratch::build_packets`]);
-/// under local communication the pass builds each node's own packet
-/// under a fresh identity. The node-dependent parts of the view are
-/// rewritten only when the node changes, so a warm scratch makes the
-/// pass allocation-free.
+/// Every view borrows the inputs' index and packet table; only when the
+/// node changes is the view rewritten for the new node (a few word
+/// stores, plus a fresh packet-list identity under local
+/// communication). The pass allocates nothing.
 pub(crate) fn compute_pass<A: DispersionAlgorithm>(
     algorithm: &A,
     inputs: &RoundInputs<'_, A::Memory>,
-    robots: impl IntoIterator<Item = (RobotId, NodeId)>,
-    scratch: &mut ViewScratch,
-    mut decide: impl FnMut(RobotId, NodeId, Action, A::Memory),
+    robots: impl IntoIterator<Item = (RobotId, u32)>,
+    mut decide: impl FnMut(RobotId, u32, Action, A::Memory),
 ) {
-    let neighborhood = inputs.model.neighborhood;
-    let view = &mut scratch.view;
-    view.round = inputs.round;
-    view.k = inputs.k;
-    let mut view_node = None;
-    for (robot, v) in robots {
-        if view_node != Some(v) {
-            write_node_view_with(
-                inputs.g,
-                inputs.node_robots,
-                v,
-                neighborhood,
-                view,
-                &mut scratch.spare_observations,
-            );
-            if inputs.model.comm == CommModel::Local {
-                build_own_packet_with(
-                    inputs.g,
-                    inputs.node_robots,
-                    v,
-                    neighborhood,
-                    view.packets.make_mut(),
-                );
-                view.packets_id = next_packets_id();
-            }
-            view_node = Some(v);
+    let mut robots = robots.into_iter();
+    let Some(mut current) = robots.next() else {
+        return;
+    };
+    let mut view_slot = current.1;
+    let mut view = RobotView::at_slot(
+        inputs.g,
+        inputs.index,
+        inputs.table,
+        inputs.model,
+        inputs.round,
+        inputs.k,
+        view_slot as usize,
+    );
+    loop {
+        let (robot, slot) = current;
+        if slot != view_slot {
+            view.move_to(inputs.index, inputs.table, inputs.model, slot as usize);
+            view_slot = slot;
         }
         view.me = robot;
         view.arrival_port = inputs.arrival_ports[robot.index()];
         let mem = inputs.memories[robot.index()]
             .as_ref()
             .expect("live robots have memories");
-        let (action, next) = algorithm.step(view, mem);
-        decide(robot, v, action, next);
+        let (action, next) = algorithm.step(&view, mem);
+        decide(robot, slot, action, next);
+        match robots.next() {
+            Some(next) => current = next,
+            None => break,
+        }
     }
 }

@@ -36,11 +36,10 @@
 //!   view's packet-list identity ([`crate::RobotView::packets_id`]), such as
 //!   `DispersionDynamic`'s round plan, is built once, with no worker
 //!   waiting for it.
-//! * **The packet list is shared, not copied.** Under global
-//!   communication every participant's view takes a share of the round's
-//!   [`PacketList`] (one reference-count increment) and drops it when its
-//!   share of the work ends. Once the dispatch returns the caller holds
-//!   the only share again, so the next round rebuilds the list in place.
+//! * **The round state is borrowed, not copied.** Every participant's
+//!   views borrow the caller's robot index and packet table through the
+//!   shared [`RoundInputs`], exactly as they borrow the graph; nothing is
+//!   handed out or back.
 //!
 //! Communicate stays on the caller: one packet build per round is cheaper
 //! than splitting it and merging the pieces.
@@ -107,7 +106,7 @@
 //! * all shared inputs are `&`-borrows of `Sync` data (`A::Memory: Sync`
 //!   is a bound on both ends), decisions move to the caller's thread
 //!   (`A::Memory: Send`), and the only shared value a share mutates is the
-//!   [`PacketList`]'s atomic reference count.
+//!   block counter.
 #![allow(unsafe_code)]
 
 use std::any::TypeId;
@@ -118,10 +117,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dispersion_graph::NodeId;
-
-use crate::compute::{compute_pass, RoundInputs, ViewScratch};
-use crate::{Action, CommModel, DispersionAlgorithm, PacketList, RobotId};
+use crate::compute::{compute_pass, RoundInputs};
+use crate::{Action, DispersionAlgorithm, RobotId};
 
 /// Robots per claimed Compute block (a round's last block may be
 /// shorter): large enough that claiming costs nothing next to 32 steps,
@@ -153,17 +150,15 @@ pub(crate) type ParComputeFn<A> = fn(
     &mut WorkerPool,
     &A,
     &RoundInputs<'_, <A as DispersionAlgorithm>::Memory>,
-    &[(RobotId, NodeId)],
-    &mut ViewScratch,
+    &[(RobotId, u32)],
     &mut Vec<Decision<A>>,
 );
 
 /// A participant's own state, type-erased: its algorithm instance (an
-/// `A`) and its view.
+/// `A`).
 #[derive(Clone, Copy)]
 struct Local {
     algorithm: *const (),
-    compute: *mut ViewScratch,
 }
 
 /// A type-erased share of a parallel phase:
@@ -279,15 +274,6 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// A worker's long-lived state: an algorithm clone (the algorithm need
-/// not be `Sync`; clones may still share state among themselves, keyed
-/// by the view's packet-list identity) and a reusable view, mirroring the
-/// sequential loop's single-view optimization per worker.
-struct WorkerLocal<A: DispersionAlgorithm> {
-    algorithm: A,
-    compute: ViewScratch,
-}
-
 /// Builds a pool of `participants` (the caller plus `participants − 1`
 /// persistent worker threads, each owning a clone of `algorithm`). Used
 /// by `SimulatorBuilder::threads`.
@@ -313,16 +299,15 @@ where
     let handles = (1..participants)
         .map(|w| {
             let shared = Arc::clone(&shared);
-            let mut local = WorkerLocal {
-                algorithm: algorithm.clone(),
-                compute: ViewScratch::new(),
-            };
+            // A worker's long-lived state: an algorithm clone (the
+            // algorithm need not be `Sync`; clones may still share state
+            // among themselves, keyed by the view's packet-list identity).
+            let algorithm = algorithm.clone();
             std::thread::Builder::new()
                 .name(format!("ccm-worker-{w}"))
                 .spawn(move || {
                     let local = Local {
-                        algorithm: (&local.algorithm) as *const A as *const (),
-                        compute: &mut local.compute,
+                        algorithm: (&algorithm) as *const A as *const (),
                     };
                     worker_loop(&shared, local, w);
                 })
@@ -422,13 +407,7 @@ struct ComputeCtx<'a, 'r, A: DispersionAlgorithm> {
     inputs: &'a RoundInputs<'r, <A as DispersionAlgorithm>::Memory>,
     /// Activated robots in configuration (robot-ID) order — the exact
     /// order the sequential Compute loop visits.
-    live: &'a [(RobotId, NodeId)],
-    /// The round's packet list and its identity under global
-    /// communication; every participant's view takes a share. Empty
-    /// under local communication, where each participant builds
-    /// own-node packets.
-    packets: PacketList,
-    packets_id: u64,
+    live: &'a [(RobotId, u32)],
     /// Start of the next unclaimed block of `live`.
     next: AtomicUsize,
     /// `live.len()` slots; slot `i` receives robot `live[i]`'s decision.
@@ -459,16 +438,9 @@ where
 {
     // SAFETY: `par_compute::<A>` erased a `ComputeCtx<'_, '_, A>` and
     // checked (via TypeId) that this pool's locals hold an `A`; both stay
-    // alive across the blocking dispatch, and each participant's view is
-    // its own.
+    // alive across the blocking dispatch.
     let ctx = unsafe { &*(ctx as *const ComputeCtx<'_, '_, A>) };
     let algorithm = unsafe { &*(local.algorithm as *const A) };
-    let scratch = unsafe { &mut *local.compute };
-    let global = ctx.inputs.model.comm == CommModel::Global;
-    if global {
-        scratch.view.packets = ctx.packets.clone();
-        scratch.view.packets_id = ctx.packets_id;
-    }
     // Worker `w` decides its reserved robot `live[w]` first, then claims
     // blocks with everyone else.
     let reserved = (participant != 0 && participant < ctx.live.len()).then_some(participant);
@@ -480,23 +452,13 @@ where
             slot.set(i);
             ctx.live[i]
         });
-    compute_pass(
-        algorithm,
-        ctx.inputs,
-        robots,
-        scratch,
-        |robot, _, action, next| {
-            // SAFETY: index `slot` is reserved for or was claimed by this
-            // participant alone; `slots` has `live.len()` initialized slots.
-            unsafe {
-                *ctx.slots.add(slot.get()) = Some((robot, action, next));
-            }
-        },
-    );
-    if global {
-        // Hand the share back, so the caller holds the only one again.
-        scratch.view.packets = PacketList::new();
-    }
+    compute_pass(algorithm, ctx.inputs, robots, |robot, _, action, next| {
+        // SAFETY: index `slot` is reserved for or was claimed by this
+        // participant alone; `slots` has `live.len()` initialized slots.
+        unsafe {
+            *ctx.slots.add(slot.get()) = Some((robot, action, next));
+        }
+    });
 }
 
 /// Runs the Compute phase of one round across the pool: robot `live[i]`'s
@@ -504,17 +466,13 @@ where
 /// byte-identical decision sequence of the sequential loop, for any
 /// participant count and any split of the blocks.
 ///
-/// The caller participates with `algorithm` and `scratch`, whose view
-/// must hold the round's packet list under global communication
-/// ([`ViewScratch::build_packets`]); the list is back in place when this
-/// returns. The caller decides `live[0]` before the workers start.
-/// Allocation-free once every participant's buffers are warm.
+/// The caller participates with `algorithm` and decides `live[0]` before
+/// the workers start. Allocation-free once `slots` is warm.
 pub(crate) fn par_compute<A>(
     pool: &mut WorkerPool,
     algorithm: &A,
     inputs: &RoundInputs<'_, <A as DispersionAlgorithm>::Memory>,
-    live: &[(RobotId, NodeId)],
-    scratch: &mut ViewScratch,
+    live: &[(RobotId, u32)],
     slots: &mut Vec<Decision<A>>,
 ) where
     A: DispersionAlgorithm + Clone + Send + 'static,
@@ -530,38 +488,24 @@ pub(crate) fn par_compute<A>(
     let Some(&first) = live.first() else {
         return;
     };
-    compute_pass(
-        algorithm,
-        inputs,
-        [first],
-        scratch,
-        |robot, _, action, next| {
-            slots[0] = Some((robot, action, next));
-        },
-    );
+    compute_pass(algorithm, inputs, [first], |robot, _, action, next| {
+        slots[0] = Some((robot, action, next));
+    });
     if live.len() == 1 {
         return;
     }
     // `live[0]` is decided; `live[w]` is reserved for worker `w`.
     let reserved_end = pool.participants().min(live.len());
-    let global = inputs.model.comm == CommModel::Global;
     let ctx = ComputeCtx::<'_, '_, A> {
         inputs,
         live,
-        packets: if global {
-            std::mem::take(&mut scratch.view.packets)
-        } else {
-            PacketList::new()
-        },
-        packets_id: scratch.view.packets_id,
         next: AtomicUsize::new(reserved_end),
         slots: slots.as_mut_ptr(),
     };
     let caller = Local {
         algorithm: algorithm as *const A as *const (),
-        compute: scratch,
     };
-    // SAFETY: `ctx` and the caller's algorithm and scratch outlive the
+    // SAFETY: `ctx` and the caller's algorithm outlive the
     // (blocking) dispatch; the TypeId check above guarantees every
     // worker-local holds an `A`, as does the caller; reserved robots and
     // claimed blocks are disjoint, so each slot has a single writer;
@@ -573,15 +517,12 @@ pub(crate) fn par_compute<A>(
             caller,
         );
     }
-    if global {
-        scratch.view.packets = ctx.packets;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::index_robots;
+    use crate::packet::{PacketTable, RobotIndex};
     use crate::{Configuration, MemoryFootprint, ModelSpec, RobotView};
     use dispersion_graph::{generators, Port};
 
@@ -606,7 +547,7 @@ mod tests {
             Tag(u64::from(me.get()))
         }
         fn step(&self, view: &RobotView, mem: &Tag) -> (Action, Tag) {
-            let packets: u64 = view.packets.iter().map(|p| p.count as u64 + 1).sum();
+            let packets: u64 = view.packets.iter().map(|p| p.count() as u64 + 1).sum();
             let tag = mem.0 * 1_000_003
                 + u64::from(view.me.get()) * 101
                 + view.colocated.len() as u64 * 7
@@ -635,7 +576,6 @@ mod tests {
     fn no_local() -> Local {
         Local {
             algorithm: std::ptr::null(),
-            compute: std::ptr::null_mut(),
         }
     }
 
@@ -791,52 +731,33 @@ mod tests {
         let g = generators::cycle(n).unwrap();
         let config = Configuration::random(n, 3 * BLOCK + 5, 3, true);
         let k = config.robot_count();
-        let mut node_robots = vec![Vec::new(); n];
-        let mut occupied = Vec::new();
-        index_robots(&config, &mut node_robots, &mut occupied);
+        let index = RobotIndex::of(&config);
+        let mut table = PacketTable::default();
+        table.rebuild(&g, &index, model.neighborhood);
         let memories: Vec<Option<Tag>> = (1..=k as u32)
             .map(|i| Some(Echo.init(RobotId::new(i), k)))
             .collect();
         let arrival_ports = vec![None; k];
         let inputs = RoundInputs {
             g: &g,
-            node_robots: &node_robots,
+            index: &index,
+            table: &table,
             memories: &memories,
             arrival_ports: &arrival_ports,
             model,
             round: 4,
             k,
         };
-        let live: Vec<_> = config.iter().take(live_len).collect();
-        let fresh_scratch = || {
-            let mut scratch = ViewScratch::new();
-            if model.comm == CommModel::Global {
-                scratch.build_packets(&g, &node_robots, &occupied, model.neighborhood);
-            }
-            scratch
-        };
+        let live: Vec<_> = index.members().iter().take(live_len).copied().collect();
 
         let mut sequential = Vec::new();
-        let mut scratch = fresh_scratch();
-        compute_pass(
-            &Echo,
-            &inputs,
-            live.iter().copied(),
-            &mut scratch,
-            |r, _, a, m| sequential.push((r, a, m)),
-        );
+        compute_pass(&Echo, &inputs, live.iter().copied(), |r, _, a, m| {
+            sequential.push((r, a, m))
+        });
 
         let mut pool = spawn_pool(participants, &Echo);
-        let mut scratch = fresh_scratch();
         let mut slots = Vec::new();
-        par_compute(&mut pool, &Echo, &inputs, &live, &mut scratch, &mut slots);
-        if model.comm == CommModel::Global {
-            assert_eq!(
-                scratch.view.packets.len(),
-                occupied.len(),
-                "packets handed back"
-            );
-        }
+        par_compute(&mut pool, &Echo, &inputs, &live, &mut slots);
         let parallel = slots.into_iter().map(|s| s.expect("filled")).collect();
         (sequential, parallel)
     }

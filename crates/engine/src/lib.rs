@@ -88,8 +88,8 @@ pub use faults::{CrashEvent, CrashPhase, FaultPlan};
 pub use invariants::{CheckPolicy, Invariant, InvariantMonitor, InvariantViolation};
 pub use model::{Activation, CommModel, ModelSpec};
 pub use oracle::{MoveOracle, ResolvedMove};
-pub use packet::{build_packets, InfoPacket, NeighborReport};
+pub use packet::{build_packets, InfoPacket, NeighborReport, PacketRef, Packets};
 pub use robot::RobotId;
 pub use sim::{RoundOutput, SimOutcome, Simulator, SimulatorBuilder, Step};
 pub use trace::{ExecutionTrace, RoundRecord, TracePolicy};
-pub use view::{build_view, build_views, NeighborObservation, PacketList, RobotView};
+pub use view::{build_view, build_views, NeighborObservation, RobotView, RoundViews};

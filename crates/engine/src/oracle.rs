@@ -11,36 +11,38 @@
 //!
 //! The engine's oracle scores a candidate with the round loop's own
 //! Compute pass (`compute.rs`). Before the simulator asks the adversary
-//! for `G_r` it builds the round's node→robots index, its occupied-node
-//! list and its activated-robot list — the configuration cannot change in
-//! between — and lends them to the oracle, together with a buffer the
-//! simulator retains across rounds: one warm [`crate::RobotView`] and an
-//! occupancy indicator. Per candidate the oracle
+//! for `G_r` it builds the round's robot index and its activated-robot
+//! list — the configuration cannot change in between — and lends them to
+//! the oracle, together with buffers the simulator retains across rounds:
+//! a packet table and an occupancy indicator. Per candidate the oracle
 //!
-//! * builds the packet list once into that view under one fresh
-//!   packet-list identity (global communication), or each node's own
-//!   packet when the node changes (local communication);
-//! * rewrites the view's per-node parts only when the node changes;
-//! * steps every activated robot.
+//! * rebuilds the packet table for the candidate, under one fresh
+//!   packet-list identity;
+//! * steps every activated robot over views borrowed from the index and
+//!   that table.
 //!
-//! A candidate thus costs `O(k + Σ deg)` plus one Algorithm 4 round plan,
-//! with no per-robot copy of the packet list.
+//! A candidate thus costs `O(occupied + Σ deg)` for the table, `O(k)` for
+//! the steps, and one Algorithm 4 round plan, with no copy of any
+//! packet.
 //! [`MoveOracle::progress_on`] allocates nothing once the buffer is warm
 //! and [`MoveOracle::occupied_after`] only its result; only
 //! [`MoveOracle::moves_on`] materializes one record per robot. Robots the
 //! activation schedule idles this round resolve to [`Action::Stay`], as
 //! they do in the round itself.
 //!
-//! [`crate::build_views`] stays the independent reference: it derives
-//! every view from the configuration alone, and the oracle's tests
-//! compare the two on every model, start and activation schedule.
+//! The oracle's tests compare it with [`crate::build_views`] plus one
+//! `step` per robot, on every model, start and activation schedule, and
+//! check each of those views against what its robot observes by
+//! definition, derived node by node from the configuration and the
+//! graph.
 
 use std::cell::RefCell;
 
 use dispersion_graph::{NodeId, Port, PortLabeledGraph};
 
-use crate::compute::{compute_pass, RoundInputs, ViewScratch};
-use crate::{Action, CommModel, Configuration, DispersionAlgorithm, ModelSpec, RobotId};
+use crate::compute::{compute_pass, RoundInputs};
+use crate::packet::{PacketTable, RobotIndex};
+use crate::{Action, Configuration, DispersionAlgorithm, ModelSpec, RobotId};
 
 /// One robot's move as the oracle resolves it on a candidate graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,26 +94,16 @@ pub trait MoveOracle {
 
 /// Buffers of the engine's oracle, retained by the simulator and reused
 /// for every candidate of every round.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct OracleScratch {
-    /// The one view every robot's speculative Compute reads.
-    view: ViewScratch,
+    /// The current candidate's packets, which every robot's speculative
+    /// view reads.
+    table: PacketTable,
     /// Occupancy indicator over nodes: node `v` is occupied under the
     /// current candidate iff `marked[v] == stamp`, so a new candidate
     /// clears the indicator by bumping `stamp`.
     marked: Vec<u64>,
     stamp: u64,
-}
-
-impl OracleScratch {
-    /// Empty buffers; they grow on the first candidate.
-    pub(crate) fn new() -> Self {
-        OracleScratch {
-            view: ViewScratch::new(),
-            marked: Vec::new(),
-            stamp: 0,
-        }
-    }
 }
 
 /// The engine's oracle: borrows the live algorithm, memories and
@@ -127,13 +119,11 @@ pub(crate) struct EngineOracle<'a, A: DispersionAlgorithm> {
     pub model: ModelSpec,
     pub round: u64,
     pub k: usize,
-    /// Live robots at each node, ascending; empty rows elsewhere.
-    pub node_robots: &'a [Vec<RobotId>],
-    /// The occupied nodes, each once.
-    pub occupied: &'a [NodeId],
-    /// The robots the activation schedule lets compute this round, in
-    /// configuration order.
-    pub live: &'a [(RobotId, NodeId)],
+    /// The round's robot index.
+    pub index: &'a RobotIndex,
+    /// The robots the activation schedule lets compute this round, with
+    /// their slots, in robot-ID order.
+    pub live: &'a [(RobotId, u32)],
     pub scratch: &'a RefCell<OracleScratch>,
 }
 
@@ -147,12 +137,13 @@ fn destination(g: &PortLabeledGraph, from: NodeId, action: Action) -> NodeId {
 }
 
 impl<A: DispersionAlgorithm> EngineOracle<'_, A> {
-    /// Runs the round's Compute pass on candidate `g` in `view`, handing
-    /// `land` each activated robot, its action and its destination.
+    /// Runs the round's Compute pass on candidate `g`, with its packets
+    /// built into `table`, handing `land` each activated robot, its action
+    /// and its destination.
     fn evaluate(
         &self,
         g: &PortLabeledGraph,
-        view: &mut ViewScratch,
+        table: &mut PacketTable,
         mut land: impl FnMut(RobotId, Action, NodeId),
     ) {
         assert_eq!(
@@ -160,12 +151,11 @@ impl<A: DispersionAlgorithm> EngineOracle<'_, A> {
             self.config.node_count(),
             "candidate graph must have the configuration's node count"
         );
-        if self.model.comm == CommModel::Global {
-            view.build_packets(g, self.node_robots, self.occupied, self.model.neighborhood);
-        }
+        table.rebuild(g, self.index, self.model.neighborhood);
         let inputs = RoundInputs {
             g,
-            node_robots: self.node_robots,
+            index: self.index,
+            table,
             memories: self.memories,
             arrival_ports: self.arrival_ports,
             model: self.model,
@@ -176,8 +166,10 @@ impl<A: DispersionAlgorithm> EngineOracle<'_, A> {
             self.algorithm,
             &inputs,
             self.live.iter().copied(),
-            view,
-            |robot, from, action, _next| land(robot, action, destination(g, from, action)),
+            |robot, slot, action, _next| {
+                let from = self.index.node(slot as usize);
+                land(robot, action, destination(g, from, action))
+            },
         );
     }
 }
@@ -197,7 +189,7 @@ impl<A: DispersionAlgorithm> MoveOracle for EngineOracle<'_, A> {
         let mut slot = 0;
         self.evaluate(
             g,
-            &mut self.scratch.borrow_mut().view,
+            &mut self.scratch.borrow_mut().table,
             |robot, action, to| {
                 // The activated robots are a subsequence of the configuration
                 // order; the robots in between are idle and keep `Stay`.
@@ -218,7 +210,7 @@ impl<A: DispersionAlgorithm> MoveOracle for EngineOracle<'_, A> {
     fn occupied_after(&self, g: &PortLabeledGraph) -> Vec<bool> {
         let mut ind = vec![false; g.node_count()];
         let mut robots = self.config.iter();
-        self.evaluate(g, &mut self.scratch.borrow_mut().view, |robot, _, to| {
+        self.evaluate(g, &mut self.scratch.borrow_mut().table, |robot, _, to| {
             // Idle robots before `robot` stay where they are.
             for (r, v) in robots.by_ref() {
                 if r == robot {
@@ -237,20 +229,20 @@ impl<A: DispersionAlgorithm> MoveOracle for EngineOracle<'_, A> {
     fn progress_on(&self, g: &PortLabeledGraph) -> usize {
         let mut scratch = self.scratch.borrow_mut();
         let OracleScratch {
-            view,
+            table,
             marked,
             stamp,
         } = &mut *scratch;
         *stamp += 1;
         let stamp = *stamp;
         marked.resize(self.config.node_count(), 0);
-        for &v in self.occupied {
+        for &v in self.index.nodes() {
             marked[v.index()] = stamp;
         }
         // Idle robots stay on occupied nodes, so only movers can add
         // progress.
         let mut progress = 0;
-        self.evaluate(g, view, |_, _, to| {
+        self.evaluate(g, table, |_, _, to| {
             if marked[to.index()] != stamp {
                 marked[to.index()] = stamp;
                 progress += 1;
@@ -295,7 +287,7 @@ mod tests {
     use crate::adversary::{DynamicNetwork, StaticNetwork};
     use crate::algorithm::MemoryFootprint;
     use crate::compute::activated_robots_into;
-    use crate::packet::index_robots;
+    use crate::view::tests::assert_observes;
     use crate::{build_views, Activation, RobotView, Simulator, Step, TracePolicy};
     use dispersion_graph::{generators, relabel, Port};
     use rand::rngs::StdRng;
@@ -361,7 +353,7 @@ mod tests {
                 view.degree,
                 view.arrival_port,
                 view.colocated,
-                view.neighbors,
+                view.neighbors().map(|obs| obs.collect::<Vec<_>>()),
                 view.packets,
                 mem.0
             );
@@ -386,9 +378,8 @@ mod tests {
         model: ModelSpec,
         round: u64,
         k: usize,
-        node_robots: Vec<Vec<RobotId>>,
-        occupied: Vec<NodeId>,
-        live: Vec<(RobotId, NodeId)>,
+        index: RobotIndex,
+        live: Vec<(RobotId, u32)>,
         scratch: RefCell<OracleScratch>,
     }
 
@@ -402,11 +393,9 @@ mod tests {
             k: usize,
             activation: Activation,
         ) -> Self {
-            let mut node_robots = vec![Vec::new(); config.node_count()];
-            let mut occupied = Vec::new();
-            index_robots(&config, &mut node_robots, &mut occupied);
+            let index = RobotIndex::of(&config);
             let mut live = Vec::new();
-            activated_robots_into(&config, activation, round, &mut live);
+            activated_robots_into(&index, activation, round, &mut live);
             Fixture {
                 config,
                 memories,
@@ -414,10 +403,9 @@ mod tests {
                 model,
                 round,
                 k,
-                node_robots,
-                occupied,
+                index,
                 live,
-                scratch: RefCell::new(OracleScratch::new()),
+                scratch: RefCell::default(),
             }
         }
 
@@ -433,8 +421,7 @@ mod tests {
                 model: self.model,
                 round: self.round,
                 k: self.k,
-                node_robots: &self.node_robots,
-                occupied: &self.occupied,
+                index: &self.index,
                 live: &self.live,
                 scratch: &self.scratch,
             }
@@ -442,6 +429,8 @@ mod tests {
 
         /// The moves on `g` built from [`build_views`] and one `step` per
         /// activated robot — the reference the oracle must reproduce.
+        /// Each view is first checked against the node-by-node
+        /// derivation.
         fn reference<A: DispersionAlgorithm<Memory = M>>(
             &self,
             algorithm: &A,
@@ -451,8 +440,9 @@ mod tests {
                 self.arrival_ports[r.index()]
             });
             views
-                .into_iter()
+                .iter()
                 .map(|(robot, view)| {
+                    assert_observes(&view, g, &self.config, self.model);
                     let from = self.config.node_of(robot).expect("robot is live");
                     let action = if self.live.iter().any(|&(r, _)| r == robot) {
                         let mem = self.memories[robot.index()].as_ref().expect("live");
@@ -553,7 +543,7 @@ mod tests {
                 seed,
             };
             let mut live = Vec::new();
-            activated_robots_into(&config, activation, 0, &mut live);
+            activated_robots_into(&RobotIndex::of(&config), activation, 0, &mut live);
             let idle = |id: u32| !live.iter().any(|&(r, _)| r == RobotId::new(id));
             (activation, idle(2), idle(3))
         };

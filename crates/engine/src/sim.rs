@@ -2,29 +2,29 @@
 //!
 //! The round loop is engineered to be **allocation-free in steady state**:
 //! all per-round working memory lives in a [`RoundScratch`] owned by the
-//! [`Simulator`] — a Vec-backed robot-at-node index, one reusable
-//! [`crate::RobotView`] whose packet and observation buffers are overwritten in
-//! place, a cached copy of the last validated adversary graph (an
-//! unchanged graph skips re-validation entirely), and a reusable round
-//! record. With [`TracePolicy::Off`] a warm [`Simulator::step`] performs
+//! [`Simulator`] — a flat robot index over the occupied nodes, one packet
+//! table that every robot's [`crate::RobotView`] borrows in place, a
+//! cached copy of the last validated adversary graph (an unchanged graph
+//! skips re-validation entirely, and is recognized by its content stamp
+//! in `O(1)`), and a reusable round record. With [`TracePolicy::Off`] a warm [`Simulator::step`] performs
 //! no heap allocation at all; `crates/engine/tests/alloc_budget.rs`
 //! enforces this with a counting global allocator.
 
 use dispersion_graph::connectivity::{is_connected_with, DisjointSets};
 use dispersion_graph::dynamics::GraphSequence;
-use dispersion_graph::{GraphError, NodeId, Port, PortLabeledGraph};
+use dispersion_graph::{GraphError, Port, PortLabeledGraph};
 use std::cell::RefCell;
 
 use crate::adversary::DynamicNetwork;
 use crate::budget::Budget;
-use crate::compute::{activated_robots_into, compute_pass, RoundInputs, ViewScratch};
+use crate::compute::{activated_robots_into, compute_pass, RoundInputs};
 use crate::executor::{self, WorkerPool};
 use crate::invariants::{CheckPolicy, InvariantMonitor, RoundContext, TerminalContext};
 use crate::oracle::{EngineOracle, OracleScratch};
-use crate::packet::index_robots;
+use crate::packet::{PacketTable, Packets, RobotIndex};
 use crate::{
-    Action, Activation, CommModel, Configuration, CrashPhase, DispersionAlgorithm, ExecutionTrace,
-    FaultPlan, MemoryFootprint, ModelSpec, RobotId, RoundRecord, SimError, TracePolicy,
+    Action, Activation, Configuration, CrashPhase, DispersionAlgorithm, ExecutionTrace, FaultPlan,
+    MemoryFootprint, ModelSpec, RobotId, RoundRecord, SimError, TracePolicy,
 };
 
 /// Result of a completed run.
@@ -79,16 +79,12 @@ pub enum Step<'a> {
 /// hot path. Buffers are cleared and overwritten, never dropped, so after
 /// a warm-up round every capacity is already in place.
 struct RoundScratch {
-    /// Live robots at each node, ascending by ID. Only rows listed in
-    /// `occupied` are in use; every other row is empty (rows are cleared
-    /// lazily, touching only the nodes dirtied by the previous round).
-    node_robots: Vec<Vec<RobotId>>,
-    /// Nodes with at least one robot, in first-encounter (robot-ID)
-    /// order.
-    occupied: Vec<NodeId>,
-    /// The one view handed to every robot's Compute, rewritten in place
-    /// (per node, only when the node changes).
-    compute: ViewScratch,
+    /// The live robots grouped by occupied node (slot), rebuilt each round
+    /// before the adversary runs.
+    index: RobotIndex,
+    /// The round's packets on the committed graph, one row per slot;
+    /// every robot's view reads it in place.
+    table: PacketTable,
     /// The record of the round in flight / just finished.
     last_record: RoundRecord,
     /// Warm union-find for the per-round connectivity check.
@@ -106,9 +102,8 @@ struct RoundScratch {
 impl RoundScratch {
     fn new(n: usize) -> Self {
         RoundScratch {
-            node_robots: vec![Vec::new(); n],
-            occupied: Vec::new(),
-            compute: ViewScratch::new(),
+            index: RobotIndex::default(),
+            table: PacketTable::default(),
             last_record: RoundRecord {
                 round: 0,
                 occupied_before: 0,
@@ -330,7 +325,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> SimulatorBuilder<A, N> {
             total_crashes: 0,
             decisions: Vec::new(),
             scratch,
-            oracle_scratch: RefCell::new(OracleScratch::new()),
+            oracle_scratch: RefCell::default(),
             monitor,
             pool: self.pool,
             live: Vec::new(),
@@ -421,12 +416,13 @@ pub struct Simulator<A: DispersionAlgorithm, N: DynamicNetwork> {
     /// Persistent worker pool ([`SimulatorBuilder::threads`]) plus the
     /// monomorphized parallel-Compute entry point; `None` (the default)
     /// runs the untouched sequential round loop. The calling thread joins
-    /// each dispatch with `algorithm` and `scratch.compute`.
+    /// each dispatch with `algorithm`.
     pool: Option<(WorkerPool, executor::ParComputeFn<A>)>,
-    /// Activated robots of the round in configuration order, built before
-    /// the adversary runs: the oracle, the sequential Compute loop and the
-    /// parallel work list all read it. Reused across rounds.
-    live: Vec<(RobotId, NodeId)>,
+    /// Activated robots of the round in robot-ID order, each with its slot
+    /// in the robot index, built before the adversary runs: the oracle,
+    /// the sequential Compute loop and the parallel work list all read
+    /// it. Reused across rounds.
+    live: Vec<(RobotId, u32)>,
     /// Slot-ordered parallel Compute output, drained into `decisions`.
     par_slots: Vec<executor::Decision<A>>,
 }
@@ -507,16 +503,14 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
             return Err(SimError::BudgetExceeded { round, reason });
         }
 
-        // Rebuild the robot-at-node index, clearing only the rows the
-        // previous round dirtied, and the round's activated robots. Both
+        // Rebuild the robot index and the round's activated robots. Both
         // are built before the adversary runs — nothing changes the
         // configuration until Move — so the oracle reads them too.
-        index_robots(
-            &self.config,
-            &mut self.scratch.node_robots,
-            &mut self.scratch.occupied,
-        );
-        activated_robots_into(&self.config, self.activation, round, &mut self.live);
+        self.scratch.index.rebuild(&self.config);
+        // The table is rebuilt from this index once the graph is known;
+        // until then (and if the graph is rejected) it holds no rows.
+        self.scratch.table.clear();
+        activated_robots_into(&self.scratch.index, self.activation, round, &mut self.live);
 
         // Adversary picks G_r. The graph is borrowed from the network for
         // the rest of the round — no per-round copy.
@@ -529,8 +523,7 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                 model: self.model,
                 round,
                 k: self.k,
-                node_robots: &self.scratch.node_robots,
-                occupied: &self.scratch.occupied,
+                index: &self.scratch.index,
                 live: &self.live,
                 scratch: &self.oracle_scratch,
             };
@@ -563,17 +556,12 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
 
         let occupied_before = self.config.occupied_count();
 
-        // Communicate: under global communication every robot receives the
-        // same packet list — build it once into the shared view, under one
-        // fresh identity for the round.
-        if self.model.comm == CommModel::Global {
-            self.scratch.compute.build_packets(
-                g,
-                &self.scratch.node_robots,
-                &self.scratch.occupied,
-                self.model.neighborhood,
-            );
-        }
+        // Communicate: one packet table for the round, under one fresh
+        // identity. Under global communication every view reads all of
+        // it, under local communication its own row.
+        self.scratch
+            .table
+            .rebuild(g, &self.scratch.index, self.model.neighborhood);
 
         // Compute (pure; memories updated after Move). With a worker pool
         // the same robots are decided in claimed blocks whose slot-ordered
@@ -581,7 +569,8 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
         // `executor.rs`).
         let inputs = RoundInputs {
             g,
-            node_robots: &self.scratch.node_robots,
+            index: &self.scratch.index,
+            table: &self.scratch.table,
             memories: &self.memories,
             arrival_ports: &self.arrival_ports,
             model: self.model,
@@ -594,7 +583,6 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                 &self.algorithm,
                 &inputs,
                 &self.live,
-                &mut self.scratch.compute,
                 &mut self.par_slots,
             );
             self.decisions.extend(
@@ -608,7 +596,6 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
                 &self.algorithm,
                 &inputs,
                 self.live.iter().copied(),
-                &mut self.scratch.compute,
                 |robot, _, action, next| decisions.push((robot, action, next)),
             );
         }
@@ -705,6 +692,18 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
     /// Rounds executed so far.
     pub fn round(&self) -> u64 {
         self.round
+    }
+
+    /// The packets of the last executed round: one per node occupied when
+    /// the round began (after its before-Communicate crashes), built on
+    /// the round's graph, ascending by sender — whatever the
+    /// communication model hands each robot of it. Empty before the
+    /// first round and after a round whose graph was rejected.
+    ///
+    /// For differential tests of the packet table; not a stable API.
+    #[doc(hidden)]
+    pub fn round_packets(&self) -> Packets<'_> {
+        self.scratch.table.all(&self.scratch.index)
     }
 
     /// The conformance monitor, when checking is enabled — e.g. to read
@@ -1104,6 +1103,53 @@ mod tests {
         let out = run(vec![path.clone(), cycle.clone(), path, cycle]).unwrap();
         assert!(!out.dispersed);
         assert_eq!(out.rounds, 6);
+    }
+
+    #[test]
+    fn graphs_rebuilt_in_place_are_validated_every_round() {
+        /// Rebuilds one graph in place every round, as churn networks do:
+        /// a path for three rounds, then a disconnected graph. The
+        /// buffer is the same each round; its content stamp is not.
+        struct InPlace {
+            g: PortLabeledGraph,
+        }
+        impl crate::adversary::DynamicNetwork for InPlace {
+            fn node_count(&self) -> usize {
+                4
+            }
+            fn graph_for_round(
+                &mut self,
+                round: u64,
+                _config: &Configuration,
+                _oracle: &dyn crate::MoveOracle,
+            ) -> &PortLabeledGraph {
+                let mut b = dispersion_graph::GraphBuilder::new(4);
+                b.add_edge(NodeId::new(0), NodeId::new(1)).unwrap();
+                b.add_edge(NodeId::new(2), NodeId::new(3)).unwrap();
+                if round < 3 {
+                    b.add_edge(NodeId::new(1), NodeId::new(2)).unwrap();
+                }
+                b.build_into(&mut self.g).unwrap();
+                &self.g
+            }
+        }
+        let err = Simulator::builder(
+            Frozen,
+            InPlace {
+                g: generators::path(4).unwrap(),
+            },
+            ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+            Configuration::rooted(4, 2, NodeId::new(0)),
+        )
+        .max_rounds(6)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap_err();
+        assert!(
+            matches!(err, SimError::BadAdversaryGraph { round: 3, .. }),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -15,12 +15,15 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use dispersion_engine::adversary::{DynamicRingNetwork, EdgeChurnNetwork, StaticNetwork};
-use dispersion_engine::{
-    Action, Activation, CheckPolicy, Configuration, CrashPhase, DispersionAlgorithm, FaultPlan,
-    MemoryFootprint, ModelSpec, RobotId, RobotView, SimOutcome, Simulator,
+use dispersion_engine::adversary::{
+    DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork, StaticNetwork,
 };
-use dispersion_graph::{generators, NodeId};
+use dispersion_engine::{
+    build_packets, Action, Activation, CheckPolicy, Configuration, CrashPhase, DispersionAlgorithm,
+    FaultPlan, MemoryFootprint, ModelSpec, MoveOracle, RobotId, RobotView, SimOutcome, Simulator,
+    Step,
+};
+use dispersion_graph::{generators, NodeId, PortLabeledGraph};
 
 /// A dispersing algorithm with real state: every non-minimum robot on a
 /// multiplicity node walks out through the empty port of its rank (when
@@ -68,7 +71,7 @@ impl DispersionAlgorithm for Spill {
             .expect("self in colocated")
             - 1;
         // Robots reported plus occupied nodes: reads the whole packet list.
-        let reported = view.packets.iter().map(|p| p.count).sum::<usize>() + view.packets.len();
+        let reported = view.packets.iter().map(|p| p.count()).sum::<usize>() + view.packets.len();
         if let Some(empties) = view.empty_ports() {
             if !empties.is_empty() {
                 let e = empties[(rank + reported) % empties.len()];
@@ -161,28 +164,89 @@ const CASES: &[Case] = &[
 /// networks.
 trait RunNet {
     fn run(self: Box<Self>, threads: usize, case: &Case, algorithm: Spill) -> SimOutcome;
+
+    /// Steps the run round by round and checks every row of the round's
+    /// packet table against `build_packets` on the round's graph and
+    /// configuration; returns the rounds checked.
+    fn check_packets(self: Box<Self>, threads: usize, case: &Case) -> u64;
 }
 
 struct With<N>(N, usize, usize);
 
-impl<N: dispersion_engine::adversary::DynamicNetwork> RunNet for With<N> {
+/// The case's simulator of `k` robots rooted on `net`'s `n` nodes.
+fn simulator<N: DynamicNetwork>(
+    (net, n, k): (N, usize, usize),
+    threads: usize,
+    case: &Case,
+    algorithm: Spill,
+) -> Simulator<Spill, N> {
+    Simulator::builder(
+        algorithm,
+        net,
+        case.model,
+        Configuration::rooted(n, k, NodeId::new(0)),
+    )
+    .max_rounds(400)
+    .activation(case.activation)
+    .faults((case.faults)(k))
+    .check(CheckPolicy::Structural)
+    .threads(threads)
+    .build()
+    .expect("k ≤ n")
+}
+
+impl<N: DynamicNetwork> RunNet for With<N> {
     fn run(self: Box<Self>, threads: usize, case: &Case, algorithm: Spill) -> SimOutcome {
         let With(net, n, k) = *self;
-        Simulator::builder(
-            algorithm,
-            net,
-            case.model,
-            Configuration::rooted(n, k, NodeId::new(0)),
-        )
-        .max_rounds(400)
-        .activation(case.activation)
-        .faults((case.faults)(k))
-        .check(CheckPolicy::Structural)
-        .threads(threads)
-        .build()
-        .expect("k ≤ n")
-        .run()
-        .expect("clean run")
+        simulator((net, n, k), threads, case, algorithm)
+            .run()
+            .expect("clean run")
+    }
+
+    fn check_packets(self: Box<Self>, threads: usize, case: &Case) -> u64 {
+        let With(net, n, k) = *self;
+        let recording = Recording {
+            inner: net,
+            last: None,
+        };
+        let mut sim = simulator((recording, n, k), threads, case, Spill::default());
+        while sim.round() < 400 {
+            if let Step::Dispersed = sim.step().expect("clean round") {
+                break;
+            }
+            let (g, config) = sim.network().last.as_ref().expect("a round ran");
+            let expected = build_packets(g, config, case.model.neighborhood);
+            let table = sim.round_packets();
+            assert_eq!(table.len(), expected.len(), "round {}", sim.round() - 1);
+            for (row, packet) in table.iter().zip(&expected) {
+                assert_eq!(&row.to_owned(), packet, "round {}", sim.round() - 1);
+            }
+        }
+        sim.round()
+    }
+}
+
+/// Hands every call to `inner` and keeps a copy of the last round's graph
+/// and configuration.
+struct Recording<N> {
+    inner: N,
+    last: Option<(PortLabeledGraph, Configuration)>,
+}
+
+impl<N: DynamicNetwork> DynamicNetwork for Recording<N> {
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn graph_for_round(
+        &mut self,
+        round: u64,
+        config: &Configuration,
+        oracle: &dyn MoveOracle,
+    ) -> &PortLabeledGraph {
+        let g = self.inner.graph_for_round(round, config, oracle);
+        self.last = Some((g.clone(), config.clone()));
+        g
     }
 }
 
@@ -224,6 +288,23 @@ fn same_seed_parallel_runs_agree() {
             let a = run_at(8, case, mk);
             let b = run_at(8, case, mk);
             assert_same(&a, &b, &format!("double-run {}/{name}@8", case.what));
+        }
+    }
+}
+
+/// The simulator's packet table, rebuilt in place every round, holds
+/// exactly the packets a fresh `build_packets` derives from the round's
+/// graph and configuration: under every model (blind rows carry no
+/// sensing fields), in semi-synchronous rounds in which no robot
+/// computes, and in rounds whose robots crash after computing.
+#[test]
+fn packet_table_rows_match_build_packets_every_round() {
+    for case in CASES {
+        for (name, mk) in net_makers() {
+            for threads in [1usize, 2] {
+                let rounds = mk().check_packets(threads, case);
+                assert!(rounds > 0, "{}/{name}@{threads}: no round ran", case.what);
+            }
         }
     }
 }

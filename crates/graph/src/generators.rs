@@ -37,12 +37,33 @@ pub fn cycle(n: usize) -> Result<PortLabeledGraph, GraphError> {
             v: NodeId::new((n.max(1) - 1) as u32),
         });
     }
-    let mut b = GraphBuilder::new(n);
-    for i in 1..n {
-        b.add_edge(NodeId::new(i as u32 - 1), NodeId::new(i as u32))?;
+    // The CSR is written directly, with the labels `GraphBuilder` gives
+    // edges inserted as (0, 1), (1, 2), …, (n−1, 0): every node reaches
+    // its predecessor through port 1 and its successor through port 2,
+    // except node 0, whose port 1 leads to node 1 and port 2 to n − 1.
+    let mut out = PortLabeledGraph::placeholder();
+    let (offsets, adj, m) = out.csr_parts_mut();
+    offsets.clear();
+    offsets.extend((0..=n as u32).map(|v| 2 * v));
+    adj.clear();
+    adj.reserve_exact(2 * n);
+    let node = |v: usize| NodeId::new(v as u32);
+    // The port at `u` leading to its neighbor `v`.
+    let port_at = |u: usize, v: usize| {
+        let first = if u == 0 { 1 } else { u - 1 };
+        Port::new(if v == first { 1 } else { 2 })
+    };
+    for v in 0..n {
+        let (p1, p2) = if v == 0 {
+            (1, n - 1)
+        } else {
+            (v - 1, (v + 1) % n)
+        };
+        adj.push((node(p1), port_at(p1, v)));
+        adj.push((node(p2), port_at(p2, v)));
     }
-    b.add_edge(NodeId::new(n as u32 - 1), NodeId::new(0))?;
-    b.build()
+    *m = n;
+    Ok(out)
 }
 
 /// A star with `center` 0 and leaves `1..n`.
@@ -642,6 +663,22 @@ mod tests {
         assert_eq!(g.max_degree(), 2);
         assert!(is_connected(&g));
         assert_eq!(metrics::diameter(&g), Some(5));
+    }
+
+    #[test]
+    fn cycle_matches_its_edge_insertion_labels() {
+        for n in 3..40 {
+            let mut b = GraphBuilder::new(n);
+            for i in 1..n {
+                b.add_edge(NodeId::new(i as u32 - 1), NodeId::new(i as u32))
+                    .unwrap();
+            }
+            b.add_edge(NodeId::new(n as u32 - 1), NodeId::new(0))
+                .unwrap();
+            let g = cycle(n).unwrap();
+            g.validate().unwrap();
+            assert_eq!(g, b.build().unwrap(), "n = {n}");
+        }
     }
 
     #[test]

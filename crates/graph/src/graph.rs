@@ -1,8 +1,17 @@
 //! The port-labeled anonymous graph type.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{GraphError, NodeId, Port};
+
+/// Mints a content stamp for [`PortLabeledGraph`]: never returned twice
+/// within the process. The counter publishes no other data, hence
+/// `Relaxed`.
+fn next_stamp() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A reference to one undirected edge, canonical form (`u < v`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -36,7 +45,14 @@ pub struct EdgeRef {
 /// [`crate::relabel::random_relabel_into`]) overwrite these two vectors in
 /// place, which is what makes per-round adversary graphs allocation-free
 /// once warm.
-#[derive(PartialEq, Eq)]
+///
+/// Every graph also carries a *content stamp*: minted by every
+/// constructor, minted afresh by every in-place rebuild, and copied by
+/// `clone` and `clone_from`. Two graphs with the same stamp therefore have
+/// the same contents, so `==` answers in `O(1)` when the stamps agree and
+/// compares the CSR arrays only when they do not. The simulator compares
+/// each round's graph against its last validated copy; on a static
+/// network that is one integer compare per round.
 pub struct PortLabeledGraph {
     /// CSR offsets: the half-edges of node `v` occupy
     /// `adj[offsets[v] as usize .. offsets[v + 1] as usize]`, in port
@@ -48,7 +64,21 @@ pub struct PortLabeledGraph {
     adj: Vec<(NodeId, Port)>,
     /// Number of undirected edges.
     m: usize,
+    /// Content stamp: equal stamps imply equal contents (see the type's
+    /// docs). Not part of the graph's value.
+    stamp: u64,
 }
+
+/// Equal stamps mean one graph was cloned from the other and neither
+/// was rebuilt since; otherwise the contents decide.
+impl PartialEq for PortLabeledGraph {
+    fn eq(&self, other: &Self) -> bool {
+        self.stamp == other.stamp
+            || (self.m == other.m && self.offsets == other.offsets && self.adj == other.adj)
+    }
+}
+
+impl Eq for PortLabeledGraph {}
 
 /// `Clone` is implemented by hand so that `clone_from` reuses the
 /// destination's buffers: the simulator's validated-graph cache clones the
@@ -60,6 +90,7 @@ impl Clone for PortLabeledGraph {
             offsets: self.offsets.clone(),
             adj: self.adj.clone(),
             m: self.m,
+            stamp: self.stamp,
         }
     }
 
@@ -67,6 +98,7 @@ impl Clone for PortLabeledGraph {
         self.offsets.clone_from(&source.offsets);
         self.adj.clone_from(&source.adj);
         self.m = source.m;
+        self.stamp = source.stamp;
     }
 }
 
@@ -132,15 +164,18 @@ impl PortLabeledGraph {
             offsets: vec![0],
             adj: Vec::new(),
             m: 0,
+            stamp: next_stamp(),
         }
     }
 
     /// Crate-internal mutable access to the CSR storage for in-place
     /// rebuilds. Callers must leave the invariants intact (or surface an
-    /// error and treat the graph as poisoned).
+    /// error and treat the graph as poisoned). Mints a fresh content
+    /// stamp, so no copy taken before the rebuild compares equal by stamp.
     pub(crate) fn csr_parts_mut(
         &mut self,
     ) -> (&mut Vec<u32>, &mut Vec<(NodeId, Port)>, &mut usize) {
+        self.stamp = next_stamp();
         (&mut self.offsets, &mut self.adj, &mut self.m)
     }
 
@@ -173,6 +208,7 @@ impl PortLabeledGraph {
             offsets,
             adj: flat,
             m,
+            stamp: next_stamp(),
         })
     }
 
@@ -385,6 +421,37 @@ mod tests {
         assert_eq!(cache, g);
         assert_eq!(cache.node_count(), 3);
         assert_eq!(cache.edge_count(), 3);
+    }
+
+    #[test]
+    fn stamps_short_cut_equality_and_rebuilds_restamp() {
+        let g = triangle();
+        let copy = g.clone();
+        assert_eq!(copy.stamp, g.stamp);
+        assert_eq!(copy, g);
+        // Same contents built twice: different stamps, equal by content.
+        let twin = triangle();
+        assert_ne!(twin.stamp, g.stamp);
+        assert_eq!(twin, g);
+        // Mutating a clone in place re-stamps it; it then compares by
+        // content, and differs.
+        let mut mutated = g.clone();
+        {
+            let (_, adj, _) = mutated.csr_parts_mut();
+            adj.swap(0, 1);
+        }
+        assert_ne!(mutated.stamp, g.stamp);
+        assert_ne!(mutated, g);
+        // An in-place rebuild that restores the contents is equal again,
+        // by content.
+        {
+            let (_, adj, _) = mutated.csr_parts_mut();
+            adj.swap(0, 1);
+        }
+        assert_eq!(mutated, g);
+        let mut cache = crate::generators::cycle(5).unwrap();
+        cache.clone_from(&mutated);
+        assert_eq!(cache.stamp, mutated.stamp);
     }
 
     #[test]

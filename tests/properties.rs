@@ -13,8 +13,8 @@ use dispersion_engine::adversary::{
     StaticNetwork, TIntervalNetwork,
 };
 use dispersion_engine::{
-    build_packets, Activation, CheckPolicy, Configuration, CrashPhase, FaultPlan, ModelSpec,
-    SimError, SimOutcome, Simulator, Step, TracePolicy,
+    build_packets, build_views, Activation, CheckPolicy, Configuration, CrashPhase, FaultPlan,
+    InfoPacket, ModelSpec, NeighborReport, SimError, SimOutcome, Simulator, Step, TracePolicy,
 };
 use dispersion_graph::{connectivity, generators, relabel, GraphBuilder, NodeId, PortLabeledGraph};
 use proptest::prelude::*;
@@ -527,6 +527,82 @@ proptest! {
         replay.run().unwrap_or_else(|e| {
             panic!("same-seed replay diverged for {spec}: {e}")
         });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Every row of the packet table — the simulator's and the oracle's
+    // Communicate phase, as `build_views` exposes it and `build_packets`
+    // converts it — equals the packet derived node by node from the
+    // configuration, for random (possibly crash-thinned) placements, in
+    // both sensing models.
+    #[test]
+    fn packet_table_rows_match_a_node_by_node_derivation((n, p, seed) in graph_params()) {
+        let g = relabel::random_relabel(&generators::random_connected(n, p, seed).unwrap(), seed);
+        let k = 1 + (seed as usize % n);
+        let mut cfg = Configuration::random(n, k, seed, seed % 2 == 0);
+        if seed % 3 == 0 && k > 1 {
+            cfg.remove(dispersion_engine::RobotId::new(1 + (seed >> 8) as u32 % k as u32));
+        }
+        // Packets ascend by sender; each names its occupied neighbors in
+        // port order, and the table gives each its position in that list.
+        let mut occupied: Vec<Vec<dispersion_engine::RobotId>> = g
+            .nodes()
+            .map(|v| cfg.robots_at(v))
+            .filter(|robots| !robots.is_empty())
+            .collect();
+        occupied.sort_unstable_by_key(|robots| robots[0]);
+        let position = |robot| occupied.iter().position(|robots| robots[0] == robot);
+        for model in [ModelSpec::GLOBAL_WITH_NEIGHBORHOOD, ModelSpec::GLOBAL_BLIND] {
+            let expected: Vec<InfoPacket> = occupied
+                .iter()
+                .map(|robots| {
+                    let v = cfg.node_of(robots[0]).unwrap();
+                    let reports = g
+                        .neighbors(v)
+                        .filter_map(|(port, w, _)| {
+                            let there = cfg.robots_at(w);
+                            let first = *there.first()?;
+                            Some(NeighborReport {
+                                port,
+                                min_robot: first,
+                                count: there.len(),
+                            })
+                        })
+                        .collect();
+                    InfoPacket {
+                        sender: robots[0],
+                        count: robots.len(),
+                        robots: robots.clone(),
+                        degree: model.neighborhood.then(|| g.degree(v)),
+                        occupied_neighbors: model.neighborhood.then_some(reports),
+                    }
+                })
+                .collect();
+            let views = build_views(&g, &cfg, model, 0, k, &|_| None);
+            let table = views.packets();
+            prop_assert_eq!(table.len(), expected.len());
+            for (row, packet) in table.iter().zip(&expected) {
+                prop_assert_eq!(&row.to_owned(), packet);
+                // Each report's neighbor slot is that neighbor's position.
+                if let Some(reports) = &packet.occupied_neighbors {
+                    let slots: Vec<usize> = row
+                        .neighbor_slots()
+                        .unwrap()
+                        .iter()
+                        .map(|&slot| slot as usize)
+                        .collect();
+                    let positions: Vec<usize> =
+                        reports.iter().map(|rep| position(rep.min_robot).unwrap()).collect();
+                    prop_assert_eq!(slots, positions);
+                } else {
+                    prop_assert!(row.neighbor_slots().is_none());
+                }
+            }
+            prop_assert_eq!(build_packets(&g, &cfg, model.neighborhood), expected);
+        }
     }
 }
 

@@ -48,7 +48,7 @@ impl DispersionAlgorithm for BlindVictim {
     }
     fn step(&self, view: &RobotView, _m: &UnitMemory) -> (Action, UnitMemory) {
         // Global termination detection works without sensing.
-        if !view.packets.iter().any(|p| p.count >= 2) {
+        if !view.packets.iter().any(|p| p.count() >= 2) {
             return (Action::Stay, UnitMemory);
         }
         // The smallest robot on a node anchors it.
@@ -111,7 +111,7 @@ impl DispersionAlgorithm for LocalVictim {
             .expect("self is colocated")
             - 1;
         let mut empties = view.empty_ports().expect("local model with 1-NK");
-        let neighbors = view.neighbors.as_ref().expect("1-NK");
+        let neighbors = view.neighbors().expect("1-NK");
         match self.rule {
             LocalRule::GreedySmallest => {}
             LocalRule::GreedyLargest => empties.reverse(),
@@ -127,7 +127,6 @@ impl DispersionAlgorithm for LocalVictim {
             ),
             LocalRule::Balancer => {
                 let target = neighbors
-                    .iter()
                     .filter(|o| o.occupied())
                     .min_by_key(|o| o.robots.len())
                     .map(|o| o.port);
