@@ -11,7 +11,7 @@ use dispersion_graph::NodeId;
 
 use dispersion_lab::job::{self, RunJob};
 use dispersion_lab::{
-    artifact_path, read_header_knobs, run_campaign, AdversaryKind, AlgorithmKind, CampaignSpec,
+    artifact_path, read_artifact, run_campaign, AdversaryKind, AlgorithmKind, CampaignSpec, Entry,
     Placement, RunRecord, RunStatus, RunnerOptions,
 };
 
@@ -53,19 +53,33 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
             retries,
             threads,
         } => campaign(
-            spec,
-            jobs,
-            keep_traces,
-            fresh,
-            out_dir,
-            check,
-            timeout_secs,
-            retries,
-            threads,
+            &spec,
+            RunnerOptions {
+                jobs,
+                keep_traces,
+                fresh,
+                out_dir: out_dir.into(),
+                quiet: false,
+                check,
+                timeout: (timeout_secs > 0).then(|| std::time::Duration::from_secs(timeout_secs)),
+                retries,
+                // Ad-hoc fault drills: failpoints armed from the
+                // environment (DISPERSION_FAILPOINTS); unset means
+                // disarmed and free.
+                failpoints: dispersion_lab::FailpointRegistry::from_env()
+                    .map_err(|msg| DispersionError::Other(msg.into()))?,
+                engine_threads: threads,
+                ..RunnerOptions::default()
+            },
         ),
         Command::CampaignStatus { artifact } => campaign_status(&artifact),
         Command::Check {
-            artifact,
+            artifact: Some(path),
+            threads,
+            ..
+        } => check_artifact(&path, threads),
+        Command::Check {
+            artifact: None,
             network,
             n,
             k,
@@ -73,7 +87,9 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
             faults,
             structural,
             threads,
-        } => check(artifact, network, n, k, seed, faults, structural, threads),
+        } => Ok(check_spec(
+            network, n, k, seed, faults, structural, threads,
+        )?),
         Command::Dot {
             network,
             n,
@@ -86,37 +102,9 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn campaign(
-    spec: CampaignSpec,
-    jobs: usize,
-    keep_traces: bool,
-    fresh: bool,
-    out_dir: String,
-    check: bool,
-    timeout_secs: u64,
-    retries: u64,
-    threads: usize,
-) -> Result<String, DispersionError> {
-    // Ad-hoc fault drills: failpoints armed from the environment
-    // (DISPERSION_FAILPOINTS); unset means disarmed and free.
-    let failpoints = dispersion_lab::FailpointRegistry::from_env()
-        .map_err(|msg| DispersionError::Other(msg.into()))?;
-    let opts = RunnerOptions {
-        jobs,
-        keep_traces,
-        fresh,
-        out_dir: out_dir.into(),
-        quiet: false,
-        check,
-        timeout: (timeout_secs > 0).then(|| std::time::Duration::from_secs(timeout_secs)),
-        retries,
-        failpoints,
-        engine_threads: threads,
-        ..RunnerOptions::default()
-    };
-    let artifact = artifact_path(&spec, &opts);
-    let report = run_campaign(&spec, &opts)?;
+fn campaign(spec: &CampaignSpec, opts: RunnerOptions) -> Result<String, DispersionError> {
+    let artifact = artifact_path(spec, &opts);
+    let report = run_campaign(spec, &opts)?;
     Ok(format!(
         "campaign `{}` (spec {:016x}): {} jobs ({} executed, {} resumed), {} panicked, \
          {} invariant violations, {} timed out, {} quarantined, {} retried attempts\n\
@@ -142,27 +130,6 @@ fn campaign(
 fn campaign_status(artifact: &str) -> Result<String, DispersionError> {
     let status = dispersion_lab::read_status(std::path::Path::new(artifact))?;
     Ok(format!("{}\n{}", artifact, status.render()))
-}
-
-/// `dispersion check`: conformance-check either every run recorded in a
-/// campaign artifact, or one directly-specified run.
-#[allow(clippy::too_many_arguments)]
-fn check(
-    artifact: Option<String>,
-    network: AdversaryKind,
-    n: usize,
-    k: usize,
-    seed: u64,
-    faults: usize,
-    structural: bool,
-    threads: usize,
-) -> Result<String, DispersionError> {
-    match artifact {
-        Some(path) => check_artifact(&path, threads),
-        None => Ok(check_spec(
-            network, n, k, seed, faults, structural, threads,
-        )?),
-    }
 }
 
 /// One Algorithm 4 run as a lab job: `seed` is the job's seed and the
@@ -282,24 +249,31 @@ fn divergence(rec: &RunRecord, replay: &RunRecord) -> Option<String> {
 /// were recorded); the per-run (algorithm, adversary, n, k, faults,
 /// seed) tuples come from the records themselves. A replay that fails
 /// the monitor is flagged, and so is one whose outcome differs from an
-/// `ok` record's: the replay did not reproduce the recorded run.
+/// `ok` record's: the replay did not reproduce the recorded run. Only
+/// durable lines are replayed.
 fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| DispersionError::Other(format!("{path}: {e}").into()))?;
     let mut spec = CampaignSpec::default();
     let (mut clean, mut skipped) = (0usize, 0usize);
     let mut bad = Vec::new();
-    for line in text.lines() {
-        let Some(rec) = RunRecord::parse_line(line) else {
-            read_header_knobs(line, &mut spec);
-            continue; // header, reports, or foreign lines
+    read_artifact(std::path::Path::new(path), |entry| {
+        let rec = match entry {
+            Entry::Header(header) => {
+                spec = CampaignSpec {
+                    placement: header.placement,
+                    max_rounds: header.max_rounds,
+                    edge_prob: header.edge_prob,
+                    ..CampaignSpec::default()
+                };
+                return Ok(());
+            }
+            Entry::Run(rec) => rec,
         };
         let (Ok(algorithm), Ok(adversary)) = (
             AlgorithmKind::parse(&rec.algorithm),
             AdversaryKind::parse(&rec.adversary),
         ) else {
             skipped += 1;
-            continue;
+            return Ok(());
         };
         let job = RunJob {
             job_id: rec.job_id,
@@ -331,7 +305,8 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
                 rec.job_id, rec.algorithm, rec.adversary, rec.n, rec.k, rec.faults, rec.seed,
             )),
         }
-    }
+        Ok(())
+    })?;
     let mut out = format!(
         "conformance replay of {path}: {clean} clean, {} flagged, {skipped} unparseable\n",
         bad.len()

@@ -4,8 +4,11 @@
 //! three structures: connected components (Algorithm 1), their spanning
 //! trees (Algorithm 2) and their disjoint path sets (Algorithm 3).
 //! [`RoundComputation`] bundles the pipeline for callers who want to
-//! inspect or visualize a round the way the paper's Figs. 3–4 do — the
-//! experiment binaries and the worked example are built on it.
+//! inspect or visualize a round the way the paper's Figs. 3–4 do. The
+//! property tests (`tests/properties.rs`) and the sliding edge-case tests
+//! (`tests/sliding_safety.rs`) use it to read a round's components, trees
+//! and paths; the simulator runs Algorithm 4 through its round plan
+//! instead.
 
 use dispersion_engine::{build_packets, Configuration, InfoPacket, RobotId};
 use dispersion_graph::PortLabeledGraph;

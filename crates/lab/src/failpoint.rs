@@ -59,6 +59,14 @@ impl FailAction {
         }
     }
 
+    /// The error a campaign aborts with when this action fires at `site`.
+    pub(crate) fn abort(self, site: &str) -> crate::LabError {
+        crate::LabError::Failpoint {
+            site: site.to_string(),
+            action: self.name(),
+        }
+    }
+
     fn parse(s: &str) -> Option<Self> {
         match s.split_once(':') {
             None => match s {

@@ -208,25 +208,25 @@ impl RunRecord {
             return None;
         }
         Some(RunRecord {
-            job_id: json::u64_value(line, "job_id")?,
+            job_id: json::value(line, "job_id")?,
             spec_hash: u64::from_str_radix(&json::str_value(line, "spec_hash")?, 16).ok()?,
             algorithm: json::str_value(line, "algorithm")?,
             adversary: json::str_value(line, "adversary")?,
-            n: json::u64_value(line, "n")? as usize,
-            k: json::u64_value(line, "k")? as usize,
-            faults: json::u64_value(line, "faults")? as usize,
-            seed_index: json::u64_value(line, "seed_index")?,
-            seed: json::u64_value(line, "seed")?,
+            n: json::value(line, "n")?,
+            k: json::value(line, "k")?,
+            faults: json::value(line, "faults")?,
+            seed_index: json::value(line, "seed_index")?,
+            seed: json::value(line, "seed")?,
             // Absent in pre-retry artifacts, which only ever held one
             // attempt per job.
-            attempt: json::u64_value(line, "attempt").unwrap_or(0),
+            attempt: json::value(line, "attempt").unwrap_or(0),
             status: RunStatus::parse(&json::str_value(line, "status")?)?,
-            dispersed: json::bool_value(line, "dispersed")?,
-            rounds: json::u64_value(line, "rounds")?,
-            moves: json::u64_value(line, "moves")?,
-            max_memory_bits: json::u64_value(line, "max_memory_bits")? as usize,
-            crashes: json::u64_value(line, "crashes")? as usize,
-            wall_time_us: json::u64_value(line, "wall_time_us")?,
+            dispersed: json::value(line, "dispersed")?,
+            rounds: json::value(line, "rounds")?,
+            moves: json::value(line, "moves")?,
+            max_memory_bits: json::value(line, "max_memory_bits")?,
+            crashes: json::value(line, "crashes")?,
+            wall_time_us: json::value(line, "wall_time_us")?,
             message: json::str_value(line, "message"),
             trace_json: None,
         })
@@ -616,7 +616,7 @@ mod tests {
         assert!(trace.starts_with("[{\"round\":0"), "{trace}");
         // The trace does not break field extraction on the same line.
         let line = rec.to_json_line();
-        assert_eq!(crate::json::u64_value(&line, "job_id"), Some(0));
+        assert_eq!(crate::json::value(&line, "job_id"), Some(0u64));
         assert_eq!(
             crate::json::str_value(&line, "status").as_deref(),
             Some("ok")

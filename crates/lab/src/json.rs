@@ -119,18 +119,8 @@ fn raw_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     None
 }
 
-/// Extracts an unsigned integer field.
-pub fn u64_value(line: &str, key: &str) -> Option<u64> {
-    raw_value(line, key)?.parse().ok()
-}
-
-/// Extracts a floating-point field.
-pub fn f64_value(line: &str, key: &str) -> Option<f64> {
-    raw_value(line, key)?.parse().ok()
-}
-
-/// Extracts a boolean field.
-pub fn bool_value(line: &str, key: &str) -> Option<bool> {
+/// Extracts a scalar field (integer, float or boolean) as `T`.
+pub fn value<T: std::str::FromStr>(line: &str, key: &str) -> Option<T> {
     raw_value(line, key)?.parse().ok()
 }
 
@@ -184,8 +174,8 @@ mod tests {
             .bool_field("dispersed", false)
             .raw_field("trace", "[{\"round\":0}]");
         let line = o.finish();
-        assert_eq!(u64_value(&line, "job_id"), Some(42));
-        assert_eq!(bool_value(&line, "dispersed"), Some(false));
+        assert_eq!(value(&line, "job_id"), Some(42u64));
+        assert_eq!(value(&line, "dispersed"), Some(false));
         assert_eq!(
             str_value(&line, "status").as_deref(),
             Some("panic: \"boom\", {sad}")
@@ -198,12 +188,12 @@ mod tests {
         let line = "{\"job_id\":17,\"status\":\"ok";
         assert!(!is_complete_object(line));
         // Unterminated field value is rejected rather than misread.
-        assert_eq!(u64_value("{\"job_id\":17", "job_id"), None);
+        assert_eq!(value::<u64>("{\"job_id\":17", "job_id"), None);
     }
 
     #[test]
     fn missing_fields_are_none() {
-        assert_eq!(u64_value("{\"a\":1}", "b"), None);
+        assert_eq!(value::<u64>("{\"a\":1}", "b"), None);
         assert_eq!(str_value("{\"a\":1}", "a"), None);
     }
 }

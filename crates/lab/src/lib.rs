@@ -15,9 +15,10 @@
 //!   [`derive_seed`]`(campaign_seed, job_id)`, fixed before any worker
 //!   starts, so the artifact's record *set* is identical at `--jobs 1`
 //!   and `--jobs N` (only record order and wall-times differ).
-//! * **Resumability** — on start the runner scans the artifact for
-//!   complete records and only runs the missing `job_id`s; a truncated
-//!   trailing line from an interrupted writer is ignored and re-run.
+//! * **Resumability** — on start the runner scans the artifact's
+//!   durable lines (complete records ended by `\n`, see [`artifact`])
+//!   and only runs the missing `job_id`s; a torn trailing line from an
+//!   interrupted writer is cut away and its job re-run.
 //! * **Bounded memory** — workers send scalar records over a channel to
 //!   one writer thread; full execution traces are never retained unless
 //!   explicitly requested per record.
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod failpoint;
 pub mod job;
 pub mod json;
@@ -43,13 +45,13 @@ pub mod runner;
 pub mod spec;
 pub mod status;
 
+pub use artifact::{
+    artifact_path, read_artifact, scan_artifact, ArtifactScan, Entry, Header, Tail,
+};
 pub use failpoint::{FailAction, FailpointRegistry, FAILPOINTS_ENV};
 pub use job::{RunJob, RunRecord, RunStatus};
 pub use report::{CampaignReport, CellKey, CellStats, Table};
-pub use runner::{
-    artifact_path, backoff_delay, read_header_knobs, run_campaign, scan_artifact, ArtifactScan,
-    FsyncPolicy, RunnerOptions,
-};
+pub use runner::{backoff_delay, run_campaign, FsyncPolicy, RunnerOptions};
 pub use spec::{derive_seed, AdversaryKind, AlgorithmKind, CampaignSpec, NRule, Placement};
 pub use status::{read_status, ArtifactStatus};
 

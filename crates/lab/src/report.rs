@@ -1,8 +1,9 @@
 //! Aggregation of run records into a per-cell report.
 //!
-//! The writer thread folds each [`RunRecord`](crate::job::RunRecord) into
-//! a [`CampaignReport`] as it lands, so the campaign holds per-run
-//! *statistics* (a handful of scalars), never full traces.
+//! A finished campaign folds every durable
+//! [`RunRecord`](crate::job::RunRecord) of its artifact into a
+//! [`CampaignReport`], which holds per-run *statistics* (a handful of
+//! scalars), never full traces.
 
 use std::collections::BTreeMap;
 
@@ -108,13 +109,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Folds one record, treating every record as terminal (the
-    /// pre-retry behavior; equivalent to
-    /// [`CampaignReport::fold_with_retries`] with a zero budget).
-    pub fn fold(&mut self, rec: &RunRecord) {
-        self.fold_with_retries(rec, 0);
-    }
-
     /// Folds one record under a retry budget. Terminal records count
     /// toward their status; a retryable failure that was rerun (its
     /// attempt index is inside the budget) counts only as a retry, so
@@ -172,44 +166,33 @@ impl CampaignReport {
             "bad",
         ]);
         for (key, cell) in &self.cells {
-            match cell.run_summary() {
-                Some(s) => table.row([
-                    key.algorithm.clone(),
-                    key.adversary.clone(),
-                    key.n.to_string(),
-                    key.k.to_string(),
-                    key.faults.to_string(),
+            let runs = match cell.run_summary() {
+                Some(s) => [
                     s.samples.to_string(),
-                    if s.all_dispersed {
-                        "all".into()
-                    } else {
-                        "NOT all".to_string()
-                    },
+                    if s.all_dispersed { "all" } else { "NOT all" }.into(),
                     format!("{}/{:.1}/{}", s.min_rounds, s.mean_rounds, s.max_rounds),
                     format!("{:.1}", s.mean_moves),
                     s.max_memory_bits.to_string(),
-                    cell.timeouts.to_string(),
-                    cell.quarantined.to_string(),
-                    cell.retried.to_string(),
-                    cell.failed_runs().to_string(),
-                ]),
-                None => table.row([
+                ],
+                None => ["0", "-", "-", "-", "-"].map(String::from),
+            };
+            table.row(
+                [
                     key.algorithm.clone(),
                     key.adversary.clone(),
                     key.n.to_string(),
                     key.k.to_string(),
                     key.faults.to_string(),
-                    "0".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
+                ]
+                .into_iter()
+                .chain(runs)
+                .chain([
                     cell.timeouts.to_string(),
                     cell.quarantined.to_string(),
                     cell.retried.to_string(),
                     cell.failed_runs().to_string(),
                 ]),
-            }
+            );
         }
         table.render()
     }
@@ -306,10 +289,10 @@ mod tests {
     #[test]
     fn folds_cells_and_summarizes() {
         let mut report = CampaignReport::default();
-        report.fold(&record("alg4", 8, 5, RunStatus::Ok));
-        report.fold(&record("alg4", 8, 7, RunStatus::Ok));
-        report.fold(&record("alg4", 8, 0, RunStatus::Panic));
-        report.fold(&record("random-walk", 8, 90, RunStatus::Ok));
+        report.fold_with_retries(&record("alg4", 8, 5, RunStatus::Ok), 0);
+        report.fold_with_retries(&record("alg4", 8, 7, RunStatus::Ok), 0);
+        report.fold_with_retries(&record("alg4", 8, 0, RunStatus::Panic), 0);
+        report.fold_with_retries(&record("random-walk", 8, 90, RunStatus::Ok), 0);
         assert_eq!(report.cells.len(), 2);
         assert_eq!(report.total_panics(), 1);
         let alg4 = report.cells.values().next().unwrap();
@@ -325,7 +308,7 @@ mod tests {
     #[test]
     fn all_failed_cell_renders_dashes() {
         let mut report = CampaignReport::default();
-        report.fold(&record("alg4", 4, 0, RunStatus::Error));
+        report.fold_with_retries(&record("alg4", 4, 0, RunStatus::Error), 0);
         let cell = report.cells.values().next().unwrap();
         assert!(cell.run_summary().is_none());
         assert_eq!(cell.ok_runs(), 0);
@@ -367,7 +350,7 @@ mod tests {
     #[test]
     fn timeout_records_fold_as_timeouts() {
         let mut report = CampaignReport::default();
-        report.fold(&record("alg4", 8, 0, RunStatus::Timeout));
+        report.fold_with_retries(&record("alg4", 8, 0, RunStatus::Timeout), 0);
         let cell = report.cells.values().next().unwrap();
         assert_eq!(cell.timeouts, 1);
         assert_eq!(report.total_timeouts(), 1);

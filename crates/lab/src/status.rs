@@ -6,12 +6,10 @@
 //! the debris of a crashed one, and on a finished run alike.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufRead, BufReader};
 use std::path::Path;
 
+use crate::artifact::{read_artifact, Entry};
 use crate::job::{RunRecord, RunStatus, ALL_STATUSES};
-use crate::json;
 use crate::LabError;
 
 /// Everything a scan of one artifact reveals.
@@ -112,45 +110,27 @@ impl ArtifactStatus {
 /// garbage lines and torn tails are reported, never fatal — this is the
 /// tool you reach for exactly when a campaign died messily.
 pub fn read_status(path: &Path) -> Result<ArtifactStatus, LabError> {
-    let io = |e| LabError::Io(path.display().to_string(), e);
-    let file = File::open(path).map_err(io)?;
     let mut status = ArtifactStatus::default();
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line).map_err(io)?;
-        if n == 0 {
-            break;
-        }
-        if !line.ends_with('\n') {
-            status.torn_tail = true;
-            break;
-        }
-        let line = line.trim_end();
-        if !json::is_complete_object(line) {
-            continue;
-        }
-        match json::str_value(line, "type").as_deref() {
-            Some("campaign") => {
-                status.name = json::str_value(line, "name");
-                status.spec_hash = json::str_value(line, "spec_hash");
-                status.total_jobs = json::u64_value(line, "jobs");
+    let tail = read_artifact(path, |entry| {
+        match entry {
+            Entry::Header(header) => {
+                status.name = Some(header.name);
+                status.spec_hash = Some(header.spec_hash);
+                status.total_jobs = Some(header.jobs);
             }
-            Some("run") => {
-                if let Some(rec) = RunRecord::parse_line(line) {
-                    status.records += 1;
-                    match status.latest.get(&rec.job_id) {
-                        Some(prev) if prev.attempt > rec.attempt => {}
-                        _ => {
-                            status.latest.insert(rec.job_id, rec);
-                        }
+            Entry::Run(rec) => {
+                status.records += 1;
+                match status.latest.get(&rec.job_id) {
+                    Some(prev) if prev.attempt > rec.attempt => {}
+                    _ => {
+                        status.latest.insert(rec.job_id, rec);
                     }
                 }
             }
-            _ => {}
         }
-    }
+        Ok(())
+    })?;
+    status.torn_tail = tail.torn;
     Ok(status)
 }
 

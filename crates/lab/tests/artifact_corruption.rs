@@ -164,3 +164,40 @@ fn tail_torn_inside_an_escape_is_repaired_on_resume() {
     assert_eq!(&canonical(&text), canonical_lines);
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn final_record_without_its_newline_reruns_on_resume() {
+    let (pristine, canonical_lines) = baseline();
+    let spec = corruption_spec();
+    // A writer killed between a record's last byte and its `\n` leaves a
+    // complete JSON object that is not yet a durable line.
+    let stripped = pristine
+        .strip_suffix('\n')
+        .expect("a finished artifact ends in a newline");
+    let dir = case_dir();
+    let path = dir.join("corrupt.jsonl");
+    fs::write(&path, stripped).expect("write artifact without its last newline");
+
+    let scan = scan_artifact(&path, &spec, 0).expect("scan tolerates the missing newline");
+    assert_eq!(
+        scan.done.len() as u64,
+        spec.job_count() - 1,
+        "the unterminated record does not count as done"
+    );
+
+    let report = run_campaign(&spec, &opts(&dir)).expect("resume completes");
+    assert_eq!(report.executed, 1, "the unterminated record's job re-runs");
+    assert_eq!(report.resumed as u64, spec.job_count() - 1);
+    assert_eq!(
+        report
+            .cells
+            .values()
+            .map(|c| c.ok_runs() + c.panics + c.errors)
+            .sum::<usize>() as u64,
+        spec.job_count(),
+        "the report folds every job"
+    );
+    let text = fs::read_to_string(&path).expect("artifact readable");
+    assert_eq!(&canonical(&text), canonical_lines);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -2,9 +2,10 @@
 //!
 //! Each scenario kills a campaign at a different interesting point — a
 //! worker dying between jobs, the writer dying between appends, the
-//! writer dying *mid-record* — then resumes it with the failpoints
-//! disarmed and asserts the canonical record set and the rendered
-//! report are byte-identical to an uninterrupted run's. On divergence
+//! writer dying *mid-record* or just before a record's newline — then
+//! resumes it with the failpoints disarmed and asserts the canonical
+//! record set and the rendered report are byte-identical to an
+//! uninterrupted run's. On divergence
 //! the artifacts are dumped under `target/crash-recovery-failures/`
 //! (uploaded by the `runner-crash-recovery` CI job).
 
@@ -103,6 +104,8 @@ fn killed_campaigns_resume_to_the_uninterrupted_report() {
         ("job-start-crash", "job:start=crash@2"),
         ("writer-crash", "writer:append=crash@3"),
         ("writer-torn-write", "writer:append=torn:25@2"),
+        // Keeps the whole record but not its `\n`.
+        ("writer-torn-at-newline", "writer:append=torn:100000@2"),
     ];
     for (name, failpoints) in scenarios {
         let dir = scratch(&format!("recovery-{name}"));
