@@ -15,20 +15,16 @@
 //! Algorithms 1–3 over all components and reduces them to one decision
 //! entry per occupied node, and a robot's Compute step is an index into
 //! it plus, for the few root robots that may hold a path slot, a binary
-//! search in its colocated list. The plan is keyed by
-//! the view's packet-list identity ([`RobotView::packets_id`]), which the
-//! simulator mints once per round and the move oracle once per candidate
-//! graph, and clones of the algorithm — one per executor worker — share
-//! it. The plan reads the round's packet table in place, and a retired
-//! plan is rebuilt in place once no clone holds it, so a warm build
-//! allocates nothing. This is transparent memoization of deterministic computation: the
-//! golden traces are byte-identical, the per-robot persistent memory is
-//! untouched, and [`DispersionDynamic::unmemoized`] keeps the per-robot
-//! rebuild the paper's pseudo-code prescribes as the differential
-//! reference.
-
-use std::cell::{OnceCell, RefCell};
-use std::sync::{Arc, Mutex, PoisonError};
+//! search in its colocated list. The plan lives in the memo of the packet
+//! table the view reads ([`dispersion_engine::Packets::memo`]): the first
+//! robot to step over a table builds it, every other robot of the round
+//! — on any executor worker — or of the oracle candidate reads it, and
+//! the table's next packet list rebuilds it in place, so a warm build
+//! allocates nothing. This is transparent memoization of deterministic
+//! computation: the golden traces are byte-identical, the per-robot
+//! persistent memory is untouched, and [`DispersionDynamic::unmemoized`]
+//! keeps the per-robot rebuild the paper's pseudo-code prescribes as the
+//! differential reference.
 
 use dispersion_engine::{Action, DispersionAlgorithm, MemoryFootprint, RobotId, RobotView};
 
@@ -82,56 +78,33 @@ impl MemoryFootprint for DynamicMemory {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct DispersionDynamic {
     policy: SlidingPolicy,
     /// `true` bypasses the round plan and rebuilds Algorithms 1→3 from
     /// the packets on every call — the reference path the differential
     /// tests compare the planned path against.
     naive: bool,
-    /// The plan this instance used last: the lock-free fast path for
-    /// every robot whose view carries the same packet-list identity.
-    local: RefCell<Option<Arc<RoundPlan>>>,
-    /// The plan slot this instance shares with all its clones, created
-    /// on first use so that building an instance allocates nothing.
-    shared: OnceCell<Arc<Mutex<SharedPlan>>>,
 }
 
-impl Clone for DispersionDynamic {
-    /// A clone shares the plan slot, so the executor's threads build each
-    /// round's plan once between them; its own fast path starts empty.
-    /// Clones driven by independent runs stay correct (plans are keyed
-    /// by packet-list identity) but take turns rebuilding the one slot,
-    /// so give each run its own [`DispersionDynamic::new`].
-    fn clone(&self) -> Self {
-        DispersionDynamic {
-            policy: self.policy,
-            naive: self.naive,
-            local: RefCell::new(None),
-            shared: OnceCell::from(Arc::clone(self.shared_slot())),
-        }
-    }
-}
-
-/// The newest round plan of a family of clones, keyed by its packet-list
-/// identity, plus the build buffers (only ever used under the lock, so
-/// concurrent workers wait for one build instead of repeating it).
+/// What Algorithm 4 keeps in a packet table's memo: the round plan of the
+/// table's packets, the policy it was built under, and its build
+/// buffers.
 ///
 /// The plan is round-local temporary state of the kind the model hands
 /// out for free: it changes nothing observable, and the per-robot
 /// `Θ(log k)` persistent-memory claim is untouched.
 #[derive(Debug, Default)]
-struct SharedPlan {
-    plan: Option<Arc<RoundPlan>>,
-    /// The plan before `plan`, kept for recycling. An executor worker
-    /// still holds `plan` while the next one is built, but no clone holds
-    /// the one before it any more, so two plans in turn make a warm build
-    /// allocation-free at every thread count.
-    spare: Option<Arc<RoundPlan>>,
+struct PlanMemo {
+    policy: SlidingPolicy,
+    plan: RoundPlan,
     scratch: PlanScratch,
-    /// Plans built so far, for the build-count tests.
-    #[cfg(test)]
-    builds: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Round plans built on this thread, for the build-count tests.
+    static PLAN_BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl DispersionDynamic {
@@ -150,7 +123,7 @@ impl DispersionDynamic {
         }
     }
 
-    /// Creates the algorithm without the shared round plan: every robot
+    /// Creates the algorithm without the round plan: every robot
     /// rebuilds the component, spanning tree and disjoint paths from its
     /// packets on every call — exactly what the paper's pseudo-code
     /// prescribes.
@@ -171,7 +144,6 @@ impl DispersionDynamic {
         DispersionDynamic {
             policy,
             naive: true,
-            ..DispersionDynamic::default()
         }
     }
 
@@ -208,60 +180,24 @@ impl DispersionDynamic {
         sliding::decide_with_policy(view, &component, &tree, &paths, self.policy)
     }
 
-    /// The planned path: one plan per packet-list identity, shared by all
-    /// clones.
+    /// The planned path: the round plan in the packets' memo, built by
+    /// the first robot that steps over them. Packets without a memo
+    /// (local communication with several occupied nodes) and a memo built
+    /// under another policy fall back to the reference path.
     fn decide_planned(&self, view: &RobotView) -> Action {
-        let id = view.packets_id;
-        let mut local = self.local.borrow_mut();
-        if local.as_ref().map(|plan| plan.id()) != Some(id) {
-            // Let go of the old plan first, so the slot can free it
-            // before the next one is built.
-            *local = None;
-            *local = Some(self.shared_plan(id, view));
+        let memo = view.packets.memo().and_then(|memo| {
+            memo.get_or_build(|memo: &mut PlanMemo| {
+                memo.policy = self.policy;
+                memo.plan
+                    .rebuild(&view.packets, self.policy, &mut memo.scratch);
+                #[cfg(test)]
+                PLAN_BUILDS.with(|builds| builds.set(builds.get() + 1));
+            })
+        });
+        match memo {
+            Some(memo) if memo.policy == self.policy => memo.plan.decide(view, self.policy),
+            _ => self.decide_unmemoized(view),
         }
-        local
-            .as_ref()
-            .expect("filled above")
-            .decide(view, self.policy)
-    }
-
-    fn shared_slot(&self) -> &Arc<Mutex<SharedPlan>> {
-        self.shared.get_or_init(Arc::default)
-    }
-
-    /// The shared plan for identity `id`, built from `view`'s packets by
-    /// the first clone that asks, into whichever of the two retired plans
-    /// nobody holds any more.
-    fn shared_plan(&self, id: u64, view: &RobotView) -> Arc<RoundPlan> {
-        // A panic inside a build leaves no plan in place and the scratch
-        // is reset by every build, so a poisoned slot is safe to keep
-        // using.
-        let mut guard = self
-            .shared_slot()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let shared = &mut *guard;
-        if let Some(plan) = shared.plan.as_ref().filter(|plan| plan.id() == id) {
-            return Arc::clone(plan);
-        }
-        // Only the slot hands out plans, and its lock is held: a plan
-        // whose one handle is the slot's stays unshared while it is
-        // rebuilt.
-        let (mut plan, spare) = match (shared.plan.take(), shared.spare.take()) {
-            (Some(newer), older) if Arc::strong_count(&newer) == 1 => (newer, older),
-            (newer, Some(older)) if Arc::strong_count(&older) == 1 => (older, newer),
-            (newer, _) => (Arc::default(), newer),
-        };
-        Arc::get_mut(&mut plan)
-            .expect("no clone holds a retired plan")
-            .rebuild(id, &view.packets, self.policy, &mut shared.scratch);
-        shared.spare = spare;
-        #[cfg(test)]
-        {
-            shared.builds += 1;
-        }
-        shared.plan = Some(Arc::clone(&plan));
-        plan
     }
 }
 
@@ -313,11 +249,13 @@ mod tests {
         .unwrap()
     }
 
-    fn plan_builds(alg: &DispersionDynamic) -> u64 {
-        alg.shared_slot()
-            .lock()
-            .expect("plan slot is not poisoned")
-            .builds
+    /// Round plans `f` builds on this thread. Executor workers build
+    /// none: the calling thread steps the round's first robot before
+    /// they start.
+    fn plan_builds<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = PLAN_BUILDS.with(std::cell::Cell::get);
+        let out = f();
+        (out, PLAN_BUILDS.with(std::cell::Cell::get) - before)
     }
 
     /// Forwards every oracle call, counting them: each call evaluates
@@ -368,23 +306,23 @@ mod tests {
         // 40 robots on a static ring: with two threads the calling thread
         // and its worker split the robots, and both share one plan.
         for threads in [1usize, 2] {
-            let alg = DispersionDynamic::new();
-            let probe = alg.clone();
             let (n, k) = (64, 40);
-            let out = Simulator::builder(
-                alg,
-                StaticNetwork::new(generators::cycle(n).unwrap()),
-                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
-                Configuration::rooted(n, k, NodeId::new(0)),
-            )
-            .threads(threads)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
+            let (out, builds) = plan_builds(|| {
+                Simulator::builder(
+                    DispersionDynamic::new(),
+                    StaticNetwork::new(generators::cycle(n).unwrap()),
+                    ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                    Configuration::rooted(n, k, NodeId::new(0)),
+                )
+                .threads(threads)
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+            });
             assert!(out.dispersed);
             assert!(out.rounds > 1);
-            assert_eq!(plan_builds(&probe), out.rounds, "threads {threads}");
+            assert_eq!(builds, out.rounds, "threads {threads}");
         }
     }
 
@@ -392,11 +330,9 @@ mod tests {
     fn one_plan_per_oracle_candidate() {
         use dispersion_engine::adversary::MinProgressSampler;
         for threads in [1usize, 2] {
-            let alg = DispersionDynamic::new();
-            let probe = alg.clone();
             let (n, k) = (24, 16);
             let mut sim = Simulator::builder(
-                alg,
+                DispersionDynamic::new(),
                 CountingNetwork {
                     inner: MinProgressSampler::new(n, 3, 0.15, 5),
                     oracle_calls: Cell::new(0),
@@ -407,12 +343,12 @@ mod tests {
             .threads(threads)
             .build()
             .unwrap();
-            let out = sim.run().unwrap();
+            let (out, builds) = plan_builds(|| sim.run().unwrap());
             assert!(out.dispersed);
             let candidates = sim.network().oracle_calls.get();
             assert!(candidates >= out.rounds, "the sampler consults the oracle");
             assert_eq!(
-                plan_builds(&probe),
+                builds,
                 out.rounds + candidates,
                 "threads {threads}: one plan per round and per candidate"
             );
@@ -515,6 +451,93 @@ mod tests {
                     assert_plan_matches_reference(&g, &cfg, policy);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn policies_sharing_one_packet_list_never_read_each_others_plan() {
+        use crate::sliding::MoverRule;
+        // The two mover rules, plus the policies whose plans differ: the
+        // mover rule acts in each robot's decision, the tree shape and
+        // the path count in the plan itself.
+        let policies = [
+            SlidingPolicy::default(),
+            SlidingPolicy {
+                mover: MoverRule::SmallestNonAnchor,
+                ..SlidingPolicy::default()
+            },
+            SlidingPolicy {
+                bfs_tree: true,
+                ..SlidingPolicy::default()
+            },
+            SlidingPolicy {
+                single_path: true,
+                ..SlidingPolicy::default()
+            },
+        ];
+        for seed in 0..12u64 {
+            let n = 14 + seed as usize % 7;
+            let k = 4 + seed as usize % (n - 4);
+            let g = generators::random_connected(n, 0.2, seed).unwrap();
+            let cfg = Configuration::random(n, k, seed, true);
+            let views = dispersion_engine::build_views(
+                &g,
+                &cfg,
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                0,
+                k,
+                &|_| None,
+            );
+            // Whichever policy steps first builds the memo of the views'
+            // one packet list; the others must not decide from it.
+            let mut order = policies;
+            order.rotate_left(seed as usize % policies.len());
+            for (robot, view) in views.iter() {
+                for policy in order {
+                    let planned = DispersionDynamic::with_policy(policy);
+                    let reference = DispersionDynamic::unmemoized_with_policy(policy);
+                    let memory = planned.init(robot, k);
+                    assert_eq!(
+                        planned.step(&view, &memory).0,
+                        reference.step(&view, &memory).0,
+                        "seed {seed}, robot {robot}, {policy:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn clones_driving_independent_runs_match_fresh_instances() {
+        let (n, k) = (20, 14);
+        let sim = |alg: DispersionDynamic, seed: u64| {
+            Simulator::builder(
+                alg,
+                EdgeChurnNetwork::new(n, 0.15, seed),
+                ModelSpec::GLOBAL_WITH_NEIGHBORHOOD,
+                Configuration::random(n, k, seed, true),
+            )
+            .build()
+            .unwrap()
+        };
+        let alg = DispersionDynamic::new();
+        let (mut a, mut b) = (sim(alg.clone(), 1), sim(alg.clone(), 2));
+        // Alternate rounds between the two runs until both finish.
+        let (mut a_done, mut b_done) = (false, false);
+        while !(a_done && b_done) {
+            for (run, done) in [(&mut a, &mut a_done), (&mut b, &mut b_done)] {
+                if !*done {
+                    *done = matches!(run.step().unwrap(), dispersion_engine::Step::Dispersed);
+                }
+            }
+        }
+        for (mut run, seed) in [(a, 1), (b, 2)] {
+            let alternated = run.run().unwrap();
+            let fresh = sim(DispersionDynamic::new(), seed).run().unwrap();
+            assert!(fresh.dispersed, "seed {seed}");
+            assert_eq!(alternated.rounds, fresh.rounds, "seed {seed}");
+            assert_eq!(alternated.final_config, fresh.final_config, "seed {seed}");
+            assert_eq!(alternated.trace.records, fresh.trace.records, "seed {seed}");
         }
     }
 

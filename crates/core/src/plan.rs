@@ -58,12 +58,11 @@ enum SlotMove {
 }
 
 /// One packet list's agreed structures, reduced to per-node decisions.
-/// Shared by every robot (and every executor worker) that sees the same
-/// packet list; rebuilt in place once no one holds it any more.
+/// Kept in the list's [`dispersion_engine::RoundMemo`], so every robot
+/// (and every executor worker) that sees the list shares it; rebuilt in
+/// place for the table's next list.
 #[derive(Debug, Default)]
 pub(crate) struct RoundPlan {
-    /// The packet-list identity this plan was built for.
-    id: u64,
     /// Whether any node holds two or more robots; without one every
     /// robot stays (termination detection under global communication).
     multiplicity: bool,
@@ -176,12 +175,10 @@ impl RoundPlan {
     /// 1-neighborhood fields, or name a neighbor without a packet.
     pub(crate) fn rebuild(
         &mut self,
-        id: u64,
         packets: &Packets<'_>,
         policy: SlidingPolicy,
         s: &mut PlanScratch,
     ) {
-        self.id = id;
         self.roles.clear();
         self.root_slots.clear();
         self.multiplicity = packets.iter().any(|p| p.count() >= 2);
@@ -338,11 +335,6 @@ impl RoundPlan {
         }
         self.root_slots
             .extend(s.slots.iter().map(|&(_, _, slot)| slot));
-    }
-
-    /// The packet-list identity this plan was built for.
-    pub(crate) fn id(&self) -> u64 {
-        self.id
     }
 
     /// The Move-phase action of the robot observing `view`: the decision

@@ -72,8 +72,7 @@ pub(crate) struct RoundInputs<'a, M> {
 ///
 /// Every view borrows the inputs' index and packet table; only when the
 /// node changes is the view rewritten for the new node (a few word
-/// stores, plus a fresh packet-list identity under local
-/// communication). The pass allocates nothing.
+/// stores). The pass allocates nothing.
 pub(crate) fn compute_pass<A: DispersionAlgorithm>(
     algorithm: &A,
     inputs: &RoundInputs<'_, A::Memory>,

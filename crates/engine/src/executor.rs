@@ -32,10 +32,10 @@
 //!   even when the caller, whose caches are warm, would have claimed
 //!   every block of a small round before a worker woke up.
 //! * **The first Compute runs before the fork.** The caller decides
-//!   `live[0]` before the workers start, so round-wide state keyed by the
-//!   view's packet-list identity ([`crate::RobotView::packets_id`]), such as
-//!   `DispersionDynamic`'s round plan, is built once, with no worker
-//!   waiting for it.
+//!   `live[0]` before the workers start, so round-wide state an algorithm
+//!   keeps in the packet table's memo ([`crate::Packets::memo`]), such as
+//!   `DispersionDynamic`'s round plan, is built once, by the caller, with
+//!   no worker waiting for it.
 //! * **The round state is borrowed, not copied.** Every participant's
 //!   views borrow the caller's robot index and packet table through the
 //!   shared [`RoundInputs`], exactly as they borrow the graph; nothing is
@@ -105,8 +105,8 @@
 //!   to exactly the `A` it was born as;
 //! * all shared inputs are `&`-borrows of `Sync` data (`A::Memory: Sync`
 //!   is a bound on both ends), decisions move to the caller's thread
-//!   (`A::Memory: Send`), and the only shared value a share mutates is the
-//!   block counter.
+//!   (`A::Memory: Send`), and the only shared values a share mutates are
+//!   the block counter and the packet table's memo, a `OnceLock`.
 #![allow(unsafe_code)]
 
 use std::any::TypeId;
@@ -300,8 +300,8 @@ where
         .map(|w| {
             let shared = Arc::clone(&shared);
             // A worker's long-lived state: an algorithm clone (the
-            // algorithm need not be `Sync`; clones may still share state
-            // among themselves, keyed by the view's packet-list identity).
+            // algorithm need not be `Sync`; round-wide state it shares
+            // lives in the packet table's memo).
             let algorithm = algorithm.clone();
             std::thread::Builder::new()
                 .name(format!("ccm-worker-{w}"))
@@ -534,8 +534,8 @@ mod tests {
         }
     }
 
-    /// Folds what it sees of its view (but not the packet-list identity)
-    /// and its memory into the next memory, and moves by it.
+    /// Folds what it sees of its view and its memory into the next
+    /// memory, and moves by it.
     #[derive(Clone)]
     struct Echo;
     impl DispersionAlgorithm for Echo {

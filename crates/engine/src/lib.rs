@@ -88,7 +88,7 @@ pub use faults::{CrashEvent, CrashPhase, FaultPlan};
 pub use invariants::{CheckPolicy, Invariant, InvariantMonitor, InvariantViolation};
 pub use model::{Activation, CommModel, ModelSpec};
 pub use oracle::{MoveOracle, ResolvedMove};
-pub use packet::{build_packets, InfoPacket, NeighborReport, PacketRef, Packets};
+pub use packet::{build_packets, InfoPacket, NeighborReport, PacketRef, Packets, RoundMemo};
 pub use robot::RobotId;
 pub use sim::{RoundOutput, SimOutcome, Simulator, SimulatorBuilder, Step};
 pub use trace::{ExecutionTrace, RoundRecord, TracePolicy};

@@ -16,8 +16,8 @@
 //! the oracle, together with buffers the simulator retains across rounds:
 //! a packet table and an occupancy indicator. Per candidate the oracle
 //!
-//! * rebuilds the packet table for the candidate, under one fresh
-//!   packet-list identity;
+//! * rebuilds the packet table for the candidate, which empties its
+//!   memo ([`crate::RoundMemo`]);
 //! * steps every activated robot over views borrowed from the index and
 //!   that table.
 //!
@@ -322,9 +322,9 @@ mod tests {
         }
     }
 
-    /// Acts on an FNV hash of everything in its view except the packet
-    /// list's identity, and of its memory: two views of one robot that
-    /// differ anywhere almost surely yield different actions.
+    /// Acts on an FNV hash of everything in its view and of its memory:
+    /// two views of one robot that differ anywhere almost surely yield
+    /// different actions.
     #[derive(Clone)]
     struct ViewHash;
 

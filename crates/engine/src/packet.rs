@@ -12,7 +12,8 @@
 //! IDs. Without 1-neighborhood knowledge the neighbor fields are absent —
 //! the robot simply cannot sense them.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::any::Any;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use dispersion_graph::{NodeId, Port, PortLabeledGraph};
 
@@ -210,8 +211,9 @@ struct PacketRow {
 ///
 /// Every reader — the views of the Compute pass, the move oracle, the
 /// round plan — reads it in place through [`Packets`]; nothing copies a
-/// packet. A warm rebuild allocates nothing.
-#[derive(Clone, Debug, Default)]
+/// packet. A warm rebuild allocates nothing. The table also owns the
+/// [`RoundMemo`] of its packets, which every rebuild empties.
+#[derive(Debug, Default)]
 pub(crate) struct PacketTable {
     rows: Vec<PacketRow>,
     reports: Vec<NeighborReport>,
@@ -220,16 +222,15 @@ pub(crate) struct PacketTable {
     report_slots: Vec<u32>,
     /// Whether the sensing fields (degree and reports) are observable.
     neighborhood: bool,
-    /// The identity of this build (see [`crate::RobotView::packets_id`]).
-    id: u64,
+    memo: RoundMemo,
 }
 
 impl PacketTable {
-    /// Rebuilds the table for the robots of `index` standing on `g`, under
-    /// a fresh identity. `neighborhood` controls whether the sensing
-    /// fields are filled.
+    /// Rebuilds the table for the robots of `index` standing on `g`, with
+    /// an empty memo. `neighborhood` controls whether the sensing fields
+    /// are filled.
     pub(crate) fn rebuild(&mut self, g: &PortLabeledGraph, index: &RobotIndex, neighborhood: bool) {
-        self.rows.clear();
+        self.clear();
         self.rows
             .extend(index.nodes().iter().enumerate().map(|(s, &v)| {
                 let robots = index.robots(s);
@@ -241,8 +242,6 @@ impl PacketTable {
                     reports_end: 0,
                 }
             }));
-        self.reports.clear();
-        self.report_slots.clear();
         if neighborhood {
             for (s, &v) in index.nodes().iter().enumerate() {
                 let start = self.reports.len() as u32;
@@ -263,7 +262,6 @@ impl PacketTable {
             }
         }
         self.neighborhood = neighborhood;
-        self.id = next_packets_id();
     }
 
     /// The degree of slot `s`'s node, in every model.
@@ -272,17 +270,12 @@ impl PacketTable {
         self.rows[s].degree as usize
     }
 
-    /// Drops every row, keeping the buffers.
+    /// Drops every row and empties the memo, keeping the buffers.
     pub(crate) fn clear(&mut self) {
         self.rows.clear();
         self.reports.clear();
         self.report_slots.clear();
-    }
-
-    /// The identity minted by the last rebuild.
-    #[inline]
-    pub(crate) fn id(&self) -> u64 {
-        self.id
+        self.memo.clear();
     }
 
     /// All rows, read through the robots of `index` (the index the table
@@ -311,12 +304,73 @@ impl PacketTable {
     }
 }
 
-/// Mints a fresh packet-list identity for [`crate::RobotView::packets_id`]:
-/// nonzero, and never returned twice within the process. The counter
-/// publishes no other data, hence `Relaxed`.
-pub(crate) fn next_packets_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+/// A memo of one value derived from a packet table's packets, shared by
+/// every reader of the table — the views of all executor participants,
+/// or of one oracle candidate — and emptied with the packets: a value
+/// built here can never be read against another round's packets.
+///
+/// Reached through [`Packets::memo`]. The value is type-erased, so the
+/// engine need not know what an algorithm derives; an algorithm that
+/// derives the same value from the packets for every robot (as
+/// `DispersionDynamic` does under global communication) builds it once
+/// per table instead of once per robot. When the table is rebuilt the
+/// old value is kept as a spare and handed to the next build to
+/// overwrite, so a warm build allocates nothing.
+#[derive(Debug, Default)]
+pub struct RoundMemo {
+    slot: OnceLock<Box<dyn Any + Send + Sync>>,
+    /// The value of an earlier packet list of the same table, for
+    /// recycling. Locked only inside a build, which runs once per table.
+    spare: Mutex<Option<Box<dyn Any + Send + Sync>>>,
+}
+
+impl RoundMemo {
+    /// The memoized value, built by `build` if this is the first call
+    /// since the packets were built; concurrent callers wait for that one
+    /// build.
+    ///
+    /// `build` receives either `T::default()` or the value built for an
+    /// earlier packet list of the same table, and must overwrite
+    /// whatever of it depends on the packets. Returns `None` when the
+    /// memo already holds a value of another type.
+    #[inline]
+    pub fn get_or_build<T: Any + Send + Sync + Default>(
+        &self,
+        build: impl FnOnce(&mut T),
+    ) -> Option<&T> {
+        match self.slot.get() {
+            Some(value) => value.downcast_ref(),
+            None => self.init(build),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn init<T: Any + Send + Sync + Default>(&self, build: impl FnOnce(&mut T)) -> Option<&T> {
+        self.slot
+            .get_or_init(|| {
+                // A build that panicked dropped what it took, so a
+                // poisoned lock holds nothing half-built.
+                let spare = self
+                    .spare
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
+                let mut value = spare
+                    .and_then(|spare| spare.downcast::<T>().ok())
+                    .unwrap_or_default();
+                build(&mut value);
+                value
+            })
+            .downcast_ref()
+    }
+
+    /// Empties the memo, keeping its value as the spare.
+    fn clear(&mut self) {
+        if let Some(value) = self.slot.take() {
+            *self.spare.get_mut().unwrap_or_else(PoisonError::into_inner) = Some(value);
+        }
+    }
 }
 
 /// The packets a robot receives: a window of consecutive rows of one
@@ -382,6 +436,16 @@ impl<'a> Packets<'a> {
     /// The packets as owned [`InfoPacket`]s.
     pub fn to_vec(&self) -> Vec<InfoPacket> {
         self.iter().map(|p| p.to_owned()).collect()
+    }
+
+    /// The memo of the round's packet table, when these packets are all
+    /// of it: under global communication, and under local communication
+    /// when a single node is occupied. A robot that receives only part
+    /// of the table gets `None`, so nothing derived from the whole list
+    /// is ever read by a robot that cannot see it.
+    #[inline]
+    pub fn memo(&self) -> Option<&'a RoundMemo> {
+        (self.len == self.table.rows.len()).then_some(&self.table.memo)
     }
 }
 
@@ -618,11 +682,9 @@ mod tests {
         index.rebuild(&c1);
         table.rebuild(&g, &index, true);
         assert_eq!(table.all(&index).to_vec(), build_packets(&g, &c1, true));
-        let first_id = table.id();
         index.rebuild(&c2);
         table.rebuild(&g, &index, true);
         assert_eq!(table.all(&index).to_vec(), build_packets(&g, &c2, true));
-        assert_ne!(table.id(), first_id, "every rebuild mints an identity");
         assert_eq!(index.nodes().len(), 2);
         for node in 0..5 {
             assert_eq!(index.robots_at(v(node)), c2.robots_at(v(node)).as_slice());
@@ -649,6 +711,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn memo_lives_as_long_as_its_packets() {
+        let g = generators::path(5).unwrap();
+        let c = Configuration::from_pairs(5, [(r(1), v(0)), (r(2), v(0)), (r(3), v(3))]);
+        let index = RobotIndex::of(&c);
+        let mut table = PacketTable::default();
+        table.rebuild(&g, &index, true);
+        let builds = std::cell::Cell::new(0);
+        let count = |value: &mut Vec<usize>| {
+            builds.set(builds.get() + 1);
+            value.push(builds.get());
+        };
+        // One build per table, whichever view asks.
+        let memo = table.all(&index).memo().expect("the full list");
+        assert_eq!(memo.get_or_build(count), Some(&vec![1]));
+        assert_eq!(memo.get_or_build(count), Some(&vec![1]));
+        assert_eq!(memo.get_or_build(|_: &mut u8| unreachable!()), None);
+        assert!(
+            table.own(&index, 0).memo().is_none(),
+            "one row of two is not the list"
+        );
+        // A rebuild empties the memo and hands the old value to the next
+        // build; so does a clear.
+        table.rebuild(&g, &index, true);
+        let memo = table.all(&index).memo().unwrap();
+        assert_eq!(memo.get_or_build(count), Some(&vec![1, 2]));
+        table.clear();
+        let memo = table.all(&index).memo().unwrap();
+        assert_eq!(memo.get_or_build(count), Some(&vec![1, 2, 3]));
+        // A spare of another type is dropped, not reused.
+        table.rebuild(&g, &index, true);
+        let memo = table.all(&index).memo().unwrap();
+        assert_eq!(memo.get_or_build(|x: &mut u8| *x = 7), Some(&7));
+        table.rebuild(&g, &index, true);
+        let memo = table.all(&index).memo().unwrap();
+        assert_eq!(memo.get_or_build(count), Some(&vec![4]));
+        // With one occupied node the own row is the whole list.
+        let lone = RobotIndex::of(&Configuration::rooted(5, 3, v(2)));
+        table.rebuild(&g, &lone, true);
+        assert!(table.own(&lone, 0).memo().is_some());
     }
 
     #[test]

@@ -556,9 +556,9 @@ impl<A: DispersionAlgorithm, N: DynamicNetwork> Simulator<A, N> {
 
         let occupied_before = self.config.occupied_count();
 
-        // Communicate: one packet table for the round, under one fresh
-        // identity. Under global communication every view reads all of
-        // it, under local communication its own row.
+        // Communicate: one packet table for the round, with an empty
+        // memo. Under global communication every view reads all of it,
+        // under local communication its own row.
         self.scratch
             .table
             .rebuild(g, &self.scratch.index, self.model.neighborhood);

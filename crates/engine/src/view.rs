@@ -8,7 +8,7 @@
 
 use dispersion_graph::{NodeId, Port, PortLabeledGraph};
 
-use crate::packet::{next_packets_id, PacketRef, PacketTable, Packets, RobotIndex};
+use crate::packet::{PacketRef, PacketTable, Packets, RobotIndex};
 use crate::{CommModel, Configuration, ModelSpec, RobotId};
 
 /// What a robot senses about one adjacent node under 1-neighborhood
@@ -70,16 +70,11 @@ pub struct RobotView<'a> {
     /// Information packets received in the Communicate phase: all occupied
     /// nodes' packets under global communication, only the own node's
     /// packet under local communication, ascending by sender. Read in
-    /// place from the round's packet table.
+    /// place from the round's packet table, whose
+    /// [`RoundMemo`](crate::RoundMemo) ([`Packets::memo`]) lets an
+    /// algorithm derive round-wide structures from the list once per
+    /// round instead of once per robot.
     pub packets: Packets<'a>,
-    /// Identity of `packets`: nonzero, minted by the engine (once per
-    /// round and candidate graph under global communication, once per
-    /// node visit under local communication, once per call of
-    /// [`build_views`] or [`build_view`]) and never reused within the
-    /// process. Two views with the same identity carry equal `packets`,
-    /// so an algorithm may derive round-wide structures from the list
-    /// once per identity instead of once per robot.
-    pub packets_id: u64,
     /// Position of the own node's packet in `packets`.
     own: usize,
     /// `None` without 1-neighborhood knowledge.
@@ -107,7 +102,6 @@ impl<'a> RobotView<'a> {
             arrival_port: None,
             colocated: &[],
             packets: table.all(index),
-            packets_id: table.id(),
             own: 0,
             sensing: model.neighborhood.then(|| Sensing {
                 g,
@@ -121,8 +115,7 @@ impl<'a> RobotView<'a> {
 
     /// Rewrites the slot-dependent parts of a view built by
     /// [`RobotView::at_slot`] from the same `index`, `table` and `model`
-    /// for the robots on slot `slot`: a few word stores, plus a fresh
-    /// packet-list identity under local communication.
+    /// for the robots on slot `slot`: a few word stores.
     #[inline]
     pub(crate) fn move_to(
         &mut self,
@@ -137,7 +130,6 @@ impl<'a> RobotView<'a> {
             CommModel::Global => self.own = slot,
             CommModel::Local => {
                 self.packets = table.own(index, slot);
-                self.packets_id = next_packets_id();
                 self.own = 0;
             }
         }
@@ -204,7 +196,6 @@ impl PartialEq for RobotView<'_> {
             && self.arrival_port == other.arrival_port
             && self.colocated == other.colocated
             && self.packets == other.packets
-            && self.packets_id == other.packets_id
             && self.own == other.own
             && same_neighbors
     }
@@ -226,7 +217,6 @@ impl std::fmt::Debug for RobotView<'_> {
                 &self.neighbors().map(|obs| obs.collect::<Vec<_>>()),
             )
             .field("packets", &self.packets)
-            .field("packets_id", &self.packets_id)
             .finish()
     }
 }
@@ -243,9 +233,8 @@ pub struct RoundViews<'g> {
     k: usize,
     index: RobotIndex,
     table: PacketTable,
-    /// `(robot, node, arrival port, packet-list identity)` per view, in
-    /// robot-ID order.
-    robots: Vec<(RobotId, NodeId, Option<Port>, u64)>,
+    /// `(robot, node, arrival port)` per view, in robot-ID order.
+    robots: Vec<(RobotId, NodeId, Option<Port>)>,
 }
 
 impl<'g> RoundViews<'g> {
@@ -275,17 +264,9 @@ impl<'g> RoundViews<'g> {
         }
     }
 
-    fn push(&mut self, robot: RobotId, node: NodeId, arrival_port: Option<Port>) {
-        let id = match self.model.comm {
-            CommModel::Global => self.table.id(),
-            CommModel::Local => next_packets_id(),
-        };
-        self.robots.push((robot, node, arrival_port, id));
-    }
-
     fn view_of(
         &self,
-        &(robot, node, arrival_port, id): &(RobotId, NodeId, Option<Port>, u64),
+        &(robot, node, arrival_port): &(RobotId, NodeId, Option<Port>),
     ) -> RobotView<'_> {
         let slot = self
             .index
@@ -302,7 +283,6 @@ impl<'g> RoundViews<'g> {
         );
         view.me = robot;
         view.arrival_port = arrival_port;
-        view.packets_id = id;
         view
     }
 
@@ -337,9 +317,8 @@ impl<'g> RoundViews<'g> {
     }
 }
 
-/// Builds the view of a single robot standing on node `node_of(me)`,
-/// under a fresh [`RobotView::packets_id`]; read it with
-/// [`RoundViews::get`].
+/// Builds the view of a single robot standing on node `node_of(me)`; read
+/// it with [`RoundViews::get`].
 ///
 /// # Panics
 ///
@@ -355,7 +334,7 @@ pub fn build_view<'g>(
 ) -> RoundViews<'g> {
     let v = config.node_of(me).expect("robot must be live");
     let mut views = RoundViews::new(g, config, model, round, k);
-    views.push(me, v, arrival_port);
+    views.robots.push((me, v, arrival_port));
     views
 }
 
@@ -363,10 +342,9 @@ pub fn build_view<'g>(
 /// maps a robot to the port it used to enter its node (if it moved last
 /// round). Views come in robot-ID order.
 ///
-/// Each view equals the [`build_view`] of the same robot up to its
-/// [`RobotView::packets_id`]: under global communication all views share
-/// one identity minted for the call, under local communication each view
-/// gets its own. The views cost `O(k + Σ deg)` to build.
+/// Each view equals the [`build_view`] of the same robot. The views share
+/// one packet table, and so one [`RoundMemo`](crate::RoundMemo) under
+/// global communication. They cost `O(k + Σ deg)` to build.
 pub fn build_views<'g>(
     g: &'g PortLabeledGraph,
     config: &Configuration,
@@ -376,9 +354,9 @@ pub fn build_views<'g>(
     arrival_port_of: &dyn Fn(RobotId) -> Option<Port>,
 ) -> RoundViews<'g> {
     let mut views = RoundViews::new(g, config, model, round, k);
-    for (r, v) in config.iter() {
-        views.push(r, v, arrival_port_of(r));
-    }
+    views
+        .robots
+        .extend(config.iter().map(|(r, v)| (r, v, arrival_port_of(r))));
     views
 }
 
@@ -545,9 +523,8 @@ pub(crate) mod tests {
                 view.me = robot;
                 assert_observes(&view, &g, &c, model);
                 let reference = build_view(&g, &c, model, 0, 3, robot, None);
-                let mut expected = reference.get(robot).unwrap();
+                let expected = reference.get(robot).unwrap();
                 assert_observes(&expected, &g, &c, model);
-                expected.packets_id = view.packets_id;
                 assert_eq!(view, expected, "robot {robot} under {model}");
             }
         }
@@ -587,11 +564,8 @@ pub(crate) mod tests {
                 for (robot, view) in views.iter() {
                     assert_observes(&view, &g, c, model);
                     let reference = build_view(&g, c, model, 3, k, robot, arrival(robot));
-                    let mut single = reference.get(robot).unwrap();
+                    let single = reference.get(robot).unwrap();
                     assert_observes(&single, &g, c, model);
-                    assert_ne!(view.packets_id, 0);
-                    assert_ne!(view.packets_id, single.packets_id);
-                    single.packets_id = view.packets_id;
                     assert_eq!(view, single, "robot {robot} under {model}");
                     // The packets are those of `build_packets`.
                     let packets = crate::packet::build_packets(&g, c, model.neighborhood);
@@ -606,14 +580,13 @@ pub(crate) mod tests {
                         }
                     }
                 }
-                let ids: Vec<u64> = views.iter().map(|(_, view)| view.packets_id).collect();
-                if model.comm == CommModel::Global {
-                    assert!(ids.iter().all(|&id| id == ids[0]), "one list per call");
-                } else {
-                    let mut distinct = ids.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    assert_eq!(distinct.len(), ids.len(), "one list per local view");
+                // Global views share the call's one memo; local views
+                // reach it only when their own packet is the whole list.
+                let memo = views.packets().memo().expect("the full list");
+                let whole = model.comm == CommModel::Global || c.occupied_count() == 1;
+                for (robot, view) in views.iter() {
+                    let shared = view.packets.memo().map(|m| std::ptr::eq(m, memo));
+                    assert_eq!(shared, whole.then_some(true), "robot {robot} under {model}");
                 }
             }
         }

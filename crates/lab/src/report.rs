@@ -1,9 +1,8 @@
 //! Aggregation of run records into a per-cell report.
 //!
-//! A finished campaign folds every durable
-//! [`RunRecord`](crate::job::RunRecord) of its artifact into a
-//! [`CampaignReport`], which holds per-run *statistics* (a handful of
-//! scalars), never full traces.
+//! A finished campaign folds every durable [`RunRecord`] of its artifact
+//! into a [`CampaignReport`], which holds per-run *statistics* (a handful
+//! of scalars), never full traces.
 
 use std::collections::BTreeMap;
 

@@ -379,10 +379,21 @@ impl CampaignSpec {
     /// A canonical text form of everything that affects job *content*
     /// (the name is excluded: renaming a campaign does not invalidate
     /// its artifact).
+    ///
+    /// The edge probability is written with four decimals when that
+    /// reads back as the exact value (so the hashes of such specs are
+    /// those of earlier versions), and in its shortest round-trip form
+    /// otherwise, so no two probabilities share a canonical form.
     pub fn canonical(&self) -> String {
         let join = |it: &mut dyn Iterator<Item = String>| it.collect::<Vec<_>>().join(",");
+        let four = format!("{:.4}", self.edge_prob);
+        let edge_prob = if four.parse() == Ok(self.edge_prob) {
+            four
+        } else {
+            self.edge_prob.to_string()
+        };
         format!(
-            "algs={};advs={};ks={};n={};faults={};seeds={};cseed={};placement={};max_rounds={};edge_prob={:.4}",
+            "algs={};advs={};ks={};n={};faults={};seeds={};cseed={};placement={};max_rounds={};edge_prob={}",
             join(&mut self.algorithms.iter().map(|a| a.name().to_string())),
             join(&mut self.adversaries.iter().map(|a| a.name().to_string())),
             join(&mut self.ks.iter().map(ToString::to_string)),
@@ -392,7 +403,7 @@ impl CampaignSpec {
             self.campaign_seed,
             self.placement.name(),
             self.max_rounds,
-            self.edge_prob,
+            edge_prob,
         )
     }
 
@@ -521,6 +532,30 @@ mod tests {
         };
         assert_eq!(a.spec_hash(), b.spec_hash());
         b.ks.push(32);
+        assert_ne!(a.spec_hash(), b.spec_hash());
+    }
+
+    #[test]
+    fn canonical_form_keeps_every_edge_probability_apart() {
+        // The default spec's form, and so its hash, is that of earlier
+        // versions: resuming their artifacts keeps working.
+        assert_eq!(
+            CampaignSpec::default().canonical(),
+            "algs=alg4;advs=churn;ks=4,8,16;n=3k/2;faults=0;seeds=5;cseed=7;\
+             placement=scattered;max_rounds=100000;edge_prob=0.1000"
+        );
+        assert_eq!(CampaignSpec::default().spec_hash(), 0x303f_36f5_9baa_6c99);
+        let with_prob = |edge_prob| CampaignSpec {
+            edge_prob,
+            ..CampaignSpec::default()
+        };
+        for (p, form) in [(0.1, "0.1000"), (0.15, "0.1500"), (0.2, "0.2000")] {
+            assert!(with_prob(p)
+                .canonical()
+                .ends_with(&format!("edge_prob={form}")));
+        }
+        let (a, b) = (with_prob(0.10001), with_prob(0.10002));
+        assert!(a.canonical().ends_with("edge_prob=0.10001"));
         assert_ne!(a.spec_hash(), b.spec_hash());
     }
 
