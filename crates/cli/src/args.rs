@@ -3,25 +3,16 @@
 use std::error::Error;
 use std::fmt;
 
-use dispersion_lab::{AdversaryKind, AlgorithmKind, CampaignSpec, NRule, Placement};
+use dispersion_lab::{AdversaryKind, AlgorithmKind, CampaignSpec, NRule, Placement, Scenario};
 
 /// A parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
     /// `dispersion run …` — run Algorithm 4.
     Run {
-        /// Dynamic network to run against.
-        network: AdversaryKind,
-        /// Nodes.
-        n: usize,
-        /// Robots.
-        k: usize,
-        /// RNG seed (networks, placement).
-        seed: u64,
-        /// Crash `f` random robots during the run.
-        faults: usize,
-        /// Start from a random (clustered) placement instead of rooted.
-        scattered: bool,
+        /// The run: `--network/--n/--k/--seed/--faults`, rooted or
+        /// (`--scattered`) scattered.
+        scenario: Scenario,
         /// Print a per-round occupancy view.
         watch: bool,
         /// Emit the outcome as a JSON document instead of text.
@@ -93,16 +84,9 @@ pub enum Command {
         /// Campaign artifact to replay under checking (exclusive with
         /// the spec flags).
         artifact: Option<String>,
-        /// Dynamic network for a direct spec check.
-        network: AdversaryKind,
-        /// Nodes.
-        n: usize,
-        /// Robots.
-        k: usize,
-        /// RNG seed (also the replay seed reported on violations).
-        seed: u64,
-        /// Crash `f` random robots during the run.
-        faults: usize,
+        /// The directly checked run; its seed is also the replay seed
+        /// reported on violations. Unvalidated with `artifact`.
+        scenario: Scenario,
         /// Arm only the structural (any-algorithm) invariants, not the
         /// Algorithm 4 theorem bounds.
         structural: bool,
@@ -111,15 +95,9 @@ pub enum Command {
     },
     /// `dispersion dot …` — export one round's graph as Graphviz DOT.
     Dot {
-        /// Dynamic network to sample.
-        network: AdversaryKind,
-        /// Nodes.
-        n: usize,
-        /// Robots (annotated on the nodes).
-        k: usize,
-        /// RNG seed. The round-0 graph is sampled against the rooted
-        /// configuration a fresh run starts from.
-        seed: u64,
+        /// The sampled run. Its round-0 graph is drawn against the rooted
+        /// configuration a fresh run starts from, robots annotated.
+        scenario: Scenario,
     },
     /// `dispersion help` or `--help`.
     Help,
@@ -146,7 +124,7 @@ pub enum ParseError {
         expected: &'static str,
     },
     /// Semantic violation (e.g. k > n).
-    Invalid(&'static str),
+    Invalid(String),
     /// A campaign grid that cannot run (message from spec validation).
     InvalidSpec(String),
 }
@@ -217,7 +195,7 @@ fn parse_list<T>(
 fn parse_network(value: &str) -> Result<AdversaryKind, ParseError> {
     match AdversaryKind::parse(value) {
         Ok(AdversaryKind::PanicProbe) => Err(ParseError::Invalid(
-            "`panic-probe` runs only inside campaigns",
+            "`panic-probe` runs only inside campaigns".into(),
         )),
         Ok(kind) => Ok(kind),
         Err(_) => Err(ParseError::BadValue {
@@ -228,6 +206,32 @@ fn parse_network(value: &str) -> Result<AdversaryKind, ParseError> {
     }
 }
 
+/// Parses a single-run subcommand's flags onto `scenario`: the shared
+/// `--network/--n/--k/--seed` (and `--faults` where `faults`), then the
+/// subcommand's own flags through `own`, which rejects what it does not
+/// know. The caller validates.
+fn parse_scenario<'a, I: Iterator<Item = &'a str>>(
+    iter: &mut I,
+    mut scenario: Scenario,
+    faults: bool,
+    mut own: impl FnMut(&'a str, &mut I, &mut Scenario) -> Result<(), ParseError>,
+) -> Result<Scenario, ParseError> {
+    while let Some(flag) = iter.next() {
+        let s = &mut scenario;
+        match flag {
+            "--network" => s.network = parse_network(take_value(flag, iter)?)?,
+            "--n" => s.n = parse_num(flag, take_value(flag, iter)?, "a positive integer")?,
+            "--k" => s.k = parse_num(flag, take_value(flag, iter)?, "a positive integer")?,
+            "--seed" => s.seed = parse_num(flag, take_value(flag, iter)?, "an integer seed")?,
+            "--faults" if faults => {
+                s.faults = parse_num(flag, take_value(flag, iter)?, "a fault count")?
+            }
+            other => own(other, iter, s)?,
+        }
+    }
+    Ok(scenario)
+}
+
 /// Parses the argument list (without the program name).
 pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, ParseError> {
     let mut iter = args.into_iter();
@@ -235,51 +239,19 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
     match cmd {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "run" => {
-            let mut network = AdversaryKind::Churn;
-            let mut n = 20usize;
-            let mut k = 12usize;
-            let mut seed = 7u64;
-            let mut faults = 0usize;
-            let mut scattered = false;
-            let mut watch = false;
-            let mut json = false;
-            while let Some(flag) = iter.next() {
+            let (mut watch, mut json) = (false, false);
+            let scenario = parse_scenario(&mut iter, Scenario::default(), true, |flag, _, s| {
                 match flag {
-                    "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
-                    "--n" => {
-                        n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
-                    }
-                    "--k" => {
-                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
-                    }
-                    "--seed" => {
-                        seed = parse_num(flag, take_value(flag, &mut iter)?, "an integer seed")?
-                    }
-                    "--faults" => {
-                        faults = parse_num(flag, take_value(flag, &mut iter)?, "a fault count")?
-                    }
-                    "--scattered" => scattered = true,
+                    "--scattered" => s.placement = Placement::Scattered,
                     "--watch" => watch = true,
                     "--json" => json = true,
                     other => return Err(ParseError::UnknownFlag(other.into())),
                 }
-            }
-            if k == 0 || n == 0 {
-                return Err(ParseError::Invalid("need n ≥ 1 and k ≥ 1"));
-            }
-            if k > n {
-                return Err(ParseError::Invalid("k must not exceed n"));
-            }
-            if faults > k {
-                return Err(ParseError::Invalid("faults must not exceed k"));
-            }
+                Ok(())
+            })?;
+            scenario.validate().map_err(ParseError::Invalid)?;
             Ok(Command::Run {
-                network,
-                n,
-                k,
-                seed,
-                faults,
-                scattered,
+                scenario,
                 watch,
                 json,
             })
@@ -301,7 +273,9 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                 }
             }
             if max_k < 4 || seeds == 0 {
-                return Err(ParseError::Invalid("sweep needs max-k ≥ 4 and seeds ≥ 1"));
+                return Err(ParseError::Invalid(
+                    "sweep needs max-k ≥ 4 and seeds ≥ 1".into(),
+                ));
             }
             Ok(Command::Sweep {
                 network,
@@ -438,53 +412,26 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             Ok(Command::CampaignStatus { artifact })
         }
         "check" => {
-            let mut artifact = None;
-            let mut network = AdversaryKind::Churn;
-            let mut n = 20usize;
-            let mut k = 12usize;
-            let mut seed = 7u64;
-            let mut faults = 0usize;
-            let mut structural = false;
-            let mut threads = 1usize;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--artifact" => artifact = Some(take_value(flag, &mut iter)?.to_string()),
-                    "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
-                    "--n" => {
-                        n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
+            let (mut artifact, mut structural, mut threads) = (None, false, 1usize);
+            let scenario =
+                parse_scenario(&mut iter, Scenario::default(), true, |flag, iter, _| {
+                    match flag {
+                        "--artifact" => artifact = Some(take_value(flag, iter)?.to_string()),
+                        "--structural" => structural = true,
+                        "--threads" => {
+                            threads =
+                                parse_num(flag, take_value(flag, iter)?, "an engine thread count")?
+                        }
+                        other => return Err(ParseError::UnknownFlag(other.into())),
                     }
-                    "--k" => {
-                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
-                    }
-                    "--seed" => {
-                        seed = parse_num(flag, take_value(flag, &mut iter)?, "an integer seed")?
-                    }
-                    "--faults" => {
-                        faults = parse_num(flag, take_value(flag, &mut iter)?, "a fault count")?
-                    }
-                    "--structural" => structural = true,
-                    "--threads" => {
-                        threads =
-                            parse_num(flag, take_value(flag, &mut iter)?, "an engine thread count")?
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.into())),
-                }
-            }
+                    Ok(())
+                })?;
             if artifact.is_none() {
-                if k == 0 || n == 0 || k > n {
-                    return Err(ParseError::Invalid("need 1 ≤ k ≤ n"));
-                }
-                if faults > k {
-                    return Err(ParseError::Invalid("faults must not exceed k"));
-                }
+                scenario.validate().map_err(ParseError::Invalid)?;
             }
             Ok(Command::Check {
                 artifact,
-                network,
-                n,
-                k,
-                seed,
-                faults,
+                scenario,
                 structural,
                 threads: threads.max(1),
             })
@@ -510,8 +457,8 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             match theorem {
                 1 if k >= 5 => {}
                 2 if k >= 3 => {}
-                1 => return Err(ParseError::Invalid("theorem 1 needs k ≥ 5")),
-                2 => return Err(ParseError::Invalid("theorem 2 needs k ≥ 3")),
+                1 => return Err(ParseError::Invalid("theorem 1 needs k ≥ 5".into())),
+                2 => return Err(ParseError::Invalid("theorem 2 needs k ≥ 3".into())),
                 _ => {
                     return Err(ParseError::BadValue {
                         flag: "--theorem".into(),
@@ -523,34 +470,17 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
             Ok(Command::Trap { theorem, k, rounds })
         }
         "dot" => {
-            let mut network = AdversaryKind::Churn;
-            let mut n = 12usize;
-            let mut k = 8usize;
-            let mut seed = 0u64;
-            while let Some(flag) = iter.next() {
-                match flag {
-                    "--network" => network = parse_network(take_value(flag, &mut iter)?)?,
-                    "--n" => {
-                        n = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
-                    }
-                    "--k" => {
-                        k = parse_num(flag, take_value(flag, &mut iter)?, "a positive integer")?
-                    }
-                    "--seed" => {
-                        seed = parse_num(flag, take_value(flag, &mut iter)?, "an integer seed")?
-                    }
-                    other => return Err(ParseError::UnknownFlag(other.into())),
-                }
-            }
-            if k == 0 || n == 0 || k > n {
-                return Err(ParseError::Invalid("need 1 ≤ k ≤ n"));
-            }
-            Ok(Command::Dot {
-                network,
-                n,
-                k,
-                seed,
-            })
+            let defaults = Scenario {
+                n: 12,
+                k: 8,
+                seed: 0,
+                ..Scenario::default()
+            };
+            let scenario = parse_scenario(&mut iter, defaults, false, |flag, _, _| {
+                Err(ParseError::UnknownFlag(flag.into()))
+            })?;
+            scenario.validate().map_err(ParseError::Invalid)?;
+            Ok(Command::Dot { scenario })
         }
         "lower-bound" => {
             let mut k = 16usize;
@@ -563,7 +493,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                 }
             }
             if k < 2 {
-                return Err(ParseError::Invalid("lower bound needs k ≥ 2"));
+                return Err(ParseError::Invalid("lower bound needs k ≥ 2".into()));
             }
             Ok(Command::LowerBound { k })
         }
@@ -578,7 +508,7 @@ pub fn parse<'a>(args: impl IntoIterator<Item = &'a str>) -> Result<Command, Par
                 }
             }
             if max_k < 2 {
-                return Err(ParseError::Invalid("memory sweep needs max-k ≥ 2"));
+                return Err(ParseError::Invalid("memory sweep needs max-k ≥ 2".into()));
             }
             Ok(Command::Memory { max_k })
         }
@@ -614,6 +544,7 @@ NETWORKS:
     static-cycle | ring | broken-ring | star-pair | t-interval | min-progress |
     path-trap | clique-trap (campaigns also take panic-probe). Single runs use
     the campaign defaults: edge probability 0.1, round cap 100000.
+    static-cycle, ring and broken-ring need n ≥ 3.
 
 SUBCOMMANDS:
     run          run Algorithm 4 (global comm + 1-neighborhood knowledge)
@@ -631,7 +562,7 @@ SUBCOMMANDS:
                  progress, per-status counts, retries, and quarantined
                  jobs read from a (possibly partial) campaign artifact
     check        run under the runtime invariant oracle: replay a campaign
-                 artifact's runs under checking (default knobs; a replay
+                 artifact's runs under checking (its header's knobs; a replay
                  that differs from an ok record is flagged), or check one
                  spec directly (full suite; --structural drops the
                  Algorithm 4 theorem bounds); violations report the round,
@@ -652,12 +583,18 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Run {
-                network: AdversaryKind::Churn,
-                n: 20,
-                k: 12,
-                seed: 7,
-                faults: 0,
-                scattered: false,
+                scenario: Scenario {
+                    algorithm: AlgorithmKind::Alg4,
+                    network: AdversaryKind::Churn,
+                    n: 20,
+                    k: 12,
+                    faults: 0,
+                    placement: Placement::Rooted,
+                    max_rounds: 100_000,
+                    edge_prob: 0.1,
+                    candidates: 8,
+                    seed: 7,
+                },
                 watch: false,
                 json: false,
             }
@@ -686,12 +623,15 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Run {
-                network: AdversaryKind::StarPair,
-                n: 30,
-                k: 18,
-                seed: 42,
-                faults: 3,
-                scattered: true,
+                scenario: Scenario {
+                    network: AdversaryKind::StarPair,
+                    n: 30,
+                    k: 18,
+                    seed: 42,
+                    faults: 3,
+                    placement: Placement::Scattered,
+                    ..Scenario::default()
+                },
                 watch: true,
                 json: true,
             }
@@ -731,10 +671,10 @@ mod tests {
                     assert!(matches!(parsed, Err(ParseError::Invalid(_))), "{name}")
                 }
                 kind => {
-                    let Ok(Command::Run { network, .. }) = parsed else {
+                    let Ok(Command::Run { scenario, .. }) = parsed else {
                         panic!("{name}: {parsed:?}");
                     };
-                    assert_eq!(network, kind);
+                    assert_eq!(scenario.network, kind);
                 }
             }
         }
@@ -911,11 +851,13 @@ mod tests {
             .unwrap(),
             Command::Check {
                 artifact: None,
-                network: AdversaryKind::Ring,
-                n: 10,
-                k: 6,
-                seed: 3,
-                faults: 0,
+                scenario: Scenario {
+                    network: AdversaryKind::Ring,
+                    n: 10,
+                    k: 6,
+                    seed: 3,
+                    ..Scenario::default()
+                },
                 structural: false,
                 threads: 1,
             }
@@ -1002,13 +944,59 @@ mod tests {
         assert_eq!(
             parse(["dot", "--network", "star-pair", "--n", "10", "--k", "6"]).unwrap(),
             Command::Dot {
-                network: AdversaryKind::StarPair,
-                n: 10,
-                k: 6,
-                seed: 0,
+                scenario: Scenario {
+                    network: AdversaryKind::StarPair,
+                    n: 10,
+                    k: 6,
+                    seed: 0,
+                    ..Scenario::default()
+                }
             }
         );
         assert!(parse(["dot", "--k", "20", "--n", "5"]).is_err());
+        // `dot` draws a fault-free round: it takes no `--faults`.
+        assert!(matches!(
+            parse(["dot", "--faults", "1"]),
+            Err(ParseError::UnknownFlag(_))
+        ));
+    }
+
+    #[test]
+    fn ring_families_need_three_nodes() {
+        for net in ["static-cycle", "ring", "broken-ring"] {
+            for cmd in ["run", "check", "dot"] {
+                let Err(ParseError::Invalid(msg)) =
+                    parse([cmd, "--network", net, "--n", "2", "--k", "2"])
+                else {
+                    panic!("{cmd} --network {net} --n 2 must be rejected");
+                };
+                assert!(msg.contains(&format!("`{net}` needs n ≥ 3")), "{msg}");
+                assert!(parse([cmd, "--network", net, "--n", "3", "--k", "2"]).is_ok());
+            }
+        }
+        // An artifact replay takes its runs from the artifact.
+        assert!(parse([
+            "check",
+            "--artifact",
+            "a.jsonl",
+            "--network",
+            "ring",
+            "--n",
+            "2"
+        ])
+        .is_ok());
+        let Err(ParseError::InvalidSpec(msg)) = parse([
+            "campaign",
+            "--networks",
+            "ring,static-cycle",
+            "--ks",
+            "2",
+            "--n-rule",
+            "k",
+        ]) else {
+            panic!("a ring grid at n = 2 must be rejected");
+        };
+        assert!(msg.contains("`ring` needs n ≥ 3"), "{msg}");
     }
 
     #[test]

@@ -9,10 +9,10 @@ use dispersion_engine::{
 };
 use dispersion_graph::NodeId;
 
-use dispersion_lab::job::{self, RunJob};
+use dispersion_lab::job;
 use dispersion_lab::{
-    artifact_path, read_artifact, run_campaign, AdversaryKind, AlgorithmKind, CampaignSpec, Entry,
-    Placement, RunRecord, RunStatus, RunnerOptions,
+    artifact_path, read_artifact, run_campaign, AdversaryKind, CampaignSpec, Entry, Header,
+    Placement, RunRecord, RunStatus, RunnerOptions, Scenario,
 };
 
 use crate::args::{Command, HELP};
@@ -28,15 +28,10 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
     match cmd {
         Command::Help => Ok(HELP.to_string()),
         Command::Run {
-            network,
-            n,
-            k,
-            seed,
-            faults,
-            scattered,
+            scenario,
             watch,
             json,
-        } => Ok(run(network, n, k, seed, faults, scattered, watch, json)?),
+        } => Ok(run(&scenario, watch, json)?),
         Command::Sweep {
             network,
             max_k,
@@ -80,22 +75,11 @@ pub fn execute(cmd: Command) -> Result<String, DispersionError> {
         } => check_artifact(&path, threads),
         Command::Check {
             artifact: None,
-            network,
-            n,
-            k,
-            seed,
-            faults,
+            scenario,
             structural,
             threads,
-        } => Ok(check_spec(
-            network, n, k, seed, faults, structural, threads,
-        )?),
-        Command::Dot {
-            network,
-            n,
-            k,
-            seed,
-        } => Ok(dot(network, n, k, seed)?),
+        } => Ok(check_spec(&scenario, structural, threads)?),
+        Command::Dot { scenario } => Ok(dot(&scenario)),
         Command::Trap { theorem, k, rounds } => Ok(trap(theorem, k, rounds)?),
         Command::LowerBound { k } => Ok(lower(k)?),
         Command::Memory { max_k } => Ok(memory(max_k)?),
@@ -132,61 +116,26 @@ fn campaign_status(artifact: &str) -> Result<String, DispersionError> {
     Ok(format!("{}\n{}", artifact, status.render()))
 }
 
-/// One Algorithm 4 run as a lab job: `seed` is the job's seed and the
-/// knobs are the campaign defaults (edge probability, round cap) under
-/// the given placement — the form `check --artifact` replays records in.
-fn single_run(
-    adversary: AdversaryKind,
-    n: usize,
-    k: usize,
-    seed: u64,
-    faults: usize,
-    placement: Placement,
-) -> (RunJob, CampaignSpec) {
-    let job = RunJob {
-        job_id: 0,
-        algorithm: AlgorithmKind::Alg4,
-        adversary,
-        n,
-        k,
-        faults,
-        seed_index: 0,
-        derived_seed: seed,
-    };
-    (
-        job,
-        CampaignSpec {
-            placement,
-            ..CampaignSpec::default()
-        },
-    )
-}
-
 /// Re-runs a spec under the invariant monitor: one monitored run, then a
 /// same-seed replay that must regenerate the identical graph sequence
 /// (adversary determinism). Violations render with round, ids, and the
 /// replay seed rather than aborting the CLI.
-fn check_spec(
-    kind: AdversaryKind,
-    n: usize,
-    k: usize,
-    seed: u64,
-    faults: usize,
-    structural: bool,
-    threads: usize,
-) -> Result<String, SimError> {
+fn check_spec(scenario: &Scenario, structural: bool, threads: usize) -> Result<String, SimError> {
     let policy = if structural {
         CheckPolicy::Structural
     } else {
         CheckPolicy::Full
     };
-    let (job, spec) = single_run(kind, n, k, seed, faults, Placement::Rooted);
     let build = || {
-        job::builder(DispersionDynamic::new(), &job, &spec)
+        scenario
+            .builder(DispersionDynamic::new())
             .check(policy)
             .threads(threads)
     };
     let mut sim = build().build()?;
+    let Scenario {
+        n, k, seed, faults, ..
+    } = *scenario;
     let mut out = format!(
         "conformance check: n={n} k={k} network={} seed={seed} faults={faults} policy={policy}\n",
         sim.network().name(),
@@ -244,52 +193,42 @@ fn divergence(rec: &RunRecord, replay: &RunRecord) -> Option<String> {
 
 /// Replays every run record of a campaign artifact under the conformance
 /// monitor (full suite for Algorithm 4, structural for baselines).
-/// Replay uses the knobs the artifact's header records (placement, round
-/// cap, edge probability; the defaults for a header written before they
-/// were recorded); the per-run (algorithm, adversary, n, k, faults,
-/// seed) tuples come from the records themselves. A replay that fails
+/// Each replay runs the job [`Header::job`] rebuilds: the record's
+/// (algorithm, adversary, n, k, faults, seed) under the knobs the
+/// artifact's header records (placement, round cap, edge probability;
+/// the defaults for a header written before they were recorded, or for
+/// an artifact without a header). A replay that fails
 /// the monitor is flagged, and so is one whose outcome differs from an
 /// `ok` record's: the replay did not reproduce the recorded run. Only
 /// durable lines are replayed.
 fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError> {
-    let mut spec = CampaignSpec::default();
+    let mut header = Header::of(&CampaignSpec::default());
     let (mut clean, mut skipped) = (0usize, 0usize);
     let mut bad = Vec::new();
     read_artifact(std::path::Path::new(path), |entry| {
         let rec = match entry {
-            Entry::Header(header) => {
-                spec = CampaignSpec {
-                    placement: header.placement,
-                    max_rounds: header.max_rounds,
-                    edge_prob: header.edge_prob,
-                    ..CampaignSpec::default()
-                };
+            Entry::Header(h) => {
+                header = h;
                 return Ok(());
             }
             Entry::Run(rec) => rec,
         };
-        let (Ok(algorithm), Ok(adversary)) = (
-            AlgorithmKind::parse(&rec.algorithm),
-            AdversaryKind::parse(&rec.adversary),
-        ) else {
+        let Some(job) = header.job(&rec) else {
             skipped += 1;
             return Ok(());
         };
-        let job = RunJob {
-            job_id: rec.job_id,
-            algorithm,
-            adversary,
-            n: rec.n,
-            k: rec.k,
-            faults: rec.faults,
-            seed_index: rec.seed_index,
-            derived_seed: rec.seed,
-        };
+        // A record no scenario can run (an older build's ring at n = 2)
+        // is flagged without running it.
+        if let Err(e) = job.scenario.validate() {
+            bad.push(format!("{}: invalid — {e}", rec.label()));
+            return Ok(());
+        }
         // A panicking replay (the campaigns' `panic-probe`) is flagged,
         // not fatal to the rest of the replay.
+        let hash = rec.spec_hash;
         let replay =
-            std::panic::catch_unwind(|| job::execute(&job, &spec, false, true, None, threads))
-                .unwrap_or_else(|_| job::panic_record(&job, &spec, "replay panicked".into()));
+            std::panic::catch_unwind(|| job::execute(&job, hash, false, true, None, threads))
+                .unwrap_or_else(|_| job::panic_record(&job, hash, "replay panicked".into()));
         let verdict = match replay.status {
             RunStatus::Ok => divergence(&rec, &replay).map(|d| format!("diverged — {d}")),
             status => Some(format!(
@@ -300,10 +239,7 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
         };
         match verdict {
             None => clean += 1,
-            Some(verdict) => bad.push(format!(
-                "job {} ({} vs {} n={} k={} f={} seed={}): {verdict}",
-                rec.job_id, rec.algorithm, rec.adversary, rec.n, rec.k, rec.faults, rec.seed,
-            )),
+            Some(verdict) => bad.push(format!("{}: {verdict}", rec.label())),
         }
         Ok(())
     })?;
@@ -318,24 +254,11 @@ fn check_artifact(path: &str, threads: usize) -> Result<String, DispersionError>
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run(
-    kind: AdversaryKind,
-    n: usize,
-    k: usize,
-    seed: u64,
-    faults: usize,
-    scattered: bool,
-    watch: bool,
-    json: bool,
-) -> Result<String, SimError> {
-    let placement = if scattered {
-        Placement::Scattered
-    } else {
-        Placement::Rooted
-    };
-    let (job, spec) = single_run(kind, n, k, seed, faults, placement);
-    let mut sim = job::builder(DispersionDynamic::new(), &job, &spec).build()?;
+fn run(scenario: &Scenario, watch: bool, json: bool) -> Result<String, SimError> {
+    let Scenario {
+        n, k, seed, faults, ..
+    } = *scenario;
+    let mut sim = scenario.builder(DispersionDynamic::new()).build()?;
     let net_name = sim.network().name().to_string();
 
     let mut out = String::new();
@@ -391,12 +314,11 @@ fn run(
     Ok(out)
 }
 
-fn dot(kind: AdversaryKind, n: usize, k: usize, seed: u64) -> Result<String, SimError> {
-    // Sample the graph an adversary would present to a rooted round-0
+fn dot(scenario: &Scenario) -> String {
+    // Sample the graph an adversary would present to the round-0
     // configuration, and annotate occupancy.
-    let (job, spec) = single_run(kind, n, k, seed, 0, Placement::Rooted);
-    let mut network = job::network(&job, &spec);
-    let config = job::initial_config(&job, &spec);
+    let mut network = scenario.network();
+    let config = scenario.initial_config();
     // A stay-put oracle: adaptive adversaries need *some* move prediction;
     // for a visual sample the identity prediction is fine.
     struct StayOracle<'a> {
@@ -423,7 +345,7 @@ fn dot(kind: AdversaryKind, n: usize, k: usize, seed: u64) -> Result<String, Sim
     }
     let oracle = StayOracle { config: &config };
     let g = network.graph_for_round(0, &config, &oracle);
-    Ok(dispersion_graph::dot::to_dot(g, &|v| {
+    dispersion_graph::dot::to_dot(g, &|v| {
         let robots = config.robots_at(v);
         if robots.is_empty() {
             String::new()
@@ -437,7 +359,7 @@ fn dot(kind: AdversaryKind, n: usize, k: usize, seed: u64) -> Result<String, Sim
                     .join(",")
             )
         }
-    }))
+    })
 }
 
 fn sweep(kind: AdversaryKind, max_k: usize, seeds: u64) -> Result<String, SimError> {
@@ -448,12 +370,15 @@ fn sweep(kind: AdversaryKind, max_k: usize, seeds: u64) -> Result<String, SimErr
         let n = k + k / 2;
         let mut outcomes = Vec::new();
         for seed in 0..seeds {
-            let (job, spec) = single_run(kind, n, k, seed, 0, Placement::Scattered);
-            outcomes.push(
-                job::builder(DispersionDynamic::new(), &job, &spec)
-                    .build()?
-                    .run()?,
-            );
+            let scenario = Scenario {
+                network: kind,
+                n,
+                k,
+                seed,
+                placement: Placement::Scattered,
+                ..Scenario::default()
+            };
+            outcomes.push(scenario.builder(DispersionDynamic::new()).build()?.run()?);
         }
         let summary = RunSummary::collect(&outcomes);
         out.push_str(&format!(
@@ -567,12 +492,15 @@ mod tests {
     #[test]
     fn run_command_reports_dispersion() {
         let out = execute(Command::Run {
-            network: AdversaryKind::Churn,
-            n: 12,
-            k: 8,
-            seed: 3,
-            faults: 0,
-            scattered: false,
+            scenario: Scenario {
+                network: AdversaryKind::Churn,
+                n: 12,
+                k: 8,
+                seed: 3,
+                faults: 0,
+                placement: Placement::Rooted,
+                ..Scenario::default()
+            },
             watch: false,
             json: false,
         })
@@ -584,12 +512,15 @@ mod tests {
     #[test]
     fn run_json_emits_document() {
         let out = execute(Command::Run {
-            network: AdversaryKind::StarPair,
-            n: 10,
-            k: 6,
-            seed: 1,
-            faults: 0,
-            scattered: false,
+            scenario: Scenario {
+                network: AdversaryKind::StarPair,
+                n: 10,
+                k: 6,
+                seed: 1,
+                faults: 0,
+                placement: Placement::Rooted,
+                ..Scenario::default()
+            },
             watch: false,
             json: true,
         })
@@ -614,12 +545,15 @@ mod tests {
     #[test]
     fn run_watch_streams_rounds() {
         let out = execute(Command::Run {
-            network: AdversaryKind::StarPair,
-            n: 10,
-            k: 6,
-            seed: 1,
-            faults: 0,
-            scattered: false,
+            scenario: Scenario {
+                network: AdversaryKind::StarPair,
+                n: 10,
+                k: 6,
+                seed: 1,
+                faults: 0,
+                placement: Placement::Rooted,
+                ..Scenario::default()
+            },
             watch: true,
             json: false,
         })
@@ -631,12 +565,15 @@ mod tests {
     #[test]
     fn run_with_faults() {
         let out = execute(Command::Run {
-            network: AdversaryKind::Churn,
-            n: 14,
-            k: 10,
-            seed: 5,
-            faults: 3,
-            scattered: true,
+            scenario: Scenario {
+                network: AdversaryKind::Churn,
+                n: 14,
+                k: 10,
+                seed: 5,
+                faults: 3,
+                placement: Placement::Scattered,
+                ..Scenario::default()
+            },
             watch: false,
             json: false,
         })
@@ -662,12 +599,15 @@ mod tests {
         assert_eq!(kinds.len(), 11);
         for kind in kinds {
             let out = execute(Command::Run {
-                network: kind,
-                n: 10,
-                k: 6,
-                seed: 2,
-                faults: 0,
-                scattered: false,
+                scenario: Scenario {
+                    network: kind,
+                    n: 10,
+                    k: 6,
+                    seed: 2,
+                    faults: 0,
+                    placement: Placement::Rooted,
+                    ..Scenario::default()
+                },
                 watch: false,
                 json: false,
             })
@@ -690,34 +630,39 @@ mod tests {
                 })
                 .collect()
         };
-        let spec = CampaignSpec {
-            placement: Placement::Rooted,
-            ..CampaignSpec::default()
-        };
+        let hash = CampaignSpec::default().spec_hash();
         for kind in single_run_networks() {
             let (n, k, seed, faults) = (12, 8, 3, 2);
             let doc = execute(Command::Run {
-                network: kind,
-                n,
-                k,
-                seed,
-                faults,
-                scattered: false,
+                scenario: Scenario {
+                    network: kind,
+                    n,
+                    k,
+                    seed,
+                    faults,
+                    ..Scenario::default()
+                },
                 watch: false,
                 json: true,
             })
             .unwrap();
-            let job = RunJob {
+            let job = job::RunJob {
                 job_id: 0,
-                algorithm: AlgorithmKind::Alg4,
-                adversary: kind,
-                n,
-                k,
-                faults,
                 seed_index: 0,
-                derived_seed: seed,
+                scenario: Scenario {
+                    algorithm: dispersion_lab::AlgorithmKind::Alg4,
+                    network: kind,
+                    n,
+                    k,
+                    faults,
+                    seed,
+                    placement: Placement::Rooted,
+                    max_rounds: CampaignSpec::default().max_rounds,
+                    edge_prob: CampaignSpec::default().edge_prob,
+                    ..Scenario::default()
+                },
             };
-            let rec = job::execute(&job, &spec, false, false, None, 1);
+            let rec = job::execute(&job, hash, false, false, None, 1);
             assert_eq!(rec.status, RunStatus::Ok, "{kind:?}");
             assert_eq!(number(&doc, "rounds"), vec![rec.rounds], "{kind:?}");
             // The per-round trace entries carry the moves.
@@ -781,11 +726,14 @@ mod tests {
     fn check_command_passes_on_correct_runs() {
         let out = execute(Command::Check {
             artifact: None,
-            network: AdversaryKind::Churn,
-            n: 12,
-            k: 8,
-            seed: 3,
-            faults: 1,
+            scenario: Scenario {
+                network: AdversaryKind::Churn,
+                n: 12,
+                k: 8,
+                seed: 3,
+                faults: 1,
+                ..Scenario::default()
+            },
             structural: false,
             threads: 2,
         })
@@ -795,11 +743,14 @@ mod tests {
         assert!(out.contains("same-seed replay regenerated"), "{out}");
         let structural = execute(Command::Check {
             artifact: None,
-            network: AdversaryKind::StarPair,
-            n: 10,
-            k: 6,
-            seed: 1,
-            faults: 0,
+            scenario: Scenario {
+                network: AdversaryKind::StarPair,
+                n: 10,
+                k: 6,
+                seed: 1,
+                faults: 0,
+                ..Scenario::default()
+            },
             structural: true,
             threads: 1,
         })
@@ -832,11 +783,14 @@ mod tests {
         let artifact = out_dir.join("check-smoke.jsonl");
         let out = execute(Command::Check {
             artifact: Some(artifact.display().to_string()),
-            network: AdversaryKind::Churn,
-            n: 0,
-            k: 0,
-            seed: 0,
-            faults: 0,
+            scenario: Scenario {
+                network: AdversaryKind::Churn,
+                n: 0,
+                k: 0,
+                seed: 0,
+                faults: 0,
+                ..Scenario::default()
+            },
             structural: false,
             // Replay the checked runs on a parallel engine: the monitor
             // and its graph-hash determinism check must agree with the
@@ -924,12 +878,61 @@ mod tests {
     }
 
     #[test]
+    fn check_artifact_flags_records_no_scenario_can_run() {
+        // An older build ran the ring families at n = 2 (on 3 nodes) and
+        // wrote `error` records; their replay is flagged, not run.
+        let out_dir = std::env::temp_dir().join("dispersion-cli-invalid-replay-test");
+        let dir = out_dir.display().to_string();
+        let _ = std::fs::remove_dir_all(&out_dir);
+        let campaign = crate::args::parse([
+            "campaign",
+            "--name",
+            "tiny",
+            "--networks",
+            "churn",
+            "--ks",
+            "2",
+            "--n-rule",
+            "k",
+            "--seeds",
+            "2",
+            "--out",
+            &dir,
+            "--fresh",
+        ])
+        .unwrap();
+        execute(campaign).unwrap();
+        let artifact = out_dir.join("tiny.jsonl");
+        let text = std::fs::read_to_string(&artifact).unwrap();
+        std::fs::write(
+            &artifact,
+            text.replacen("\"adversary\":\"churn\"", "\"adversary\":\"ring\"", 1),
+        )
+        .unwrap();
+        let path = artifact.display().to_string();
+        let replay = execute(crate::args::parse(["check", "--artifact", &path]).unwrap()).unwrap();
+        assert!(replay.contains("1 clean, 1 flagged"), "{replay}");
+        assert!(
+            replay.contains("vs ring n=2 k=2 f=0 seed="),
+            "the flagged line names the run: {replay}"
+        );
+        assert!(
+            replay.contains("invalid — network `ring` needs n ≥ 3, got n=2"),
+            "{replay}"
+        );
+        let _ = std::fs::remove_dir_all(&out_dir);
+    }
+
+    #[test]
     fn dot_command_emits_graphviz() {
         let out = execute(Command::Dot {
-            network: AdversaryKind::StarPair,
-            n: 8,
-            k: 5,
-            seed: 0,
+            scenario: Scenario {
+                network: AdversaryKind::StarPair,
+                n: 8,
+                k: 5,
+                seed: 0,
+                ..Scenario::default()
+            },
         })
         .unwrap();
         assert!(out.starts_with("graph G {"), "{out}");

@@ -18,10 +18,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::failpoint::FailAction;
-use crate::job::RunRecord;
+use crate::job::{RunJob, RunRecord};
 use crate::json::{self, JsonObject};
 use crate::runner::{FsyncPolicy, RunnerOptions};
-use crate::spec::{CampaignSpec, Placement};
+use crate::scenario::Scenario;
+use crate::spec::{AdversaryKind, AlgorithmKind, CampaignSpec, Placement};
 use crate::LabError;
 
 /// The artifact path a campaign writes to under these options.
@@ -93,6 +94,30 @@ impl Header {
                 .unwrap_or(defaults.placement),
             max_rounds: json::value(line, "max_rounds").unwrap_or(defaults.max_rounds),
             edge_prob: json::value(line, "edge_prob").unwrap_or(defaults.edge_prob),
+        })
+    }
+
+    /// The job `rec` ran: the record's algorithm, network, n, k, faults
+    /// and seed under this header's knobs, with the campaigns'
+    /// min-progress candidate count. `None` when the record names an
+    /// algorithm or network this build does not know.
+    pub fn job(&self, rec: &RunRecord) -> Option<RunJob> {
+        let scenario = Scenario {
+            algorithm: AlgorithmKind::parse(&rec.algorithm).ok()?,
+            network: AdversaryKind::parse(&rec.adversary).ok()?,
+            n: rec.n,
+            k: rec.k,
+            faults: rec.faults,
+            placement: self.placement,
+            max_rounds: self.max_rounds,
+            edge_prob: self.edge_prob,
+            seed: rec.seed,
+            ..Scenario::default()
+        };
+        Some(RunJob {
+            job_id: rec.job_id,
+            seed_index: rec.seed_index,
+            scenario,
         })
     }
 }
@@ -372,6 +397,29 @@ mod tests {
         assert_eq!(read.placement, CampaignSpec::default().placement);
         assert_eq!(read.max_rounds, CampaignSpec::default().max_rounds);
         assert_eq!(read.edge_prob, CampaignSpec::default().edge_prob);
+    }
+
+    #[test]
+    fn header_rebuilds_the_job_of_each_record() {
+        let spec = CampaignSpec {
+            algorithms: vec![AlgorithmKind::Alg4, AlgorithmKind::RandomWalk],
+            adversaries: vec![AdversaryKind::MinProgress, AdversaryKind::Ring],
+            faults: vec![0, 1],
+            placement: Placement::NearDispersed,
+            max_rounds: 7,
+            edge_prob: 0.3,
+            seeds: 2,
+            ..CampaignSpec::default()
+        };
+        let header = Header::parse_line(&Header::of(&spec).to_line()).unwrap();
+        let hash = spec.spec_hash();
+        for job in spec.jobs() {
+            let rec = crate::job::execute(&job, hash, false, false, None, 1);
+            assert_eq!(header.job(&rec), Some(job));
+        }
+        let mut foreign = crate::job::panic_record(&spec.jobs()[0], hash, String::new());
+        foreign.adversary = "mesh".into();
+        assert_eq!(header.job(&foreign), None);
     }
 
     #[test]

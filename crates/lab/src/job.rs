@@ -1,44 +1,31 @@
-//! One grid cell instance: its parameters, its execution, and the JSONL
-//! record it produces.
+//! One grid job: its scenario, its execution, and the JSONL record it
+//! produces.
 
 use std::time::Instant;
 
 use dispersion_core::baselines::{BlindGlobal, GreedyLocal, LocalDfs, RandomWalk};
-use dispersion_core::{impossibility, DispersionDynamic};
-use dispersion_engine::adversary::{
-    CliqueTrapAdversary, DynamicNetwork, DynamicRingNetwork, EdgeChurnNetwork, MinProgressSampler,
-    PathTrapAdversary, StarPairAdversary, StaticNetwork, TIntervalNetwork,
-};
+use dispersion_core::DispersionDynamic;
+use dispersion_engine::adversary::DynamicNetwork;
 use dispersion_engine::{
-    Budget, CheckPolicy, Configuration, CrashPhase, DispersionAlgorithm, FaultPlan, MoveOracle,
-    SimError, SimOutcome, Simulator, SimulatorBuilder,
+    Budget, CheckPolicy, Configuration, DispersionAlgorithm, MoveOracle, SimError, SimOutcome,
 };
-use dispersion_graph::{generators, NodeId, PortLabeledGraph};
+use dispersion_graph::PortLabeledGraph;
 
 use crate::json::{self, JsonObject};
-use crate::spec::{AdversaryKind, AlgorithmKind, CampaignSpec, Placement};
+use crate::scenario::Scenario;
+use crate::spec::AlgorithmKind;
 
 /// One independent unit of work: a single simulator run with fully
-/// pinned parameters. Everything a worker needs is in the job plus the
-/// (shared, read-only) spec.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// pinned parameters.
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunJob {
     /// Stable index in the campaign grid (resume key, sort key).
     pub job_id: u64,
-    /// Algorithm under test.
-    pub algorithm: AlgorithmKind,
-    /// Adversary it runs against.
-    pub adversary: AdversaryKind,
-    /// Nodes.
-    pub n: usize,
-    /// Robots.
-    pub k: usize,
-    /// Crash-fault count `f`.
-    pub faults: usize,
     /// Seed index within the cell (`0..spec.seeds`).
     pub seed_index: u64,
-    /// RNG seed derived from `(campaign_seed, job_id)`.
-    pub derived_seed: u64,
+    /// What the job runs; its seed is derived from
+    /// `(campaign_seed, job_id)`.
+    pub scenario: Scenario,
 }
 
 /// Status of one job attempt.
@@ -200,6 +187,15 @@ impl RunRecord {
         .to_json_line()
     }
 
+    /// The run this record names, as the flagged-record lists print it:
+    /// `job 3 (alg4 vs churn n=12 k=8 f=0 seed=…)`.
+    pub fn label(&self) -> String {
+        format!(
+            "job {} ({} vs {} n={} k={} f={} seed={})",
+            self.job_id, self.algorithm, self.adversary, self.n, self.k, self.faults, self.seed,
+        )
+    }
+
     /// Parses a line previously produced by [`RunRecord::to_json_line`].
     /// Returns `None` for non-run records, truncated lines, or foreign
     /// documents.
@@ -235,8 +231,8 @@ impl RunRecord {
 
 /// A dynamic network that panics on its first round — the campaign
 /// runner's own panic-isolation probe.
-struct PanicProbe {
-    n: usize,
+pub(crate) struct PanicProbe {
+    pub(crate) n: usize,
 }
 
 impl DynamicNetwork for PanicProbe {
@@ -258,41 +254,6 @@ impl DynamicNetwork for PanicProbe {
     }
 }
 
-/// The job's dynamic network, drawn from its adversary kind, the spec's
-/// edge probability and the job's seed.
-pub fn network(job: &RunJob, spec: &CampaignSpec) -> Box<dyn DynamicNetwork> {
-    let (n, p, seed) = (job.n, spec.edge_prob, job.derived_seed);
-    match job.adversary {
-        AdversaryKind::Churn => Box::new(EdgeChurnNetwork::new(n, p, seed)),
-        AdversaryKind::Static => Box::new(StaticNetwork::new(
-            generators::random_connected(n, p, seed).expect("validated n ≥ 1"),
-        )),
-        AdversaryKind::StaticStar => Box::new(StaticNetwork::new(
-            generators::star(n).expect("validated n ≥ 1"),
-        )),
-        AdversaryKind::StaticCycle => Box::new(StaticNetwork::new(
-            generators::cycle(n.max(3)).expect("n ≥ 3"),
-        )),
-        AdversaryKind::Ring => Box::new(DynamicRingNetwork::new(n.max(3), false, seed)),
-        AdversaryKind::BrokenRing => Box::new(DynamicRingNetwork::new(n.max(3), true, seed)),
-        AdversaryKind::StarPair => Box::new(StarPairAdversary::new(n)),
-        AdversaryKind::TInterval => Box::new(TIntervalNetwork::new(n, 4, p, seed)),
-        AdversaryKind::MinProgress => Box::new(MinProgressSampler::new(n, 8, p, seed)),
-        AdversaryKind::PathTrap => Box::new(PathTrapAdversary::new(n)),
-        AdversaryKind::CliqueTrap => Box::new(CliqueTrapAdversary::new(n)),
-        AdversaryKind::PanicProbe => Box::new(PanicProbe { n }),
-    }
-}
-
-/// The job's initial configuration under the spec's placement.
-pub fn initial_config(job: &RunJob, spec: &CampaignSpec) -> Configuration {
-    match spec.placement {
-        Placement::Rooted => Configuration::rooted(job.n, job.k, NodeId::new(0)),
-        Placement::Scattered => Configuration::random(job.n, job.k, job.derived_seed, true),
-        Placement::NearDispersed => impossibility::near_dispersed_config(job.n, job.k),
-    }
-}
-
 /// The monitor policy a checked campaign run arms: the theorem-bound
 /// invariants (round bound, move monotonicity, memory bound) only hold
 /// for Algorithm 4, so baselines get the structural suite — model
@@ -305,43 +266,9 @@ fn check_policy(algorithm: AlgorithmKind, check: bool) -> CheckPolicy {
     }
 }
 
-/// Assembles one run of `alg` (the implementation of `job.algorithm`):
-/// the job's [`network`], the algorithm's communication model, the
-/// [`initial_config`] under the spec's placement, the spec's round cap,
-/// the job's crash-fault plan (`job.faults` robots, within the first
-/// `k/2` rounds) and the job's seed as the check seed. Callers arm the
-/// monitor policy, engine threads and budget they need.
-pub fn builder<A: DispersionAlgorithm>(
-    alg: A,
-    job: &RunJob,
-    spec: &CampaignSpec,
-) -> SimulatorBuilder<A, Box<dyn DynamicNetwork>> {
-    let plan = if job.faults > 0 {
-        FaultPlan::random(
-            job.k,
-            job.faults,
-            (job.k as u64 / 2).max(1),
-            CrashPhase::BeforeCommunicate,
-            job.derived_seed,
-        )
-    } else {
-        FaultPlan::none()
-    };
-    Simulator::builder(
-        alg,
-        network(job, spec),
-        job.algorithm.model(),
-        initial_config(job, spec),
-    )
-    .max_rounds(spec.max_rounds)
-    .faults(plan)
-    .check_seed(job.derived_seed)
-}
-
 fn run_with<A>(
     alg: A,
-    job: &RunJob,
-    spec: &CampaignSpec,
+    scenario: &Scenario,
     check: bool,
     deadline: Option<Instant>,
     threads: usize,
@@ -350,8 +277,9 @@ where
     A: DispersionAlgorithm + Clone + Send + 'static,
     A::Memory: Send + Sync,
 {
-    builder(alg, job, spec)
-        .check(check_policy(job.algorithm, check))
+    scenario
+        .builder(alg)
+        .check(check_policy(scenario.algorithm, check))
         .threads(threads)
         .budget(match deadline {
             Some(d) => Budget::none().with_deadline(d),
@@ -379,17 +307,18 @@ fn render_trace(outcome: &SimOutcome) -> String {
     format!("[{}]", rounds.join(","))
 }
 
-fn base_record(job: &RunJob, spec: &CampaignSpec) -> RunRecord {
+fn base_record(job: &RunJob, spec_hash: u64) -> RunRecord {
+    let s = &job.scenario;
     RunRecord {
         job_id: job.job_id,
-        spec_hash: spec.spec_hash(),
-        algorithm: job.algorithm.name().into(),
-        adversary: job.adversary.name().into(),
-        n: job.n,
-        k: job.k,
-        faults: job.faults,
+        spec_hash,
+        algorithm: s.algorithm.name().into(),
+        adversary: s.network.name().into(),
+        n: s.n,
+        k: s.k,
+        faults: s.faults,
         seed_index: job.seed_index,
-        seed: job.derived_seed,
+        seed: s.seed,
         attempt: 0,
         status: RunStatus::Ok,
         dispersed: false,
@@ -403,41 +332,35 @@ fn base_record(job: &RunJob, spec: &CampaignSpec) -> RunRecord {
     }
 }
 
-/// Executes one job to a record. Never panics itself; the *body* of the
-/// run may panic (adversary bug, algorithm bug) and is caught by the
-/// runner, not here — this function's own result is infallible. With
-/// `check`, the run is monitored by the conformance suite and invariant
-/// breaches become [`RunStatus::Violation`] records carrying the rendered
-/// violation (round, ids, replay seed) as the message. With a `deadline`,
-/// the simulator runs under a wall-clock [`Budget`] and an expired run
+/// Executes one job to a record stamped with `spec_hash`. Never panics
+/// itself; the *body* of the run may panic (adversary bug, algorithm
+/// bug) and is caught by the runner, not here — this function's own
+/// result is infallible. With `check`, the run is monitored by the
+/// conformance suite and invariant breaches become
+/// [`RunStatus::Violation`] records carrying the rendered violation
+/// (round, ids, replay seed) as the message. With a `deadline`, the
+/// simulator runs under a wall-clock [`Budget`] and an expired run
 /// becomes a [`RunStatus::Timeout`] record instead of spinning forever.
 /// `threads` engine workers run inside the simulator; the record is
 /// byte-identical for every thread count (the executor's determinism
 /// contract), only `wall_time_us` varies.
 pub fn execute(
     job: &RunJob,
-    spec: &CampaignSpec,
+    spec_hash: u64,
     keep_traces: bool,
     check: bool,
     deadline: Option<Instant>,
     threads: usize,
 ) -> RunRecord {
-    let t = threads;
-    let base = base_record(job, spec);
+    let (s, t) = (&job.scenario, threads);
+    let base = base_record(job, spec_hash);
     let start = Instant::now();
-    let result = match job.algorithm {
-        AlgorithmKind::Alg4 => run_with(DispersionDynamic::new(), job, spec, check, deadline, t),
-        AlgorithmKind::LocalDfs => run_with(LocalDfs::new(), job, spec, check, deadline, t),
-        AlgorithmKind::RandomWalk => run_with(
-            RandomWalk::new(job.derived_seed),
-            job,
-            spec,
-            check,
-            deadline,
-            t,
-        ),
-        AlgorithmKind::GreedyLocal => run_with(GreedyLocal::new(), job, spec, check, deadline, t),
-        AlgorithmKind::BlindGlobal => run_with(BlindGlobal::new(), job, spec, check, deadline, t),
+    let result = match s.algorithm {
+        AlgorithmKind::Alg4 => run_with(DispersionDynamic::new(), s, check, deadline, t),
+        AlgorithmKind::LocalDfs => run_with(LocalDfs::new(), s, check, deadline, t),
+        AlgorithmKind::RandomWalk => run_with(RandomWalk::new(s.seed), s, check, deadline, t),
+        AlgorithmKind::GreedyLocal => run_with(GreedyLocal::new(), s, check, deadline, t),
+        AlgorithmKind::BlindGlobal => run_with(BlindGlobal::new(), s, check, deadline, t),
     };
     let wall_time_us = start.elapsed().as_micros() as u64;
     match result {
@@ -469,11 +392,11 @@ pub fn execute(
 }
 
 /// Builds the record for a job whose execution panicked.
-pub fn panic_record(job: &RunJob, spec: &CampaignSpec, message: String) -> RunRecord {
+pub fn panic_record(job: &RunJob, spec_hash: u64, message: String) -> RunRecord {
     RunRecord {
         status: RunStatus::Panic,
         message: Some(message),
-        ..base_record(job, spec)
+        ..base_record(job, spec_hash)
     }
 }
 
@@ -497,26 +420,29 @@ pub fn quarantine_record(last: &RunRecord) -> RunRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CampaignSpec;
+    use crate::spec::{AdversaryKind, CampaignSpec, Placement};
 
-    fn one_job(algorithm: AlgorithmKind, adversary: AdversaryKind, n: usize, k: usize) -> RunJob {
+    fn one_job(algorithm: AlgorithmKind, network: AdversaryKind, n: usize, k: usize) -> RunJob {
         RunJob {
             job_id: 0,
-            algorithm,
-            adversary,
-            n,
-            k,
-            faults: 0,
             seed_index: 0,
-            derived_seed: crate::spec::derive_seed(7, 0),
+            scenario: Scenario {
+                algorithm,
+                network,
+                n,
+                k,
+                placement: Placement::Scattered,
+                seed: crate::spec::derive_seed(7, 0),
+                ..Scenario::default()
+            },
         }
     }
 
     #[test]
     fn alg4_job_disperses_within_k() {
-        let spec = CampaignSpec::default();
+        let hash = CampaignSpec::default().spec_hash();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 12, 8);
-        let rec = execute(&job, &spec, false, false, None, 1);
+        let rec = execute(&job, hash, false, false, None, 1);
         assert_eq!(rec.status, RunStatus::Ok);
         assert!(rec.dispersed);
         assert!(rec.rounds <= 8);
@@ -528,13 +454,13 @@ mod tests {
     fn checked_jobs_pass_the_monitor() {
         // Correct implementations run clean under checking: Algorithm 4
         // under the full suite, a baseline under the structural one.
-        let spec = CampaignSpec::default();
+        let hash = CampaignSpec::default().spec_hash();
         for (algorithm, adversary) in [
             (AlgorithmKind::Alg4, AdversaryKind::Churn),
             (AlgorithmKind::RandomWalk, AdversaryKind::StarPair),
         ] {
             let job = one_job(algorithm, adversary, 12, 8);
-            let rec = execute(&job, &spec, false, true, None, 1);
+            let rec = execute(&job, hash, false, true, None, 1);
             assert_eq!(
                 rec.status,
                 RunStatus::Ok,
@@ -581,9 +507,9 @@ mod tests {
 
     #[test]
     fn attempt_field_round_trips_and_defaults_for_old_artifacts() {
-        let spec = CampaignSpec::default();
+        let hash = CampaignSpec::default().spec_hash();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 10, 6);
-        let mut rec = execute(&job, &spec, false, false, None, 1);
+        let mut rec = execute(&job, hash, false, false, None, 1);
         rec.attempt = 3;
         let line = rec.to_json_line();
         assert_eq!(RunRecord::parse_line(&line).expect("parses"), rec);
@@ -600,18 +526,18 @@ mod tests {
 
     #[test]
     fn records_round_trip_through_jsonl() {
-        let spec = CampaignSpec::default();
+        let hash = CampaignSpec::default().spec_hash();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::Churn, 12, 8);
-        let rec = execute(&job, &spec, false, false, None, 1);
+        let rec = execute(&job, hash, false, false, None, 1);
         let parsed = RunRecord::parse_line(&rec.to_json_line()).expect("parses");
         assert_eq!(parsed, rec);
     }
 
     #[test]
     fn keep_traces_embeds_rounds() {
-        let spec = CampaignSpec::default();
+        let hash = CampaignSpec::default().spec_hash();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 10, 6);
-        let rec = execute(&job, &spec, true, false, None, 1);
+        let rec = execute(&job, hash, true, false, None, 1);
         let trace = rec.trace_json.as_deref().expect("trace kept");
         assert!(trace.starts_with("[{\"round\":0"), "{trace}");
         // The trace does not break field extraction on the same line.
@@ -626,19 +552,32 @@ mod tests {
     #[test]
     fn sim_errors_become_error_records() {
         // k > n is rejected by the simulator, not by a panic.
-        let spec = CampaignSpec::default();
-        let mut job = one_job(AlgorithmKind::Alg4, AdversaryKind::Churn, 4, 6);
-        job.n = 4;
-        let rec = execute(&job, &spec, false, false, None, 1);
+        let hash = CampaignSpec::default().spec_hash();
+        let job = one_job(AlgorithmKind::Alg4, AdversaryKind::Churn, 4, 6);
+        let rec = execute(&job, hash, false, false, None, 1);
         assert_eq!(rec.status, RunStatus::Error);
         assert!(rec.message.as_deref().unwrap_or("").contains("robots"));
     }
 
     #[test]
+    fn label_names_the_run() {
+        let hash = CampaignSpec::default().spec_hash();
+        let mut job = one_job(AlgorithmKind::RandomWalk, AdversaryKind::StarPair, 10, 6);
+        job.job_id = 3;
+        job.scenario.faults = 1;
+        job.scenario.seed = 42;
+        let rec = execute(&job, hash, false, false, None, 1);
+        assert_eq!(
+            rec.label(),
+            "job 3 (random-walk vs star-pair n=10 k=6 f=1 seed=42)"
+        );
+    }
+
+    #[test]
     fn canonical_line_zeroes_wall_time_only() {
-        let spec = CampaignSpec::default();
+        let hash = CampaignSpec::default().spec_hash();
         let job = one_job(AlgorithmKind::Alg4, AdversaryKind::StarPair, 10, 6);
-        let a = execute(&job, &spec, false, false, None, 1);
+        let a = execute(&job, hash, false, false, None, 1);
         let canon = a.canonical_line();
         assert!(canon.contains("\"wall_time_us\":0"));
         let reparsed = RunRecord::parse_line(&canon).unwrap();

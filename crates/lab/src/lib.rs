@@ -9,6 +9,14 @@
 //! worker pool, executes each through `dispersion-engine`, and streams
 //! one JSON-lines record per run into a `results/<name>.jsonl` artifact.
 //!
+//! A [`RunJob`] is a grid index plus the [`Scenario`] it runs: the
+//! complete input of one run (algorithm, network, `n`, `k`, faults,
+//! placement, round cap, network knobs, seed), validated by
+//! [`Scenario::validate`] and assembled into a simulator by
+//! [`Scenario::builder`]. The CLI's single runs, `check --artifact`'s
+//! replays ([`Header::job`]) and the golden fixtures build their runs
+//! from the same type.
+//!
 //! Design invariants:
 //!
 //! * **Determinism under parallelism** — each job's RNG seed is
@@ -42,6 +50,7 @@ pub mod job;
 pub mod json;
 pub mod report;
 pub mod runner;
+pub mod scenario;
 pub mod spec;
 pub mod status;
 
@@ -52,6 +61,7 @@ pub use failpoint::{FailAction, FailpointRegistry, FAILPOINTS_ENV};
 pub use job::{RunJob, RunRecord, RunStatus};
 pub use report::{CampaignReport, CellKey, CellStats, Table};
 pub use runner::{backoff_delay, run_campaign, FsyncPolicy, RunnerOptions};
+pub use scenario::Scenario;
 pub use spec::{derive_seed, AdversaryKind, AlgorithmKind, CampaignSpec, NRule, Placement};
 pub use status::{read_status, ArtifactStatus};
 

@@ -163,7 +163,7 @@ fn install_panic_capture() {
 /// from the artifact alone.
 fn execute_caught(
     job: &RunJob,
-    spec: &CampaignSpec,
+    spec_hash: u64,
     opts: &RunnerOptions,
     engine_threads: usize,
     deadline: Option<Instant>,
@@ -182,7 +182,7 @@ fn execute_caught(
         }
         job::execute(
             job,
-            spec,
+            spec_hash,
             opts.keep_traces,
             opts.check,
             deadline,
@@ -200,7 +200,7 @@ fn execute_caught(
             Some(loc) => format!("{msg} (at {loc})"),
             None => msg,
         };
-        job::panic_record(job, spec, msg)
+        job::panic_record(job, spec_hash, msg)
     })
 }
 
@@ -219,6 +219,7 @@ fn execute_caught(
 /// retired with a `quarantined` record — the campaign always drains.
 pub fn run_campaign(spec: &CampaignSpec, opts: &RunnerOptions) -> Result<CampaignReport, LabError> {
     spec.validate()?;
+    let spec_hash = spec.spec_hash();
     let path = artifact_path(spec, opts);
     let (scan, mut file) = artifact::open_artifact(&path, spec, opts)?;
 
@@ -272,7 +273,8 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &RunnerOptions) -> Result<Campaig
                         abort.store(true, Ordering::Relaxed);
                         break 'jobs;
                     }
-                    let mut rec = execute_caught(job, spec, opts, engine_threads, deadline, action);
+                    let mut rec =
+                        execute_caught(job, spec_hash, opts, engine_threads, deadline, action);
                     rec.attempt = attempt;
                     let terminal = rec.status.is_terminal(attempt, opts.retries);
                     // A job whose *granted* retries are all spent is

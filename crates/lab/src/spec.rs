@@ -10,6 +10,9 @@ use std::fmt;
 
 use dispersion_engine::ModelSpec;
 
+use crate::job::RunJob;
+use crate::scenario::Scenario;
+
 /// Robot algorithm to run (statically dispatched in `job::execute`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AlgorithmKind {
@@ -332,8 +335,8 @@ impl Default for CampaignSpec {
             seeds: 5,
             campaign_seed: 7,
             placement: Placement::Scattered,
-            max_rounds: 100_000,
-            edge_prob: 0.1,
+            max_rounds: Scenario::default().max_rounds,
+            edge_prob: Scenario::default().edge_prob,
         }
     }
 }
@@ -356,24 +359,18 @@ impl CampaignSpec {
         {
             return Err("campaign grid has an empty axis".into());
         }
-        for &k in &self.ks {
-            if k == 0 {
-                return Err("k must be ≥ 1".into());
+        let mut verdict = Ok(());
+        self.for_each_cell(|cell| {
+            if verdict.is_ok() {
+                verdict = cell.validate().map_err(|e| {
+                    format!(
+                        "grid cell {} vs {} (n-rule {}, k={}, f={}): {e}",
+                        cell.algorithm, cell.network, self.n_rule, cell.k, cell.faults
+                    )
+                });
             }
-            let n = self.n_rule.n_for(k);
-            if n < k {
-                return Err(format!("n-rule {} gives n={n} < k={k}", self.n_rule));
-            }
-        }
-        for &f in &self.faults {
-            if self.ks.iter().any(|&k| f > k) {
-                return Err(format!("faults {f} exceeds some k in the grid"));
-            }
-        }
-        if !(0.0..=1.0).contains(&self.edge_prob) {
-            return Err("edge-prob must be in [0, 1]".into());
-        }
-        Ok(())
+        });
+        verdict
     }
 
     /// A canonical text form of everything that affects job *content*
@@ -424,31 +421,50 @@ impl CampaignSpec {
             * self.seeds
     }
 
-    /// Expands the grid into jobs, in deterministic order: algorithm ▸
-    /// adversary ▸ k ▸ faults ▸ seed index, `job_id` numbering from 0.
-    pub fn jobs(&self) -> Vec<crate::job::RunJob> {
-        let mut jobs = Vec::with_capacity(self.job_count() as usize);
+    /// Calls `f` with each grid cell in expansion order (algorithm ▸
+    /// adversary ▸ k ▸ faults), as a scenario under the spec's knobs.
+    /// The cell's seed is left at the default: a job's seed derives from
+    /// its `job_id`.
+    fn for_each_cell(&self, mut f: impl FnMut(Scenario)) {
+        let knobs = Scenario {
+            placement: self.placement,
+            max_rounds: self.max_rounds,
+            edge_prob: self.edge_prob,
+            ..Scenario::default()
+        };
         for &algorithm in &self.algorithms {
-            for &adversary in &self.adversaries {
+            for &network in &self.adversaries {
                 for &k in &self.ks {
                     for &faults in &self.faults {
-                        for seed_index in 0..self.seeds {
-                            let job_id = jobs.len() as u64;
-                            jobs.push(crate::job::RunJob {
-                                job_id,
-                                algorithm,
-                                adversary,
-                                n: self.n_rule.n_for(k),
-                                k,
-                                faults,
-                                seed_index,
-                                derived_seed: derive_seed(self.campaign_seed, job_id),
-                            });
-                        }
+                        f(Scenario {
+                            algorithm,
+                            network,
+                            n: self.n_rule.n_for(k),
+                            k,
+                            faults,
+                            ..knobs
+                        });
                     }
                 }
             }
         }
+    }
+
+    /// Expands the grid into jobs, in deterministic order: algorithm ▸
+    /// adversary ▸ k ▸ faults ▸ seed index, `job_id` numbering from 0.
+    pub fn jobs(&self) -> Vec<RunJob> {
+        let mut jobs = Vec::with_capacity(self.job_count() as usize);
+        self.for_each_cell(|cell| {
+            for seed_index in 0..self.seeds {
+                let job_id = jobs.len() as u64;
+                let seed = derive_seed(self.campaign_seed, job_id);
+                jobs.push(RunJob {
+                    job_id,
+                    seed_index,
+                    scenario: Scenario { seed, ..cell },
+                });
+            }
+        });
         jobs
     }
 }
@@ -506,7 +522,7 @@ mod tests {
         for (i, job) in jobs.iter().enumerate() {
             assert_eq!(job.job_id, i as u64);
             assert_eq!(
-                job.derived_seed,
+                job.scenario.seed,
                 derive_seed(spec.campaign_seed, job.job_id)
             );
         }
@@ -586,6 +602,50 @@ mod tests {
             ..CampaignSpec::default()
         };
         assert!(bad_name.validate().is_err());
+    }
+
+    #[test]
+    fn validation_checks_every_cell_as_a_scenario() {
+        // The ring families need three nodes; at n = k = 2 the grid is
+        // rejected instead of running into `error` records.
+        let rings = CampaignSpec {
+            adversaries: vec![AdversaryKind::Churn, AdversaryKind::Ring],
+            ks: vec![2, 4],
+            n_rule: NRule::K,
+            ..CampaignSpec::default()
+        };
+        let err = rings.validate().expect_err("ring at n = 2");
+        assert!(err.contains("alg4 vs ring"), "{err}");
+        assert!(err.contains("`ring` needs n ≥ 3"), "{err}");
+        let wide = CampaignSpec {
+            ks: vec![3, 4],
+            ..rings.clone()
+        };
+        assert_eq!(wide.validate(), Ok(()));
+        let churn_only = CampaignSpec {
+            adversaries: vec![AdversaryKind::Churn],
+            ..rings
+        };
+        assert_eq!(churn_only.validate(), Ok(()));
+        let bad_prob = CampaignSpec {
+            edge_prob: 1.5,
+            ..CampaignSpec::default()
+        };
+        assert!(bad_prob.validate().unwrap_err().contains("outside [0, 1]"));
+        // Every job is one of the validated cells under its own seed.
+        let spec = CampaignSpec {
+            adversaries: vec![AdversaryKind::Ring, AdversaryKind::MinProgress],
+            faults: vec![0, 1],
+            seeds: 2,
+            ..CampaignSpec::default()
+        };
+        for job in spec.jobs() {
+            assert_eq!(job.scenario.validate(), Ok(()));
+            assert_eq!(job.scenario.placement, spec.placement);
+            assert_eq!(job.scenario.max_rounds, spec.max_rounds);
+            assert_eq!(job.scenario.n, spec.n_rule.n_for(job.scenario.k));
+            assert_eq!(job.scenario.candidates, 8, "the campaigns' sampler budget");
+        }
     }
 
     #[test]

@@ -90,14 +90,8 @@ impl ArtifactStatus {
             out.push_str("quarantined jobs:\n");
             for rec in quarantined {
                 out.push_str(&format!(
-                    "  job {} ({} vs {} n={} k={} f={} seed={}): {}\n",
-                    rec.job_id,
-                    rec.algorithm,
-                    rec.adversary,
-                    rec.n,
-                    rec.k,
-                    rec.faults,
-                    rec.seed,
+                    "  {}: {}\n",
+                    rec.label(),
                     rec.message.as_deref().unwrap_or("(no message)"),
                 ));
             }

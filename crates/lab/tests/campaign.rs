@@ -281,3 +281,76 @@ fn retryable_failures_are_retried_then_quarantined() {
     assert_eq!(resumed.executed, 0);
     assert_eq!(resumed.resumed, 1);
 }
+
+/// The pinned record grid: every algorithm against every network except
+/// the panic probe, k = 6, f ∈ {0, 1}, one seed, a 200-round cap. Its
+/// records include deterministic `error` records (local-dfs is a
+/// static-graph baseline), which stay pinned like the rest.
+fn pinned_spec() -> CampaignSpec {
+    CampaignSpec {
+        name: "pinned".into(),
+        algorithms: vec![
+            AlgorithmKind::Alg4,
+            AlgorithmKind::LocalDfs,
+            AlgorithmKind::RandomWalk,
+            AlgorithmKind::GreedyLocal,
+            AlgorithmKind::BlindGlobal,
+        ],
+        adversaries: AdversaryKind::NAMES
+            .split(" | ")
+            .map(|name| AdversaryKind::parse(name).unwrap())
+            .filter(|&kind| kind != AdversaryKind::PanicProbe)
+            .collect(),
+        ks: vec![6],
+        faults: vec![0, 1],
+        seeds: 1,
+        max_rounds: 200,
+        ..CampaignSpec::default()
+    }
+}
+
+/// How a job becomes a run must not change from one commit to the next:
+/// the spec hash and the sorted canonical records of [`pinned_spec`] are
+/// compared with `tests/fixtures/pinned_records.txt`. Set
+/// `DISPERSION_BLESS=1` to rewrite the fixture after a deliberate change
+/// of outcomes.
+#[test]
+fn pinned_grid_records_match_the_fixture() {
+    let dir = scratch("pinned");
+    let spec = pinned_spec();
+    assert_eq!(spec.adversaries.len(), 11);
+    run_campaign(&spec, &opts(&dir, 2)).expect("pinned campaign");
+    let mut lines: Vec<String> = records(&dir.join("pinned.jsonl"))
+        .iter()
+        .map(RunRecord::canonical_line)
+        .collect();
+    lines.sort();
+    let actual = format!(
+        "spec_hash={:016x}\n{}\n",
+        spec.spec_hash(),
+        lines.join("\n")
+    );
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pinned_records.txt");
+    if std::env::var_os("DISPERSION_BLESS").is_some() {
+        fs::create_dir_all(fixture.parent().unwrap()).expect("fixture dir");
+        fs::write(&fixture, &actual).expect("write fixture");
+    }
+    let expected = fs::read_to_string(&fixture).expect("fixture readable");
+    if let Some((i, (want, got))) = expected
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (want, got))| want != got)
+    {
+        panic!(
+            "pinned records differ at line {}:\n  fixture: {want}\n  now:     {got}",
+            i + 1
+        );
+    }
+    assert_eq!(
+        expected.lines().count(),
+        actual.lines().count(),
+        "pinned record count changed"
+    );
+}
